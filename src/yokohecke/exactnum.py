@@ -15,6 +15,11 @@ three layers of that ring:
 * `LPoly`: sparse Laurent polynomials in the three variables u, v, g with
   `Cyclo` coefficients, keyed by integer exponent triples.
 
+`LPoly` is built on `Sparse`, the finite linear combination over a basis
+that `HeckeElem`, `YElem` and `BlockMatrix` share as well; sums and products
+accumulate into plain dicts through `add_to` / `add_all` and wrap the result
+once.
+
 The variable names match the algebraic setup they feed: u and v are the
 Hecke-relation parameters (T_i^2 = u^2 + v T_i) and g is the extra framing
 parameter used by the link invariants.
@@ -35,7 +40,10 @@ from typing import Iterable, Mapping, Union
 __all__ = [
     "Rat",
     "Cyclo",
+    "Sparse",
     "LPoly",
+    "add_all",
+    "add_to",
     "cyclotomic_polynomial",
     "euler_phi",
     "root_power",
@@ -215,21 +223,13 @@ class Cyclo:
             q = Fraction(other)
             return Cyclo(self.order, tuple(a * q for a in self.coeffs))
         self._check(other)
-        phi = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         conv[i + j] += a * b
-        rows = _power_rows(self.order)
-        out = [Fraction(0)] * phi
-        for m, c in enumerate(conv):
-            if c:
-                for k, r in enumerate(rows[m]):
-                    if r:
-                        out[k] += c * r
-        return Cyclo(self.order, out)
+        return _reduce(self.order, conv)
 
     __rmul__ = __mul__
 
@@ -259,16 +259,7 @@ class Cyclo:
             if not any(r1):  # pragma: no cover - Phi_d irreducible
                 raise ArithmeticError("unexpected common factor with Phi_d")
             s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        # reduce the cofactor mod Phi_d and repackage
-        phi = euler_phi(self.order)
-        rows = _power_rows(self.order)
-        out = [Fraction(0)] * phi
-        for m, c in enumerate(coeffs):
-            if c:
-                for k, r in enumerate(rows[m]):
-                    if r:
-                        out[k] += c * r
-        return Cyclo(self.order, out)
+        return _reduce(self.order, coeffs)
 
     def __truediv__(self, other: Union["Cyclo", Rat, int]) -> "Cyclo":
         if isinstance(other, Cyclo):
@@ -315,9 +306,20 @@ def _cyclo_one(order: int) -> Cyclo:
 
 @lru_cache(maxsize=None)
 def _zeta_pow(order: int, s: int) -> Cyclo:
-    phi = euler_phi(order)
-    row = _power_rows(order)[s]
-    return Cyclo(order, row)
+    return Cyclo(order, _power_rows(order)[s])
+
+
+def _reduce(order: int, coeffs: list[Fraction]) -> Cyclo:
+    """The element sum_m coeffs[m] zeta^m, reduced mod Phi_order onto the
+    power basis; `coeffs` may run up to degree 2 phi(order) - 2."""
+    rows = _power_rows(order)
+    out = [Fraction(0)] * euler_phi(order)
+    for m, c in enumerate(coeffs):
+        if c:
+            for k, r in enumerate(rows[m]):
+                if r:
+                    out[k] += c * r
+    return Cyclo(order, out)
 
 
 def root_power(d: int, a: int, s: int) -> Cyclo:
@@ -375,40 +377,130 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 
 
 # --------------------------------------------------------------------------
+# the sparse-combination core
+# --------------------------------------------------------------------------
+
+def add_to(out: dict, key, c) -> None:
+    """out[key] += c in place; a missing key counts as zero."""
+    acc = out.get(key)
+    out[key] = c if acc is None else acc + c
+
+
+def add_all(out: dict, terms: Mapping, c=None) -> None:
+    """out += terms in place, each value multiplied on the right by c when
+    c is given.  Sums that cancel stay in `out` as zeros; wrapping the dict
+    in a `Sparse` prunes them once at the end."""
+    if c is None:
+        for k, x in terms.items():
+            acc = out.get(k)
+            out[k] = x if acc is None else acc + x
+    else:
+        for k, x in terms.items():
+            x = x * c
+            acc = out.get(k)
+            out[k] = x if acc is None else acc + x
+
+
+class Sparse:
+    """A finite linear combination over a basis: `terms` maps basis keys to
+    nonzero coefficients (a coefficient is false exactly when it is zero).
+
+    A subclass has a constructor `(*parent, terms)`, where `_parent()` is
+    the tuple of data (orders, strand counts) both operands of a sum must
+    share.  The base supplies the vector-space operations and equality;
+    instances are immutable by convention (construction prunes zeros and no
+    method mutates `terms` afterwards) and unhashable unless a subclass
+    defines `__hash__`.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _parent(self) -> tuple:
+        raise NotImplementedError
+
+    def _new(self, terms: Mapping):
+        """A combination with the same parent and the given terms."""
+        return type(self)(*self._parent(), terms)
+
+    @classmethod
+    def zero(cls, *parent):
+        return cls(*parent)
+
+    def _check(self, other: "Sparse") -> None:
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other._parent() != self._parent():
+            raise ValueError(
+                f"mixed {type(self).__name__} parents {self._parent()} and {other._parent()}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        add_all(out, other.terms)
+        return self._new(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        add_all(out, (-other).terms)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        """Every coefficient multiplied by c (on the right)."""
+        return self._new({k: x * c for k, x in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._parent() == other._parent()
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+
+# --------------------------------------------------------------------------
 # sparse Laurent polynomials in u, v, g
 # --------------------------------------------------------------------------
 
 Scalar = Union[Cyclo, Rat, int]
 
 
-class LPoly:
+class LPoly(Sparse):
     """Sparse Laurent polynomial in u, v, g over Q(zeta_d).
 
-    Terms are stored as a dict {(e_u, e_v, e_g): Cyclo} with no zero values.
-    Instances are immutable by convention (construction prunes zeros; no
-    method mutates `terms` afterwards).
+    A `Sparse` combination {(e_u, e_v, e_g): Cyclo} whose parent is the
+    cyclotomic order d.  Unlike the algebra elements built on it, an LPoly
+    is hashable: equal polynomials hash equal.
 
     >>> p = LPoly.var(1, "u") + LPoly.var(1, "v", -1)
     >>> print((p * p).text())
     1 * u^2 + 2 * u^1 * v^-1 + 1 * v^-2
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order",)
 
     def __init__(self, order: int, terms: Mapping[ExpKey, Cyclo] | None = None):
         self.order = order
-        if terms:
-            self.terms: dict[ExpKey, Cyclo] = {
-                k: c for k, c in terms.items() if not c.is_zero()
-            }
-        else:
-            self.terms = {}
+        Sparse.__init__(self, terms)
+
+    def _parent(self) -> tuple:
+        return (self.order,)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "LPoly":
-        return cls(order)
 
     @classmethod
     def one(cls, order: int) -> "LPoly":
@@ -431,12 +523,6 @@ class LPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def coefficient(self, eu: int, ev: int, eg: int) -> Cyclo:
         return self.terms.get((eu, ev, eg), Cyclo.zero(self.order))
 
@@ -446,47 +532,22 @@ class LPoly:
             raise ValueError(f"not a constant: {self.text()}")
         return self.coefficient(0, 0, 0)
 
-    def _check(self, other: "LPoly") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed coefficient orders {self.order} and {other.order}")
-
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "LPoly") -> "LPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            out[k] = c if acc is None else acc + c
-        return LPoly(self.order, out)
-
-    def __sub__(self, other: "LPoly") -> "LPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            out[k] = -c if acc is None else acc - c
-        return LPoly(self.order, out)
-
-    def __neg__(self) -> "LPoly":
-        return LPoly(self.order, {k: -c for k, c in self.terms.items()})
+    # defined on the class itself so that instrumentation can wrap it
+    __add__ = Sparse.__add__
 
     def __mul__(self, other: "LPoly") -> "LPoly":
         self._check(other)
         out: dict[ExpKey, Cyclo] = {}
         for (a1, b1, c1), x in self.terms.items():
             for (a2, b2, c2), y in other.terms.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                p = x * y
-                acc = out.get(k)
-                out[k] = p if acc is None else acc + p
+                add_to(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
         return LPoly(self.order, out)
 
     def scale(self, c: Scalar) -> "LPoly":
         c = c if isinstance(c, Cyclo) else Cyclo.from_rat(self.order, c)
-        if c.is_zero():
-            return LPoly.zero(self.order)
-        return LPoly(self.order, {k: x * c for k, x in self.terms.items()})
+        return Sparse.scale(self, c)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
         """Multiply by the monomial u^eu v^ev g^eg."""
@@ -535,14 +596,7 @@ class LPoly:
             total += x.eval_complex() * u0**a * v0**b * g0**c
         return total
 
-    # -- equality and text ----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LPoly)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+    # -- hashing and text -----------------------------------------------------
 
     def __hash__(self) -> int:
         return hash((self.order, frozenset(self.terms.items())))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactnum import LPoly
+from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import (
     Composition,
     Perm,
@@ -56,7 +56,7 @@ def loop_factor(order: int) -> LPoly:
     return LPoly.monomial(order, 1, 0, -1, 0) - LPoly.monomial(order, 1, 2, -1, 0)
 
 
-class HeckeElem:
+class HeckeElem(Sparse):
     """An element of H_n on the T basis: {one-line permutation: LPoly}.
 
     `order` is the cyclotomic order of the coefficient ring (plain rational
@@ -64,18 +64,19 @@ class HeckeElem:
     appear as matrix entries next to Y_{d,n} computations.
     """
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("n", "order")
 
     def __init__(self, n: int, order: int, terms: Mapping[Perm, LPoly] | None = None):
         self.n = n
         self.order = order
-        self.terms: dict[Perm, LPoly] = {}
         if terms:
-            for w, c in terms.items():
+            for w in terms:
                 if len(w) != n:
                     raise ValueError(f"permutation {w} is not in S_{n}")
-                if not c.is_zero():
-                    self.terms[w] = c
+        Sparse.__init__(self, terms)
+
+    def _parent(self) -> tuple:
+        return (self.n, self.order)
 
     # -- constructors -------------------------------------------------------
 
@@ -98,50 +99,8 @@ class HeckeElem:
 
     # -- linear structure ----------------------------------------------------
 
-    def _check(self, other: "HeckeElem") -> None:
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("mixed Hecke algebras")
-
-    def __add__(self, other: "HeckeElem") -> "HeckeElem":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return HeckeElem(self.n, self.order, out)
-
-    def __sub__(self, other: "HeckeElem") -> "HeckeElem":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            out[w] = -c if acc is None else acc - c
-        return HeckeElem(self.n, self.order, out)
-
-    def __neg__(self) -> "HeckeElem":
-        return HeckeElem(self.n, self.order, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: LPoly) -> "HeckeElem":
-        if c.order != self.order:
-            raise ValueError("mixed coefficient orders")
-        return HeckeElem(self.n, self.order, {w: x * c for w, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeckeElem)
-            and self.n == other.n
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):  # pragma: no cover - elements are not dict keys
-        raise TypeError("HeckeElem is unhashable")
+    # defined on the class itself so that instrumentation can wrap it
+    __add__ = Sparse.__add__
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -165,25 +124,21 @@ class HeckeElem:
         usq = LPoly.var(self.order, "u", 2)
         vv = LPoly.var(self.order, "v")
         out: dict[Perm, LPoly] = {}
-
-        def add(w: Perm, c: LPoly) -> None:
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-
         for w, c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
             if w[i - 1] < w[i]:
-                add(ws, c)
+                add_to(out, ws, c)
             else:
-                add(ws, c * usq)
-                add(w, c * vv)
+                add_to(out, ws, c * usq)
+                add_to(out, w, c * vv)
         return HeckeElem(self.n, self.order, out)
 
     def mul_gen_inv(self, i: int) -> "HeckeElem":
         """Right multiplication by T_i^{-1} = u^{-2} T_i - u^{-2} v."""
-        a = self.mul_gen(i).scale(LPoly.monomial(self.order, 1, -2, 0, 0))
-        b = self.scale(LPoly.monomial(self.order, 1, -2, 1, 0))
-        return a - b
+        out: dict[Perm, LPoly] = {}
+        add_all(out, self.mul_gen(i).terms, LPoly.monomial(self.order, 1, -2, 0, 0))
+        add_all(out, self.terms, LPoly.monomial(self.order, -1, -2, 1, 0))
+        return HeckeElem(self.n, self.order, out)
 
     def __mul__(self, other: "HeckeElem") -> "HeckeElem":
         return h_mul(self, other)
@@ -199,13 +154,13 @@ class HeckeElem:
 def h_mul(x: HeckeElem, y: HeckeElem) -> HeckeElem:
     """Product in H_n, expanding y through reduced words of its basis terms."""
     x._check(y)
-    out = HeckeElem.zero(x.n, x.order)
+    out: dict[Perm, LPoly] = {}
     for w, c in y.terms.items():
         z = x
         for i in reduced_word(w):
             z = z.mul_gen(i)
-        out = out + z.scale(c)
-    return out
+        add_all(out, z.terms, c)
+    return HeckeElem(x.n, x.order, out)
 
 
 def t_from_word(n: int, word: Iterable[int], order: int = 1) -> HeckeElem:
@@ -239,10 +194,10 @@ def markov_tau(x: HeckeElem) -> LPoly:
     cur = x
     while cur.n > 1:
         n = cur.n
-        nxt = HeckeElem.zero(n - 1, x.order)
+        nxt: dict[Perm, LPoly] = {}
         for w, c in cur.terms.items():
             if w[n - 1] == n:
-                nxt = nxt + HeckeElem(n - 1, x.order, {w[: n - 1]: c * loop})
+                add_to(nxt, w[: n - 1], c * loop)
                 continue
             j = inverse(w)[n - 1]  # position mapped to n
             a = tuple(val for val in w if val != n)  # in S_{n-1}
@@ -250,8 +205,8 @@ def markov_tau(x: HeckeElem) -> LPoly:
             assert length(a) + 1 + length(y) == length(w), (w, a, y)
             ha = HeckeElem(n - 1, x.order, {a: c})
             hy = HeckeElem.basis(n - 1, y, x.order)
-            nxt = nxt + h_mul(ha, hy)
-        cur = nxt
+            add_all(nxt, h_mul(ha, hy).terms)
+        cur = HeckeElem(n - 1, x.order, nxt)
     return cur.coefficient(identity(cur.n))
 
 
@@ -275,12 +230,12 @@ def tau_parabolic(x: ParabolicElem) -> LPoly:
     """The block-product trace on H^mu: on a basis term, the product over
     letter blocks of markov_tau applied to the renumbered block permutation.
     """
-    total = LPoly.zero(x.elem.order)
+    total: dict = {}
     for w, c in x.elem.terms.items():
         val = c
         for wa in block_split(w, x.mu):
             if len(wa) == 0:
                 continue
             val = val * markov_tau(HeckeElem.basis(len(wa), wa, x.elem.order))
-        total = total + val
-    return total
+        add_all(total, val.terms)
+    return LPoly(x.elem.order, total)

@@ -27,10 +27,9 @@ inside mu^[a] (it preserves lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactnum import LPoly
+from .exactnum import LPoly, Sparse, add_all, add_to
 from .hecke import HeckeElem, ParabolicElem, h_mul
 from .permcomp import (
     Character,
@@ -41,7 +40,6 @@ from .permcomp import (
     compose,
     coset_reps,
     extend,
-    identity,
     inverse,
     length,
     orbit,
@@ -60,144 +58,96 @@ __all__ = [
 
 
 Matrix = tuple[tuple[HeckeElem, ...], ...]
+Cell = tuple[Composition, int, int]
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
+class BlockMatrix(Sparse):
     """One m_mu x m_mu matrix of H^mu elements per composition mu.
 
-    Blocks that are entirely zero may be omitted from `blocks`; equality
-    treats a missing block as zero.  Entries are HeckeElem of size n whose
-    basis permutations preserve the mu-blocks (`entry` wraps them as
-    ParabolicElem on demand, which re-validates).
+    Stored sparsely as a `Sparse` combination keyed by (mu, i, j), the
+    0-indexed cell (i, j) of block mu, over the nonzero cells only; `blocks`
+    groups those cells by composition ({mu: {(i, j): entry}}, nonzero blocks
+    only) and `block(mu)` gives the dense m_mu x m_mu view.  Entries are
+    HeckeElem of size n whose basis permutations preserve the mu-blocks
+    (`entry` wraps them as ParabolicElem on demand, which re-validates).
     """
 
-    d: int
-    n: int
-    blocks: dict[Composition, Matrix]
+    __slots__ = ("d", "n", "blocks")
 
-    def __post_init__(self):
-        pruned = {}
-        for mu, mat in self.blocks.items():
-            if mu.d != self.d or mu.n != self.n:
-                raise ValueError(f"block {mu} does not fit level ({self.d},{self.n})")
+    def __init__(self, d: int, n: int, terms: dict[Cell, HeckeElem] | None = None):
+        self.d = d
+        self.n = n
+        Sparse.__init__(self, terms)
+        blocks: dict[Composition, dict[tuple[int, int], HeckeElem]] = {}
+        for (mu, i, j), entry in self.terms.items():
+            blocks.setdefault(mu, {})[i, j] = entry
+        for mu, cells in blocks.items():
+            if mu.d != d or mu.n != n:
+                raise ValueError(f"block {mu} does not fit level ({d},{n})")
             m = mu.multiplicity()
-            if len(mat) != m or any(len(row) != m for row in mat):
+            if any(not (0 <= i < m and 0 <= j < m) for i, j in cells):
                 raise ValueError(f"block {mu} must be {m}x{m}")
-            if any(cell for row in mat for cell in row):
-                pruned[mu] = mat
-        object.__setattr__(self, "blocks", pruned)
+        self.blocks = blocks
+
+    def _parent(self) -> tuple:
+        return (self.d, self.n)
 
     # -- construction helpers --------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int, n: int) -> "BlockMatrix":
-        return cls(d, n, {})
-
-    @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
-        out = {}
-        for mu in _levels(d, n):
-            m = mu.multiplicity()
-            z = HeckeElem.zero(n, d)
-            one = HeckeElem.one(n, d)
-            out[mu] = tuple(
-                tuple(one if i == j else z for j in range(m)) for i in range(m)
-            )
-        return cls(d, n, out)
+        one = HeckeElem.one(n, d)
+        return cls(
+            d, n, {(mu, i, i): one for mu in _levels(d, n) for i in range(mu.multiplicity())}
+        )
 
     @classmethod
     def single_entry(
         cls, d: int, n: int, mu: Composition, i: int, j: int, value: HeckeElem
     ) -> "BlockMatrix":
         """A matrix with one (0-indexed) nonzero entry in block mu."""
-        m = mu.multiplicity()
-        z = HeckeElem.zero(n, d)
-        mat = tuple(
-            tuple(value if (r, c) == (i, j) else z for c in range(m)) for r in range(m)
-        )
-        return cls(d, n, {mu: mat})
+        return cls(d, n, {(mu, i, j): value})
 
     def block(self, mu: Composition) -> Matrix:
-        got = self.blocks.get(mu)
-        if got is not None:
-            return got
-        m = mu.multiplicity()
+        cells = self.blocks.get(mu, {})
         z = HeckeElem.zero(self.n, self.d)
-        return tuple(tuple(z for _ in range(m)) for _ in range(m))
+        m = mu.multiplicity()
+        return tuple(tuple(cells.get((i, j), z) for j in range(m)) for i in range(m))
 
     def entry(self, mu: Composition, i: int, j: int) -> ParabolicElem:
-        return ParabolicElem(mu, self.block(mu)[i][j])
+        return ParabolicElem(mu, self.terms.get((mu, i, j), HeckeElem.zero(self.n, self.d)))
 
     # -- algebra ----------------------------------------------------------------
-
-    def _check(self, other: "BlockMatrix") -> None:
-        if self.d != other.d or self.n != other.n:
-            raise ValueError("mixed block-matrix levels")
-
-    def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        self._check(other)
-        out = {}
-        for mu in set(self.blocks) | set(other.blocks):
-            a, b = self.block(mu), other.block(mu)
-            out[mu] = tuple(
-                tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-        return BlockMatrix(self.d, self.n, out)
-
-    def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        self._check(other)
-        out = {}
-        for mu in set(self.blocks) | set(other.blocks):
-            a, b = self.block(mu), other.block(mu)
-            out[mu] = tuple(
-                tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
-        return BlockMatrix(self.d, self.n, out)
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
         """Blockwise matrix product (absent blocks multiply to absent)."""
         self._check(other)
-        out = {}
-        for mu in set(self.blocks) & set(other.blocks):
-            a, b = self.blocks[mu], other.blocks[mu]
-            m = len(a)
-            mat = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    acc = HeckeElem.zero(self.n, self.d)
-                    for k in range(m):
-                        if a[i][k] and b[k][j]:
-                            acc = acc + h_mul(a[i][k], b[k][j])
-                    row.append(acc)
-                mat.append(tuple(row))
-            out[mu] = tuple(mat)
-        return BlockMatrix(self.d, self.n, out)
+        cells: dict[Cell, dict[Perm, LPoly]] = {}
+        for mu, a in self.blocks.items():
+            b = other.blocks.get(mu)
+            if b is None:
+                continue
+            rows: dict[int, list[tuple[int, HeckeElem]]] = {}
+            for (k, j), y in b.items():
+                rows.setdefault(k, []).append((j, y))
+            for (i, k), x in a.items():
+                for j, y in rows.get(k, ()):
+                    add_all(cells.setdefault((mu, i, j), {}), h_mul(x, y).terms)
+        return _from_cells(self.d, self.n, cells)
 
     def trace_of_block(self, mu: Composition) -> ParabolicElem:
         """Sum of the diagonal entries of one block, as a ParabolicElem."""
-        mat = self.block(mu)
-        acc = HeckeElem.zero(self.n, self.d)
-        for i in range(len(mat)):
-            acc = acc + mat[i][i]
-        return ParabolicElem(mu, acc)
+        out: dict[Perm, LPoly] = {}
+        for (i, j), entry in self.blocks.get(mu, {}).items():
+            if i == j:
+                add_all(out, entry.terms)
+        return ParabolicElem(mu, HeckeElem(self.n, self.d, out))
 
-    def is_zero(self) -> bool:
-        return not self.blocks
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        if self.d != other.d or self.n != other.n:
-            return False
-        for mu in set(self.blocks) | set(other.blocks):
-            if self.block(mu) != other.block(mu):
-                return False
-        return True
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("BlockMatrix is unhashable")
+def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMatrix:
+    """The block matrix whose cell (mu, i, j) is the Hecke element with the
+    T-basis coefficients cells[(mu, i, j)]."""
+    return BlockMatrix(d, n, {key: HeckeElem(n, d, terms) for key, terms in cells.items()})
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +172,7 @@ def psi_from_e_coeffs(
 ) -> BlockMatrix:
     """psi applied to an element given directly by idempotent-basis
     coefficients, skipping the change of basis from t-exponents."""
-    cells: dict[Composition, dict[tuple[int, int], HeckeElem]] = {}
+    cells: dict[Cell, dict[Perm, LPoly]] = {}
     for (chi, w), c in eb.items():
         mu = comp_of(chi, d)
         idx = orbit_index(mu)
@@ -231,19 +181,8 @@ def psi_from_e_coeffs(
         j = idx[chi_j]
         reps = coset_reps(mu)
         p = compose(compose(inverse(reps[k]), w), reps[j])
-        coeff = c.shift(eu=-length(p))
-        cell = cells.setdefault(mu, {})
-        got = cell.get((k, j))
-        add = HeckeElem(n, d, {p: coeff})
-        cell[(k, j)] = add if got is None else got + add
-    out = {}
-    for mu, cell in cells.items():
-        m = mu.multiplicity()
-        z = HeckeElem.zero(n, d)
-        out[mu] = tuple(
-            tuple(cell.get((i, j), z) for j in range(m)) for i in range(m)
-        )
-    return BlockMatrix(d, n, out)
+        add_to(cells.setdefault((mu, k, j), {}), p, c.shift(eu=-length(p)))
+    return _from_cells(d, n, cells)
 
 
 def phi(M: BlockMatrix) -> YElem:
@@ -255,25 +194,15 @@ def phi(M: BlockMatrix) -> YElem:
 def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     """The idempotent-basis coefficients of phi(M), without the final
     change of basis back to t-exponents."""
-    d, n = M.d, M.n
     eb: dict[tuple[Character, Perm], LPoly] = {}
-    for mu, mat in M.blocks.items():
-        orb = orbit(mu)
+    for (mu, i, j), entry in M.terms.items():
+        ParabolicElem(mu, entry)  # validates block support
         reps = coset_reps(mu)
-        m = len(orb)
-        for i in range(m):
-            chi = orb[i]
-            for j in range(m):
-                entry = mat[i][j]
-                if not entry:
-                    continue
-                ParabolicElem(mu, entry)  # validates block support
-                pj_inv = inverse(reps[j])
-                for p, c in entry.terms.items():
-                    w = compose(compose(reps[i], p), pj_inv)
-                    coeff = c.shift(eu=length(p))
-                    got = eb.get((chi, w))
-                    eb[(chi, w)] = coeff if got is None else got + coeff
+        chi = orbit(mu)[i]
+        pj_inv = inverse(reps[j])
+        for p, c in entry.terms.items():
+            w = compose(compose(reps[i], p), pj_inv)
+            add_to(eb, (chi, w), c.shift(eu=length(p)))
     return eb
 
 
@@ -286,10 +215,9 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     the letter-a block (length-preserving, so T-coefficients carry over).
     """
     d, n = M.d, M.n
-    cells: dict[Composition, dict[tuple[int, int], HeckeElem]] = {}
-    for mu, mat in M.blocks.items():
+    cells: dict[Cell, dict[Perm, LPoly]] = {}
+    for mu, block in M.blocks.items():
         orb = orbit(mu)
-        m = len(orb)
         for a in range(1, d + 1):
             mua = mu.bump(a)
             idxa = orbit_index(mua)
@@ -299,25 +227,8 @@ def iota(M: BlockMatrix) -> BlockMatrix:
             p = sum(mu.parts[:a]) + 1
             cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
             cyc_inv = inverse(cyc)
-            cell = cells.setdefault(mua, {})
-            for i in range(m):
-                for j in range(m):
-                    entry = mat[i][j]
-                    if not entry:
-                        continue
-                    terms = {}
-                    for w, c in entry.terms.items():
-                        w2 = compose(compose(cyc, extend(w, n + 1)), cyc_inv)
-                        terms[w2] = c
-                    add = HeckeElem(n + 1, d, terms)
-                    key = (rowmap[i], rowmap[j])
-                    got = cell.get(key)
-                    cell[key] = add if got is None else got + add
-    out = {}
-    for mua, cell in cells.items():
-        m = mua.multiplicity()
-        z = HeckeElem.zero(n + 1, d)
-        out[mua] = tuple(
-            tuple(cell.get((i, j), z) for j in range(m)) for i in range(m)
-        )
-    return BlockMatrix(d, n + 1, out)
+            for (i, j), entry in block.items():
+                cell = cells.setdefault((mua, rowmap[i], rowmap[j]), {})
+                for w, c in entry.terms.items():
+                    add_to(cell, compose(compose(cyc, extend(w, n + 1)), cyc_inv), c)
+    return _from_cells(d, n + 1, cells)

@@ -214,14 +214,6 @@ class Composition:
         parts[a - 1] += 1
         return Composition(tuple(parts))
 
-    def unbump(self, a: int) -> "Composition":
-        """Subtract 1 from part a (1-indexed); the part must be positive."""
-        parts = list(self.parts)
-        if parts[a - 1] <= 0:
-            raise ValueError(f"part {a} of {self.parts} is not positive")
-        parts[a - 1] -= 1
-        return Composition(tuple(parts))
-
     def multiplicity(self) -> int:
         """Size of the character orbit: the multinomial n! / prod(mu_a!).
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from numbers import Complex
 from typing import Iterable, Mapping
 
-from .exactnum import Cyclo, LPoly, root_power
+from .exactnum import Cyclo, LPoly, add_all, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import psi
 from .permcomp import Composition, all_comp0, identity
@@ -100,18 +100,19 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     for the compositions present in x's character support."""
     M = psi(x)
     out: dict[Composition, LPoly] = {}
-    for mu, _ in sorted(M.blocks.items(), key=lambda kv: kv[0].parts):
+    for mu in sorted(M.blocks, key=lambda mu: mu.parts):
         a = spec.alpha(mu.base())
         tr = M.trace_of_block(mu)
         out[mu] = tau_parabolic(tr) * a
     return out
 
+
 def rho(spec: TraceSpec, x: YElem) -> LPoly:
     """The Markov trace described by `spec`, evaluated at x."""
-    total = LPoly.zero(spec.d)
+    total: dict = {}
     for val in rho_blocks(spec, x).values():
-        total = total + val
-    return total
+        add_all(total, val.terms)
+    return LPoly(spec.d, total)
 
 
 def symmetrizing_rho(x: YElem) -> LPoly:
@@ -119,12 +120,12 @@ def symmetrizing_rho(x: YElem) -> LPoly:
     the coefficient of T_identity (equivalently Tt_identity) summed along the
     diagonal, then summed over blocks."""
     M = psi(x)
-    total = LPoly.zero(x.d)
+    total: dict = {}
     idn = identity(x.n)
-    for mu, mat in M.blocks.items():
-        for i in range(len(mat)):
-            total = total + mat[i][i].coefficient(idn)
-    return total
+    for (mu, i, j), entry in M.terms.items():
+        if i == j:
+            add_all(total, entry.coefficient(idn).terms)
+    return LPoly(x.d, total)
 
 
 def symmetrizing_tilde(x: YElem) -> LPoly:

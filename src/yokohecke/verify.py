@@ -28,7 +28,7 @@ import math
 import random
 
 from ._golden import golden_checks
-from .exactnum import LPoly
+from .exactnum import LPoly, add_to
 from .isomap import iota, phi_to_e_coeffs, psi, psi_from_e_coeffs
 from .links import jl_numeric, parse_word
 from .permcomp import Character, Composition, Perm
@@ -89,12 +89,12 @@ def _random_basis_elem(rng: random.Random, d: int, n: int) -> YElem:
 
 
 def _random_elem(rng: random.Random, d: int, n: int, terms: int = 3) -> YElem:
-    x = YElem.zero(d, n)
+    out: dict = {}
     for _ in range(terms):
         c = LPoly.const(d, rng.choice((-2, -1, 1, 2)))
         key = (_random_kvec(rng, d, n), _random_perm(rng, n))
-        x = x + YElem(d, n, {key: c})
-    return x
+        add_to(out, key, c)
+    return YElem(d, n, out)
 
 
 def suite_iso(

@@ -32,12 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .exactnum import Cyclo, LPoly, root_power
+from .exactnum import Cyclo, LPoly, Sparse, add_all, add_to, root_power
 from .permcomp import (
     Character,
     Composition,
     Perm,
-    comp_of,
     identity,
     orbit,
     reduced_word,
@@ -46,7 +45,6 @@ from .permcomp import (
 __all__ = [
     "YElem",
     "y_mul",
-    "y_mul_gen",
     "idempotent_E",
     "idempotent_Emu",
     "to_E_basis",
@@ -57,27 +55,24 @@ __all__ = [
 YKey = tuple[tuple[int, ...], Perm]
 
 
-class YElem:
+class YElem(Sparse):
     """An element of Y_{d,n} on the framing-tuple / permutation basis."""
 
-    __slots__ = ("d", "n", "terms")
+    __slots__ = ("d", "n")
 
     def __init__(self, d: int, n: int, terms: Mapping[YKey, LPoly] | None = None):
         self.d = d
         self.n = n
-        self.terms: dict[YKey, LPoly] = {}
         if terms:
-            for (k, w), c in terms.items():
+            for k, w in terms:
                 if len(k) != n or len(w) != n:
                     raise ValueError(f"key {(k, w)} does not fit Y_{{{d},{n}}}")
-                if not c.is_zero():
-                    self.terms[(k, w)] = c
+        Sparse.__init__(self, terms)
+
+    def _parent(self) -> tuple:
+        return (self.d, self.n)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, d: int, n: int) -> "YElem":
-        return cls(d, n)
 
     @classmethod
     def one(cls, d: int, n: int) -> "YElem":
@@ -102,53 +97,6 @@ class YElem:
         """The idempotent e_i."""
         return cls.one(d, n).mul_e(i)
 
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "YElem") -> None:
-        if self.d != other.d or self.n != other.n:
-            raise ValueError("mixed Yokonuma-Hecke algebras")
-
-    def __add__(self, other: "YElem") -> "YElem":
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return YElem(self.d, self.n, out)
-
-    def __sub__(self, other: "YElem") -> "YElem":
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            out[key] = -c if acc is None else acc - c
-        return YElem(self.d, self.n, out)
-
-    def __neg__(self) -> "YElem":
-        return YElem(self.d, self.n, {key: -c for key, c in self.terms.items()})
-
-    def scale(self, c: LPoly) -> "YElem":
-        if c.order != self.d:
-            raise ValueError("mixed coefficient orders")
-        return YElem(self.d, self.n, {key: x * c for key, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, YElem)
-            and self.d == other.d
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("YElem is unhashable")
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"<YElem d={self.d} n={self.n}: 0>"
@@ -166,14 +114,7 @@ class YElem:
         """Right multiply by t_j^power: t^k gt_w t_j = t^{k + power.delta_{w(j)}} gt_w."""
         if not 1 <= j <= self.n:
             raise ValueError(f"framing index {j} out of range 1..{self.n}")
-        out: dict[YKey, LPoly] = {}
-        for (k, w), c in self.terms.items():
-            pos = w[j - 1] - 1
-            k2 = k[:pos] + ((k[pos] + power) % self.d,) + k[pos + 1 :]
-            key = (k2, w)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return YElem(self.d, self.n, out)
+        return self.mul_t_vector(tuple(power if m == j else 0 for m in range(1, self.n + 1)))
 
     def mul_t_vector(self, kv: tuple[int, ...]) -> "YElem":
         """Right multiply by t^kv = t_1^{kv_1} ... t_n^{kv_n} in one pass."""
@@ -184,28 +125,29 @@ class YElem:
                 if m:
                     pos = w[j] - 1
                     k2[pos] = (k2[pos] + m) % self.d
-            key = (tuple(k2), w)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
+            add_to(out, (tuple(k2), w), c)
         return YElem(self.d, self.n, out)
+
+    def _spread_e(self, out: dict, k: tuple[int, ...], w: Perm, i: int, c: LPoly) -> None:
+        """Add c t^{k'} gt_w into `out` for each of the d framings k' in
+        t^k gt_w (d e_i): e_i moves left past gt_w onto the positions w(i),
+        w(i+1), so k' = k + s (delta_{w(i)} - delta_{w(i+1)}) for s in 0..d-1."""
+        d = self.d
+        p, q = w[i - 1] - 1, w[i] - 1
+        for s in range(d):
+            k2 = list(k)
+            k2[p] = (k2[p] + s) % d
+            k2[q] = (k2[q] - s) % d
+            add_to(out, (tuple(k2), w), c)
 
     def mul_e(self, i: int) -> "YElem":
         """Right multiply by e_i = (1/d) sum_s t_i^s t_{i+1}^{-s}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"idempotent index {i} out of range 1..{self.n - 1}")
-        d = self.d
-        frac = LPoly.const(d, Fraction(1, d))
+        frac = LPoly.const(self.d, Fraction(1, self.d))
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
-            cc = c * frac
-            p, q = w[i - 1] - 1, w[i] - 1
-            for s in range(d):
-                k2 = list(k)
-                k2[p] = (k2[p] + s) % d
-                k2[q] = (k2[q] - s) % d
-                key = (tuple(k2), w)
-                acc = out.get(key)
-                out[key] = cc if acc is None else acc + cc
+            self._spread_e(out, k, w, i, c * frac)
         return YElem(self.d, self.n, out)
 
     def mul_gtilde(self, i: int) -> "YElem":
@@ -216,25 +158,13 @@ class YElem:
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        d = self.d
-        uv = LPoly.monomial(d, Fraction(1, d), -1, 1, 0)  # u^{-1} v / d
+        uv = LPoly.monomial(self.d, Fraction(1, self.d), -1, 1, 0)  # u^{-1} v / d
         out: dict[YKey, LPoly] = {}
-
-        def add(key: YKey, c: LPoly) -> None:
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-
         for (k, w), c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            add((k, ws), c)
+            add_to(out, (k, ws), c)
             if w[i - 1] > w[i]:
-                cc = c * uv
-                p, q = w[i - 1] - 1, w[i] - 1
-                for s in range(d):
-                    k2 = list(k)
-                    k2[p] = (k2[p] + s) % d
-                    k2[q] = (k2[q] - s) % d
-                    add((tuple(k2), w), cc)
+                self._spread_e(out, k, w, i, c * uv)
         return YElem(self.d, self.n, out)
 
     def mul_g(self, i: int) -> "YElem":
@@ -243,81 +173,10 @@ class YElem:
 
     def mul_g_inv(self, i: int) -> "YElem":
         """Right multiply by g_i^{-1} = u^{-2} g_i - u^{-2} v e_i."""
-        a = self.mul_gtilde(i).scale(LPoly.monomial(self.d, 1, -1, 0, 0))
-        b = self.mul_e(i).scale(LPoly.monomial(self.d, 1, -2, 1, 0))
-        return a - b
-
-    # -- left generator multiplications ----------------------------------------
-
-    def lmul_t(self, j: int, power: int = 1) -> "YElem":
-        """Left multiply by t_j^power: lands on strand j directly."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"framing index {j} out of range 1..{self.n}")
         out: dict[YKey, LPoly] = {}
-        for (k, w), c in self.terms.items():
-            k2 = k[: j - 1] + ((k[j - 1] + power) % self.d,) + k[j:]
-            key = (k2, w)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
+        add_all(out, self.mul_gtilde(i).terms, LPoly.monomial(self.d, 1, -1, 0, 0))
+        add_all(out, self.mul_e(i).terms, LPoly.monomial(self.d, -1, -2, 1, 0))
         return YElem(self.d, self.n, out)
-
-    def lmul_e(self, i: int) -> "YElem":
-        """Left multiply by e_i (e_i is central in the framing part, so this
-        only touches strands i, i+1 of k)."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"idempotent index {i} out of range 1..{self.n - 1}")
-        d = self.d
-        frac = LPoly.const(d, Fraction(1, d))
-        out: dict[YKey, LPoly] = {}
-        for (k, w), c in self.terms.items():
-            cc = c * frac
-            for s in range(d):
-                k2 = list(k)
-                k2[i - 1] = (k2[i - 1] + s) % d
-                k2[i] = (k2[i] - s) % d
-                key = (tuple(k2), w)
-                acc = out.get(key)
-                out[key] = cc if acc is None else acc + cc
-        return YElem(self.d, self.n, out)
-
-    def lmul_gtilde(self, i: int) -> "YElem":
-        """Left multiply by gt_i:
-
-        gt_i t^k gt_w = t^{s_i(k)} gt_{s_i w}                        if len up,
-                      = t^{s_i(k)} gt_{s_i w} + u^{-1} v e_i t^{s_i(k)} gt_w.
-        """
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        d = self.d
-        uv = LPoly.monomial(d, Fraction(1, d), -1, 1, 0)
-        out: dict[YKey, LPoly] = {}
-
-        def add(key: YKey, c: LPoly) -> None:
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-
-        for (k, w), c in self.terms.items():
-            k2 = k[: i - 1] + (k[i], k[i - 1]) + k[i + 1 :]
-            # s_i w swaps the *values* i, i+1 in the one-line form of w
-            sw = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
-            up = inverse_position(w, i) < inverse_position(w, i + 1)
-            add((k2, sw), c)
-            if not up:
-                cc = c * uv
-                for s in range(d):
-                    k3 = list(k2)
-                    k3[i - 1] = (k3[i - 1] + s) % d
-                    k3[i] = (k3[i] - s) % d
-                    add((tuple(k3), w), cc)
-        return YElem(self.d, self.n, out)
-
-    def lmul_g(self, i: int) -> "YElem":
-        return self.lmul_gtilde(i).scale(LPoly.var(self.d, "u"))
-
-    def lmul_g_inv(self, i: int) -> "YElem":
-        a = self.lmul_gtilde(i).scale(LPoly.monomial(self.d, 1, -1, 0, 0))
-        b = self.lmul_e(i).scale(LPoly.monomial(self.d, 1, -2, 1, 0))
-        return a - b
 
     # -- products and embeddings ------------------------------------------------
 
@@ -337,49 +196,46 @@ class YElem:
         )
 
 
-def inverse_position(w: Perm, value: int) -> int:
-    """The position that w maps to `value` (i.e. w^{-1}(value))."""
-    return w.index(value) + 1
-
-
 def y_mul(x: YElem, y: YElem) -> YElem:
     """Product x * y, expanding y's basis terms as t^k gt_{i_1} ... gt_{i_r}."""
     x._check(y)
-    out = YElem.zero(x.d, x.n)
+    out: dict[YKey, LPoly] = {}
     for (k, w), c in y.terms.items():
         z = x.mul_t_vector(k) if any(k) else x
         for i in reduced_word(w):
             z = z.mul_gtilde(i)
-        out = out + z.scale(c)
-    return out
-
-
-def y_mul_gen(x: YElem, gen: tuple, side: str = "right") -> YElem:
-    """Multiply by a single generator token, on either side.
-
-    Tokens: ("t", j, power), ("g", i), ("ginv", i), ("e", i).
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be left or right, not {side!r}")
-    kind = gen[0]
-    if kind == "t":
-        _, j, power = gen
-        return x.mul_t(j, power) if side == "right" else x.lmul_t(j, power)
-    if kind == "g":
-        _, i = gen
-        return x.mul_g(i) if side == "right" else x.lmul_g(i)
-    if kind == "ginv":
-        _, i = gen
-        return x.mul_g_inv(i) if side == "right" else x.lmul_g_inv(i)
-    if kind == "e":
-        _, i = gen
-        return x.mul_e(i) if side == "right" else x.lmul_e(i)
-    raise ValueError(f"unknown generator token {gen!r}")
+        add_all(out, z.terms, c)
+    return YElem(x.d, x.n, out)
 
 
 # --------------------------------------------------------------------------
 # the idempotent basis
 # --------------------------------------------------------------------------
+
+def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dict:
+    """Apply one linear map to every strand of a (key, w)-indexed combination.
+
+    `items` yields ((key, w), c) with key a tuple of n strand labels;
+    `table[e]` lists the (label, factor) pairs strand label e maps to.
+    Returns {(key, w): c} with zero coefficients dropped.
+    """
+    by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
+    for (key, w), c in items:
+        if c:
+            by_w.setdefault(w, {})[key] = c
+    out: dict[tuple[tuple[int, ...], Perm], LPoly] = {}
+    for w, cur in by_w.items():
+        for axis in range(n):
+            nxt: dict[tuple[int, ...], LPoly] = {}
+            for key, c in cur.items():
+                head, tail = key[:axis], key[axis + 1 :]
+                for e, r in table[key[axis]]:
+                    add_to(nxt, head + (e,) + tail, c.scale(r))
+            cur = {key: c for key, c in nxt.items() if c}
+        for key, c in cur.items():
+            out[(key, w)] = c
+    return out
+
 
 def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
     """Coefficients of x on the basis {E_chi gt_w}.
@@ -388,28 +244,9 @@ def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
     (chi, w) is sum_k c_{k,w} prod_j xi_{chi_j}^{k_j}; the sum factorizes and
     is evaluated one strand at a time.
     """
-    d, n = x.d, x.n
-    by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
-    for (k, w), c in x.terms.items():
-        by_w.setdefault(w, {})[k] = c
-    out: dict[tuple[Character, Perm], LPoly] = {}
-    for w, fiber in by_w.items():
-        cur = fiber
-        for axis in range(n):
-            nxt: dict[tuple[int, ...], LPoly] = {}
-            for key, c in cur.items():
-                e = key[axis]
-                for a in range(1, d + 1):
-                    c2 = c.scale(root_power(d, a, e))
-                    if c2.is_zero():
-                        continue
-                    key2 = key[:axis] + (a,) + key[axis + 1 :]
-                    acc = nxt.get(key2)
-                    nxt[key2] = c2 if acc is None else acc + c2
-            cur = {k2: c2 for k2, c2 in nxt.items() if not c2.is_zero()}
-        for chi, c in cur.items():
-            out[(chi, w)] = c
-    return out
+    d = x.d
+    table = {e: [(a, root_power(d, a, e)) for a in range(1, d + 1)] for e in range(d)}
+    return _strandwise(x.n, x.terms.items(), table)
 
 
 def from_E_basis(
@@ -417,30 +254,11 @@ def from_E_basis(
 ) -> YElem:
     """Rebuild a YElem from idempotent-basis coefficients (inverse transform:
     the coefficient of t^k in E_chi is (1/d)^n prod_j xi_{chi_j}^{-k_j})."""
-    by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
-    for (chi, w), c in coeffs.items():
-        if c.is_zero():
-            continue
-        by_w.setdefault(w, {})[chi] = c
     inv_d = Cyclo.from_rat(d, Fraction(1, d))
-    terms: dict[YKey, LPoly] = {}
-    for w, fiber in by_w.items():
-        cur = fiber
-        for axis in range(n):
-            nxt: dict[tuple[int, ...], LPoly] = {}
-            for key, c in cur.items():
-                a = key[axis]
-                for e in range(d):
-                    c2 = c.scale(root_power(d, a, -e) * inv_d)
-                    if c2.is_zero():
-                        continue
-                    key2 = key[:axis] + (e,) + key[axis + 1 :]
-                    acc = nxt.get(key2)
-                    nxt[key2] = c2 if acc is None else acc + c2
-            cur = {k2: c2 for k2, c2 in nxt.items() if not c2.is_zero()}
-        for k, c in cur.items():
-            terms[(k, w)] = c
-    return YElem(d, n, terms)
+    table = {
+        a: [(e, root_power(d, a, -e) * inv_d) for e in range(d)] for a in range(1, d + 1)
+    }
+    return YElem(d, n, _strandwise(n, coeffs.items(), table))
 
 
 def idempotent_E(d: int, chi: Character) -> YElem:
@@ -479,12 +297,8 @@ def e_basis_mul_basis(
     for i in reduced_word(w2):
         nxt: dict[Perm, LPoly] = {}
         for x, c in state.items():
-            xs = x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
-            acc = nxt.get(xs)
-            nxt[xs] = c if acc is None else acc + c
+            add_to(nxt, x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :], c)
             if x[i - 1] > x[i] and chi[x[i - 1] - 1] == chi[x[i] - 1]:
-                c2 = c * uv
-                acc = nxt.get(x)
-                nxt[x] = c2 if acc is None else acc + c2
-        state = {x: c for x, c in nxt.items() if not c.is_zero()}
+                add_to(nxt, x, c * uv)
+        state = {x: c for x, c in nxt.items() if c}
     return {(chi, x): c for x, c in state.items()}
