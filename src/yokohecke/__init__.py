@@ -35,6 +35,7 @@ from .traces import (
 )
 from .links import (
     FramedBraidWord,
+    basic_invariants,
     component_count,
     delta_H,
     delta_gamma,

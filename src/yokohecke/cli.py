@@ -30,7 +30,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .links import homflypt, invariant_gamma, jl_invariant, jl_numeric, parse_word
+from .links import (
+    basic_invariants,
+    homflypt,
+    invariant_gamma,
+    jl_invariant,
+    jl_numeric,
+    parse_word,
+)
 from .permcomp import Composition
 from .traces import all_basic_specs, basic_spec, format_trace_spec
 from .verify import SuiteConfigError, run_suite, suite_names
@@ -77,9 +84,7 @@ def _print_poly(poly, machine: bool) -> None:
 def _cmd_invariant(args) -> int:
     word = parse_word(args.word, args.n, args.d)
     if args.all_basic:
-        for spec in all_basic_specs(args.d):
-            mu0 = next(iter(spec.alphas))
-            poly = invariant_gamma(word, spec)
+        for mu0, poly in basic_invariants(word, args.d).items():
             if args.machine:
                 print(f"mu0={mu0}")
                 for line in poly.machine_lines():

@@ -7,10 +7,14 @@ braid is the (framed) link whose invariants are computed here:
 
 * ``homflypt`` sends ``sigma_i -> T_i`` into the Iwahori-Hecke algebra
   and applies the Markov trace ``markov_tau``.
-* ``invariant_gamma`` sends ``sigma_i -> (gamma + (1-gamma) e_i) g_i``
-  and ``t_j -> t_j`` into the Yokonuma-Hecke algebra and applies a
-  Markov trace ``rho`` built from a :class:`~yokohecke.traces.TraceSpec`.
-  The result is a Laurent polynomial in ``u``, ``v``, ``gamma``.
+* ``invariant_gamma`` is the Markov trace ``rho`` of a
+  :class:`~yokohecke.traces.TraceSpec` applied to the image
+  ``delta_gamma`` of the word in the Yokonuma-Hecke algebra, where
+  ``sigma_i -> (gamma + (1-gamma) e_i) g_i`` and ``t_j -> t_j``.  The
+  result is a Laurent polynomial in ``u``, ``v``, ``gamma``.  It is
+  computed from the monochromatic sublinks of the closure (below);
+  ``delta_gamma`` followed by ``rho`` is the reference route that
+  ``verify`` and the tests compare against.
 * ``jl_invariant`` / ``jl_numeric`` specialise the trace parameters to
   the E-system solution attached to a subset ``S`` of ``{1, ..., d}``,
   which recovers the classical normalised 2-variable invariants after
@@ -21,22 +25,84 @@ Words are plain text: whitespace-separated tokens where a nonzero
 integer ``K`` means ``sigma_{|K|}^{sign K}`` and ``tJ^K`` means
 ``t_J^K``.  Strand count ``n`` and framing modulus ``d`` are always
 explicit inputs, never inferred from the word.
+
+The sublink formula
+-------------------
+
+Through the isomorphism ``psi`` of Y(d,n) with the sum over compositions
+``mu`` of the matrix algebras Mat_{m_mu}(H^mu), every Markov trace reads
+
+    rho(x) = sum_mu alpha_{base(mu)} * tau^mu( Tr psi(x)_mu ),
+
+with rows and columns of the ``mu``-block indexed by the characters
+``chi`` of letter multiplicities ``mu`` (``traces.rho_blocks``).  Write
+the image of the word as a product of its token images and expand every
+factor on the idempotents ``E_chi``:
+
+* ``t_j^k`` is the scalar ``xi_{chi_j}^k``, since ``E_chi t_j =
+  xi_{chi_j} E_chi``;
+* if ``chi_i != chi_{i+1}`` then ``E_chi e_i = 0``, so ``sigma_i^{+-1}``
+  acts as ``gamma^{+-1} g_i^{+-1} = (u gamma)^{+-1} gt_i`` on ``E_chi``
+  (for the inverse, ``g_i^{-1} = u^{-2} g_i - u^{-2} v e_i``).  ``psi``
+  sends ``E_chi gt_i`` to the matrix unit from row ``chi`` to column
+  ``s_i chi`` with the entry ``Tt_1 = 1``: the minimal coset
+  representatives of ``chi`` and ``s_i chi`` differ by exactly ``s_i``;
+* if ``chi_i = chi_{i+1} = a`` then ``E_chi e_i = E_chi``, so
+  ``sigma_i^{+-1}`` acts as ``g_i^{+-1}``.  ``psi`` sends it to the
+  diagonal unit at ``chi`` with the entry ``T_r^{+-1}`` of the letter-``a``
+  factor of H^mu, ``r`` being the rank of position ``i`` among the
+  positions of letter ``a`` in ``chi``.
+
+So the image of the word is monomial in the character index: row ``chi``
+has its one entry in the column of ``chi`` carried along the strands.
+The trace only sees diagonal entries, hence only characters carried back
+to themselves, i.e. colourings ``c`` of the strands that are constant on
+the components of the closure.  The diagonal entry of such a ``c`` is
+the product of the factors above in word order, and ``tau^mu`` is the
+product over the letter blocks of ``markov_tau``.  Therefore
+
+    rho(delta_gamma(w)) = sum_c alpha_{mu0(c)} * (u gamma)^{e_c}
+                          * prod_a P(beta|_a) * prod_{t_j^k} xi_{c(j)}^k,
+
+where ``c`` runs over the colourings of the components, ``mu0(c)`` is
+its letter set, ``e_c`` the signed count of crossings between strands of
+different colours, ``beta|_a`` the sub-braid of the crossings among the
+colour-``a`` strands (renumbered by rank) and ``P = markov_tau o
+delta_H`` the 2-variable invariant; ``c(j)`` is the colour of the strand
+at position ``j`` when the framing token occurs.  The colourings with
+``mu_a`` strands of letter ``a`` make up the ``mu``-block contribution of
+``invariant_contributions``.  Only colourings onto a support with nonzero
+``alpha`` are evaluated: a support with more letters than the closure
+has components contributes nothing.  This is the sublink formula of
+Poulain d'Andecy and Wagner (arXiv:1606.00237) and of Chlouveraki,
+Juyumaya, Karvounis and Lambropoulou (arXiv:1505.06666).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
 from dataclasses import dataclass
 
-from .exactnum import LPoly
+from .exactnum import Cyclo, LPoly, add_all
 from .hecke import HeckeElem, markov_tau
-from .permcomp import Composition, Perm, compose, cycles, identity, s_perm
-from .traces import TraceSpec, jl_spec, rho, rho_blocks
+from .permcomp import (
+    Composition,
+    Perm,
+    all_comp0,
+    all_compositions,
+    compose,
+    cycles,
+    identity,
+    s_perm,
+)
+from .traces import TraceSpec, jl_spec
 from .yokonuma import YElem
 
 __all__ = [
     "FramedBraidWord",
+    "basic_invariants",
     "component_count",
     "delta_H",
     "delta_gamma",
@@ -245,14 +311,109 @@ def homflypt(w: FramedBraidWord) -> LPoly:
     return markov_tau(delta_H(w))
 
 
+def _sublink_sums(
+    w: FramedBraidWord, d: int, supports
+) -> dict[Composition, LPoly]:
+    """Sum of the colouring terms of the sublink formula, by composition.
+
+    Runs over the colourings ``c`` of the closure's components whose letter
+    set is one of ``supports`` (0/1 compositions) and adds
+    ``(u g)^{e_c} * prod_a P(beta|_a) * prod xi_{c(strand)}^k`` to the
+    composition ``mu`` counting the strands of each letter; see the module
+    docstring.  ``P`` is computed once per sub-braid, at order 1.
+    """
+    n = w.n
+    comps = cycles(underlying_perm(w))
+    component = [0] * n
+    for index, cyc in enumerate(comps):
+        for j in cyc:
+            component[j - 1] = index
+    framing = [0] * len(comps)  # total framing exponent of each component
+    crossings: list[tuple[int, int]] = []  # (position i, sign)
+    strand_at = list(range(n))
+    for tok in w.tokens:
+        if tok[0] == "frame":
+            framing[component[strand_at[tok[1] - 1]]] += tok[2]
+        else:
+            i = tok[1]
+            crossings.append((i, tok[2]))
+            strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+
+    wanted = {
+        frozenset(a for a, p in enumerate(mu0.parts, start=1) if p) for mu0 in supports
+    }
+    letters = sorted(set().union(*wanted))
+    # colourings with the same composition, framing root, e_c and sub-braids
+    # contribute the same term: count them, then evaluate each term once
+    seen: dict[tuple, int] = {}
+    for colours in itertools.product(letters, repeat=len(comps)):
+        support = frozenset(colours)
+        if support not in wanted:
+            continue
+        col = [colours[component[s]] for s in range(n)]
+        counts = [0] * d
+        for a in col:
+            counts[a - 1] += 1
+        sub: dict[int, list] = {a: [] for a in support}
+        e = 0
+        for i, sign in crossings:
+            a, b = col[i - 1], col[i]
+            if a != b:
+                e += sign
+            else:
+                rank = col[: i - 1].count(a) + 1
+                sub[a].append(("sigma", rank, sign))
+            col[i - 1], col[i] = b, a
+        root = sum((a - 1) * k for a, k in zip(colours, framing)) % d
+        braids = tuple(sorted((counts[a - 1], tuple(toks)) for a, toks in sub.items()))
+        key = (tuple(counts), root, e, braids)
+        seen[key] = seen.get(key, 0) + 1
+
+    memo: dict[tuple[int, tuple], LPoly] = {}
+    acc: dict[tuple[tuple[int, ...], int], dict] = {}
+    for (parts, root, e, braids), mult in seen.items():
+        val = LPoly.const(1, mult)
+        for braid in braids:
+            p = memo.get(braid)
+            if p is None:
+                p = memo[braid] = homflypt(FramedBraidWord(*braid))
+            val = val * p
+        add_all(acc.setdefault((parts, root), {}), val.shift(eu=e, eg=e).terms)
+
+    sums: dict[Composition, dict] = {}
+    for (parts, root), terms in acc.items():
+        lifted = LPoly(1, terms).as_order(d)
+        if root:
+            lifted = lifted.scale(Cyclo.zeta(d, root))
+        add_all(sums.setdefault(Composition(parts), {}), lifted.terms)
+    return {mu: LPoly(d, terms) for mu, terms in sums.items()}
+
+
+def _support_sums(sums: dict[Composition, LPoly], d: int) -> dict[Composition, LPoly]:
+    """Group per-composition sums by support ``base(mu)``."""
+    grouped: dict[Composition, dict] = {}
+    for mu, val in sums.items():
+        add_all(grouped.setdefault(mu.base(), {}), val.terms)
+    return {mu0: LPoly(d, terms) for mu0, terms in grouped.items()}
+
+
 def invariant_gamma(w: FramedBraidWord, spec: TraceSpec) -> LPoly:
     """The 3-variable invariant of the closure of a framed word.
 
-    Composes ``delta_gamma`` with the Markov trace determined by
-    ``spec``; the result is a Laurent polynomial in ``u, v, gamma``
-    with coefficients in the ``spec.d``-th cyclotomic field.
+    Equal to ``rho(spec, delta_gamma(w, spec.d))``, computed from the
+    monochromatic sublinks (see the module docstring); the result is a
+    Laurent polynomial in ``u, v, gamma`` with coefficients in the
+    ``spec.d``-th cyclotomic field.
+
+    >>> from .traces import basic_spec
+    >>> hopf = parse_word("1 1", 2, 2)
+    >>> print(invariant_gamma(hopf, basic_spec(Composition((1, 1)))).text())
+    2 * u^2 * g^2
     """
-    return rho(spec, delta_gamma(w, spec.d))
+    total: dict = {}
+    for mu0, val in _support_sums(_sublink_sums(w, spec.d, spec.alphas), spec.d).items():
+        add_all(total, (val * spec.alphas[mu0]).terms)
+    return LPoly(spec.d, total)
 
 
 def invariant_contributions(
@@ -260,10 +421,36 @@ def invariant_contributions(
 ) -> dict[Composition, LPoly]:
     """Per-block summands of :func:`invariant_gamma`, keyed by composition.
 
-    The values sum to ``invariant_gamma(w, spec)``; each is the weighted
-    trace of one matrix block of the image of the word.
+    The values sum to ``invariant_gamma(w, spec)``; the entry of ``mu`` is
+    the weighted trace of the ``mu``-block of the image of the word, which
+    collects the colourings with ``mu_a`` strands of letter ``a``.  Every
+    composition of ``n`` into ``d`` parts is a key, as in
+    :func:`~yokohecke.traces.rho_blocks`.
     """
-    return rho_blocks(spec, delta_gamma(w, spec.d))
+    sums = _sublink_sums(w, spec.d, spec.alphas)
+    zero = LPoly.zero(spec.d)
+    return {
+        mu: sums[mu] * spec.alpha(mu.base()) if mu in sums else zero
+        for mu in all_compositions(spec.d, w.n)
+    }
+
+
+def basic_invariants(w: FramedBraidWord, d: int) -> dict[Composition, LPoly]:
+    """The invariants of all ``2^d - 1`` basic traces, keyed by support.
+
+    Equal to ``{mu0: invariant_gamma(w, basic_spec(mu0))}`` over
+    ``all_comp0(d)`` in that order, from one pass over the colourings.
+
+    >>> vals = basic_invariants(parse_word("1 1", 2, 2), 2)
+    >>> [str(mu0) for mu0 in vals]
+    ['(0,1)', '(1,0)', '(1,1)']
+    >>> print(vals[Composition((1, 1))].text())
+    2 * u^2 * g^2
+    """
+    supports = all_comp0(d)
+    sums = _support_sums(_sublink_sums(w, d, supports), d)
+    zero = LPoly.zero(d)
+    return {mu0: sums.get(mu0, zero) for mu0 in supports}
 
 
 def jl_invariant(w: FramedBraidWord, d: int, S) -> LPoly:
@@ -296,7 +483,13 @@ def jl_numeric(
     ``lam = (z + (1 - q)/|S|) / (q z)``.  ``branch`` (+1 or -1) selects
     the square root of ``lam`` used consistently in both ``u`` and
     ``v``; link invariants are branch-independent.  Raises
-    ``ValueError`` on vanishing denominators.
+    ``ValueError`` on vanishing denominators, on non-finite ``q`` or
+    ``z`` and on a non-finite result.
+
+    >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
+    Traceback (most recent call last):
+    ...
+    ValueError: q and z must be finite
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -305,6 +498,8 @@ def jl_numeric(
         raise ValueError("subset S must be non-empty")
     q = complex(q)
     z = complex(z)
+    if not (cmath.isfinite(q) and cmath.isfinite(z)):
+        raise ValueError("q and z must be finite")
     if q == 0 or z == 0:
         raise ValueError("q and z must be nonzero")
     e_s = 1.0 / len(subset)
@@ -314,7 +509,10 @@ def jl_numeric(
     sqlam = branch * cmath.sqrt(lam)
     sqq = cmath.sqrt(q)
     poly = jl_invariant(w, d, S)
-    return poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
+    value = poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
+    if not cmath.isfinite(value):
+        raise ValueError(f"the value at q={q}, z={z} is not finite")
+    return value
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,6 +31,7 @@ Also here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Complex
@@ -164,18 +165,20 @@ def esystem_c(d: int, S: Iterable[int], b: int) -> Cyclo:
 def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     """The TraceSpec reproducing the weighted-trace link invariants for the
     E-system solution S: supports inside S get weight
-    (v^{-1}(1-u^2))^{|mu0|-1} / |S|, others vanish."""
+    (v^{-1}(1-u^2))^{|mu0|-1} / |S|, others vanish.
+
+    Only the 2^|S| - 1 subsets of S are built, whatever d is.
+
+    >>> len(jl_spec(30, {1, 2}).alphas)
+    3
+    """
     S = _subset(S, d)
-    sset = set(S)
     loop = loop_factor(d)
     alphas: dict[Composition, LPoly] = {}
-    for mu0 in all_comp0(d):
-        support = {a for a, p in enumerate(mu0.parts, start=1) if p}
-        if not support <= sset:
-            continue
-        size = len(support)
+    for size in range(1, len(S) + 1):
         w = (loop ** (size - 1)).scale(Fraction(1, len(S)))
-        alphas[mu0] = w
+        for support in itertools.combinations(S, size):
+            alphas[Composition(tuple(int(a in support) for a in range(1, d + 1)))] = w
     return TraceSpec(d, alphas)
 
 

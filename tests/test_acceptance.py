@@ -133,14 +133,14 @@ def test_criterion_06_homflypt_consistency(acceptance):
     ok = True
 
     # singleton supports reproduce the 2-variable invariant
-    for _ in range(30):
-        n = rng.randrange(2, 5)
+    for _ in range(60):
+        n = rng.randrange(2, 7)
         length = rng.randrange(0, 11)
         text = " ".join(
             str(rng.choice((1, -1)) * rng.randrange(1, n)) for _ in range(length)
         )
         baseline = homflypt(parse_word(text, n, None))
-        for d in (2, 3):
+        for d in (2, 3, 4):
             w = parse_word(text, n, d)
             for pos in range(d):
                 mu0 = Composition(tuple(1 if a == pos else 0 for a in range(d)))
@@ -149,8 +149,8 @@ def test_criterion_06_homflypt_consistency(acceptance):
 
     # wider supports vanish on knots
     knots = 0
-    while knots < 30:
-        n = rng.randrange(2, 5)
+    while knots < 60:
+        n = rng.randrange(2, 7)
         length = rng.randrange(1, 11)
         text = " ".join(
             str(rng.choice((1, -1)) * rng.randrange(1, n)) for _ in range(length)
@@ -158,7 +158,8 @@ def test_criterion_06_homflypt_consistency(acceptance):
         if component_count(parse_word(text, n, None)) != 1:
             continue
         knots += 1
-        for d, parts in ((2, (1, 1)), (3, (1, 1, 0)), (3, (1, 1, 1))):
+        for d, parts in ((2, (1, 1)), (3, (1, 1, 0)), (3, (1, 1, 1)),
+                         (4, (0, 1, 0, 1)), (4, (1, 1, 1, 1))):
             w = parse_word(text, n, d)
             if not invariant_gamma(w, basic_spec(Composition(parts))).is_zero():
                 ok = False
@@ -255,9 +256,10 @@ def test_criterion_09_jl_reconstruction(acceptance):
 def test_criterion_10_markov_move_invariance(acceptance):
     rng = random.Random(20240810)
     ok = True
-    for _ in range(50):
+    # 50 words on 2-3 strands, then 40 on 5-6 strands
+    for n_range in [(2, 4)] * 50 + [(5, 7)] * 40:
         d = rng.randrange(1, 4)
-        n = rng.randrange(2, 4)
+        n = rng.randrange(*n_range)
         parts = []
         for _ in range(rng.randrange(1, 7)):
             if d > 1 and rng.random() < 0.3:

@@ -168,6 +168,31 @@ def test_computation_errors_exit_1(capsys):
         assert one_error_line(captured.err), (argv, captured.err)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--q", "--z"])
+def test_jl_rejects_non_finite_input(capsys, flag, value):
+    point = {"--q": "0.3+0.4j", "--z": "0.2-0.1j"}
+    point[flag] = value
+    argv = ["jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1 1 1"]
+    for name in ("--q", "--z"):
+        argv.append(f"{name}={point[name]}")
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1, argv
+    assert out == ""
+    assert one_error_line(err), err
+
+
+def test_jl_non_finite_value_exits_1(capsys):
+    code, out, err = run_main(
+        capsys,
+        "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1 1",
+        "--q", "1e-300", "--z", "1e-20",
+    )
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err), err
+
+
 def test_success_writes_nothing_to_stderr(capsys):
     code, out, err = run_main(capsys, "homflypt", "--n", "2", "--word", "1")
     assert code == 0 and err == ""

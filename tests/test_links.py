@@ -332,6 +332,18 @@ def test_jl_numeric_validation():
         jl_numeric(w, 2, [1], 0.5, 0.3, branch=2)
 
 
+def test_jl_numeric_rejects_non_finite_values():
+    w = parse_word("1 1", 2, 2)
+    for bad in (float("nan"), float("inf"), -float("inf"), complex(0.3, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            jl_numeric(w, 2, [1, 2], bad, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            jl_numeric(w, 2, [1, 2], 0.5, bad)
+    # finite inputs whose value overflows to nan on the way
+    with pytest.raises(ValueError, match="not finite"):
+        jl_numeric(w, 2, [1, 2], 1e-300, 1e-20)
+
+
 def test_jl_numeric_agrees_with_exact_evaluation_d1():
     # for d = 1 the exact polynomial can be specialized directly
     rng = random.Random(31)

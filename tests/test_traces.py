@@ -250,6 +250,24 @@ def test_jl_spec_weights():
     assert spec13.alpha(Composition((1, 1, 0))).is_zero()
 
 
+def test_jl_spec_builds_only_subsets_of_S():
+    # 2^30 - 1 supports exist at d = 30; only the 3 inside S are built
+    spec = jl_spec(30, {1, 2})
+    assert len(spec.alphas) == 3
+    assert {mu0.parts[:2] for mu0 in spec.alphas} == {(1, 0), (0, 1), (1, 1)}
+    assert all(not any(mu0.parts[2:]) for mu0 in spec.alphas)
+    # at small d, the same weights as a walk over every support
+    for d in (3, 4):
+        for S in ([1], [2, 3], [1, 3], list(range(1, d + 1))):
+            expected = {}
+            for mu0 in all_comp0(d):
+                support = {a for a, p in enumerate(mu0.parts, start=1) if p}
+                if support <= set(S):
+                    loop = loop_factor(d) ** (len(support) - 1)
+                    expected[mu0] = loop.scale(Fraction(1, len(S)))
+            assert jl_spec(d, S).alphas == expected
+
+
 def test_jl_moments_match_power_sums():
     # at one strand the weighted trace returns the subset power sums
     for d in (1, 2, 3):
