@@ -19,7 +19,7 @@ self-verification suites; see the README for usage.
 
 from .exactnum import Cyclo, LPoly, Rat, cyclotomic_polynomial, root_power
 from .permcomp import Composition, all_comp0, all_compositions
-from .hecke import HeckeElem, ParabolicElem, loop_factor, markov_tau, tau_parabolic
+from .hecke import HeckeElem, loop_factor, markov_tau, tau_parabolic
 from .yokonuma import YElem, from_E_basis, idempotent_E, idempotent_Emu, to_E_basis
 from .isomap import BlockMatrix, iota, phi, psi
 from .traces import (

@@ -233,39 +233,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclo":
-        """Field inverse, by the extended Euclidean algorithm against Phi_d.
-
-        >>> a = Cyclo.zeta(5) + Cyclo.from_rat(5, 2)
-        >>> a * a.inverse() == Cyclo.one(5)
-        True
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return Cyclo.from_rat(self.order, 1 / self.coeffs[0])
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        # extended Euclid on (a, Phi): track s with s*a = r (mod Phi)
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = _trim(a), [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1]
-                break
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            if not any(r1):  # pragma: no cover - Phi_d irreducible
-                raise ArithmeticError("unexpected common factor with Phi_d")
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        return _reduce(self.order, coeffs)
-
-    def __truediv__(self, other: Union["Cyclo", Rat, int]) -> "Cyclo":
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
-        return self * (1 / Fraction(other))
-
     # -- misc ----------------------------------------------------------------
 
     def eval_complex(self) -> complex:
@@ -335,45 +302,6 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
     if not 1 <= a <= d:
         raise ValueError(f"letter {a} out of range 1..{d}")
     return _zeta_pow(d, ((a - 1) * s) % d)
-
-
-# small dense helpers over Fraction lists (ascending), used by Cyclo.inverse
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        q = a[k + len(b) - 1] / b[-1]
-        quot[k] = q
-        if q:
-            for j, bj in enumerate(b):
-                a[k + j] -= q * bj
-    return quot, a[: len(b) - 1] or [Fraction(0)]
 
 
 # --------------------------------------------------------------------------
@@ -558,7 +486,7 @@ class LPoly(Sparse):
 
     def __pow__(self, k: int) -> "LPoly":
         if k < 0:
-            return self.monomial_inverse() ** (-k)
+            raise ValueError(f"negative exponent {k}")
         out = LPoly.one(self.order)
         base = self
         while k:
@@ -567,17 +495,6 @@ class LPoly(Sparse):
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def monomial_inverse(self) -> "LPoly":
-        """Inverse of a single-term polynomial c * u^a v^b g^c.
-
-        Laurent monomials are the only units we ever need to invert; anything
-        with more than one term raises.
-        """
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self.text()}")
-        ((a, b, c), x), = self.terms.items()
-        return LPoly(self.order, {(-a, -b, -c): x.inverse()})
 
     # -- conversions ---------------------------------------------------------
 

@@ -18,30 +18,30 @@ linear forms tau_n with
     tau_n(xy) = tau_n(yx),
     tau_{n+1}(x T_n) = tau_n(x)  and  tau_{n+1}(x) = v^{-1}(1-u^2) tau_n(x)
 
-for x, y in H_n.  `tau_parabolic` extends it multiplicatively over the
-blocks of a Young subgroup.
+for x, y in H_n.  It reduces one level at a time.  Let p be the position
+of n in the one-line form of w and a in S_{n-1} the word w with n deleted.
+Then w = a s_{n-1} s_{n-2} ... s_p with lengths adding, so
+
+    T_w = T_a T_{n-1} T_{n-2} ... T_p,
+
+and the trace property followed by the Markov property gives
+
+    tau_n(T_w) = tau_{n-1}(T_a T_{n-2} ... T_p)      for p < n,
+    tau_n(T_w) = v^{-1}(1-u^2) tau_{n-1}(T_a)       for p = n.
+
+`tau_parabolic` extends it multiplicatively over the blocks of a Young
+subgroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .exactnum import LPoly, Sparse, add_all, add_to
-from .permcomp import (
-    Composition,
-    Perm,
-    block_split,
-    identity,
-    in_young,
-    inverse,
-    length,
-    reduced_word,
-)
+from .permcomp import Composition, Perm, block_split, identity, reduced_word
 
 __all__ = [
     "HeckeElem",
-    "ParabolicElem",
     "t_from_word",
     "t_inverse_gen",
     "h_mul",
@@ -184,58 +184,47 @@ def markov_tau(x: HeckeElem) -> LPoly:
     """The Markov trace tau_n, normalized by tau_n(T_{w}) = 1 for the longest
     cycle words; concretely tau_1(1) = 1 and the two reduction rules above.
 
-    Basis terms reduce level by level: if w fixes n, pull out one loop factor
-    and recurse on the restriction; otherwise write w = a s_{n-1} y with
-    a, y in S_{n-1} and lengths adding (a = w with the value n deleted from
-    its one-line form, y the cycle routing position w^{-1}(n) to n-1), so
-    that tau_n(T_w) = tau_n(T_a T_{n-1} T_y) = tau_{n-1}(T_a T_y).
+    Each level n -> n-1 groups the terms by the position p of n: the terms
+    {a: c} with w = a s_{n-1} ... s_p form one element of H_{n-1}.  The
+    p = n group (w fixes n) is scaled by the loop factor; every other group
+    is right-multiplied by T_{n-2}, ..., T_p, since
+    tau_n(T_w) = tau_{n-1}(T_a T_{n-2} ... T_p).
     """
     loop = loop_factor(x.order)
-    cur = x
-    while cur.n > 1:
-        n = cur.n
+    n, terms = x.n, x.terms
+    while n > 1:
+        groups: dict[int, dict[Perm, LPoly]] = {}
+        for w, c in terms.items():
+            p = w.index(n) + 1
+            groups.setdefault(p, {})[w[: p - 1] + w[p:]] = c
         nxt: dict[Perm, LPoly] = {}
-        for w, c in cur.terms.items():
-            if w[n - 1] == n:
-                add_to(nxt, w[: n - 1], c * loop)
+        for p, group in groups.items():
+            if p == n:
+                add_all(nxt, group, loop)
                 continue
-            j = inverse(w)[n - 1]  # position mapped to n
-            a = tuple(val for val in w if val != n)  # in S_{n-1}
-            y = tuple(range(1, j)) + (n - 1,) + tuple(range(j, n - 1))
-            assert length(a) + 1 + length(y) == length(w), (w, a, y)
-            ha = HeckeElem(n - 1, x.order, {a: c})
-            hy = HeckeElem.basis(n - 1, y, x.order)
-            add_all(nxt, h_mul(ha, hy).terms)
-        cur = HeckeElem(n - 1, x.order, nxt)
-    return cur.coefficient(identity(cur.n))
+            z = HeckeElem(n - 1, x.order, group)
+            for i in range(n - 2, p - 1, -1):
+                z = z.mul_gen(i)
+            add_all(nxt, z.terms)
+        n, terms = n - 1, nxt
+    return terms.get(identity(n), LPoly.zero(x.order))
 
 
-@dataclass(frozen=True)
-class ParabolicElem:
-    """An element of the parabolic subalgebra H^mu inside H_n: all basis
-    permutations must preserve the letter blocks of mu."""
-
-    mu: Composition
-    elem: HeckeElem
-
-    def __post_init__(self):
-        if self.elem.n != self.mu.n:
-            raise ValueError(f"element lives in S_{self.elem.n}, mu has size {self.mu.n}")
-        for w in self.elem.terms:
-            if not in_young(w, self.mu):
-                raise ValueError(f"{w} is outside the Young subgroup of {self.mu}")
-
-
-def tau_parabolic(x: ParabolicElem) -> LPoly:
+def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     """The block-product trace on H^mu: on a basis term, the product over
     letter blocks of markov_tau applied to the renumbered block permutation.
+
+    Raises ValueError if x is not in H^mu: a size other than |mu|, or a
+    basis permutation outside the Young subgroup of mu (`block_split`).
     """
+    if x.n != mu.n:
+        raise ValueError(f"element lives in S_{x.n}, mu has size {mu.n}")
     total: dict = {}
-    for w, c in x.elem.terms.items():
+    for w, c in x.terms.items():
         val = c
-        for wa in block_split(w, x.mu):
+        for wa in block_split(w, mu):
             if len(wa) == 0:
                 continue
-            val = val * markov_tau(HeckeElem.basis(len(wa), wa, x.elem.order))
+            val = val * markov_tau(HeckeElem.basis(len(wa), wa, x.order))
         add_all(total, val.terms)
-    return LPoly(x.elem.order, total)
+    return LPoly(x.order, total)

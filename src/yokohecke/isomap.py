@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactnum import LPoly, Sparse, add_all, add_to
-from .hecke import HeckeElem, ParabolicElem, h_mul
+from .hecke import HeckeElem, h_mul
 from .permcomp import (
     Character,
     Composition,
@@ -40,6 +40,7 @@ from .permcomp import (
     compose,
     coset_reps,
     extend,
+    in_young,
     inverse,
     length,
     orbit,
@@ -68,8 +69,8 @@ class BlockMatrix(Sparse):
     0-indexed cell (i, j) of block mu, over the nonzero cells only; `blocks`
     groups those cells by composition ({mu: {(i, j): entry}}, nonzero blocks
     only) and `block(mu)` gives the dense m_mu x m_mu view.  Entries are
-    HeckeElem of size n whose basis permutations preserve the mu-blocks
-    (`entry` wraps them as ParabolicElem on demand, which re-validates).
+    HeckeElem of size n whose basis permutations preserve the mu-blocks;
+    `phi` checks that on input from outside, and `tau_parabolic` on traces.
     """
 
     __slots__ = ("d", "n", "blocks")
@@ -101,21 +102,11 @@ class BlockMatrix(Sparse):
             d, n, {(mu, i, i): one for mu in _levels(d, n) for i in range(mu.multiplicity())}
         )
 
-    @classmethod
-    def single_entry(
-        cls, d: int, n: int, mu: Composition, i: int, j: int, value: HeckeElem
-    ) -> "BlockMatrix":
-        """A matrix with one (0-indexed) nonzero entry in block mu."""
-        return cls(d, n, {(mu, i, j): value})
-
     def block(self, mu: Composition) -> Matrix:
         cells = self.blocks.get(mu, {})
         z = HeckeElem.zero(self.n, self.d)
         m = mu.multiplicity()
         return tuple(tuple(cells.get((i, j), z) for j in range(m)) for i in range(m))
-
-    def entry(self, mu: Composition, i: int, j: int) -> ParabolicElem:
-        return ParabolicElem(mu, self.terms.get((mu, i, j), HeckeElem.zero(self.n, self.d)))
 
     # -- algebra ----------------------------------------------------------------
 
@@ -135,13 +126,13 @@ class BlockMatrix(Sparse):
                     add_all(cells.setdefault((mu, i, j), {}), h_mul(x, y).terms)
         return _from_cells(self.d, self.n, cells)
 
-    def trace_of_block(self, mu: Composition) -> ParabolicElem:
-        """Sum of the diagonal entries of one block, as a ParabolicElem."""
+    def trace_of_block(self, mu: Composition) -> HeckeElem:
+        """Sum of the diagonal entries of one block, an element of H^mu."""
         out: dict[Perm, LPoly] = {}
         for (i, j), entry in self.blocks.get(mu, {}).items():
             if i == j:
                 add_all(out, entry.terms)
-        return ParabolicElem(mu, HeckeElem(self.n, self.d, out))
+        return HeckeElem(self.n, self.d, out)
 
 
 def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMatrix:
@@ -193,14 +184,16 @@ def phi(M: BlockMatrix) -> YElem:
 
 def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     """The idempotent-basis coefficients of phi(M), without the final
-    change of basis back to t-exponents."""
+    change of basis back to t-exponents.  Raises ValueError if an entry of
+    block mu leaves the Young subgroup of mu."""
     eb: dict[tuple[Character, Perm], LPoly] = {}
     for (mu, i, j), entry in M.terms.items():
-        ParabolicElem(mu, entry)  # validates block support
         reps = coset_reps(mu)
         chi = orbit(mu)[i]
         pj_inv = inverse(reps[j])
         for p, c in entry.terms.items():
+            if not in_young(p, mu):
+                raise ValueError(f"{p} is outside the Young subgroup of {mu}")
             w = compose(compose(reps[i], p), pj_inv)
             add_to(eb, (chi, w), c.shift(eu=length(p)))
     return eb

@@ -248,7 +248,7 @@ def component_count(w: FramedBraidWord) -> int:
     return len(cycles(underlying_perm(w)))
 
 
-def delta_H(w: FramedBraidWord, order: int = 1) -> HeckeElem:
+def delta_H(w: FramedBraidWord) -> HeckeElem:
     """Image of an unframed braid word in the Iwahori-Hecke algebra.
 
     Sends ``sigma_i`` to the generator ``T_i`` (and its inverse to
@@ -259,7 +259,7 @@ def delta_H(w: FramedBraidWord, order: int = 1) -> HeckeElem:
     """
     if w.is_framed:
         raise ValueError("framed word has no classical Hecke image")
-    x = HeckeElem.one(w.n, order)
+    x = HeckeElem.one(w.n)
     for tok in w.tokens:
         if tok[2] > 0:
             x = x.mul_gen(tok[1])
@@ -484,7 +484,7 @@ def jl_numeric(
     the square root of ``lam`` used consistently in both ``u`` and
     ``v``; link invariants are branch-independent.  Raises
     ``ValueError`` on vanishing denominators, on non-finite ``q`` or
-    ``z`` and on a non-finite result.
+    ``z`` and on a non-finite (or overflowing) result.
 
     >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
     Traceback (most recent call last):
@@ -509,10 +509,13 @@ def jl_numeric(
     sqlam = branch * cmath.sqrt(lam)
     sqq = cmath.sqrt(q)
     poly = jl_invariant(w, d, S)
-    value = poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
-    if not cmath.isfinite(value):
-        raise ValueError(f"the value at q={q}, z={z} is not finite")
-    return value
+    try:
+        value = poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"the value at q={q}, z={z} is not finite")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,7 +37,6 @@ __all__ = [
     "reduced_word",
     "from_word",
     "extend",
-    "restrict",
     "cycles",
     "Composition",
     "all_compositions",
@@ -49,7 +48,6 @@ __all__ = [
     "min_coset_rep",
     "coset_reps",
     "act",
-    "young_members",
     "in_young",
     "block_split",
 ]
@@ -147,13 +145,6 @@ def extend(w: Perm, m: int) -> Perm:
     if m < len(w):
         raise ValueError("cannot extend to a smaller size")
     return w + tuple(range(len(w) + 1, m + 1))
-
-
-def restrict(w: Perm, m: int) -> Perm:
-    """View w in S_m (m <= len(w)); requires w to fix m+1, ..., n."""
-    if any(w[i] != i + 1 for i in range(m, len(w))):
-        raise ValueError(f"{w} does not fix the points above {m}")
-    return w[:m]
 
 
 def cycles(w: Perm) -> list[tuple[int, ...]]:
@@ -376,23 +367,10 @@ def coset_reps(mu: Composition) -> tuple[Perm, ...]:
 # Young subgroups
 # --------------------------------------------------------------------------
 
-def young_members(mu: Composition) -> frozenset[int]:
-    """Generator indices i with s_i inside the Young subgroup of mu
-    (everything except the block boundaries).
-
-    >>> sorted(young_members(Composition((3, 1))))
-    [1, 2]
-    """
-    cuts = set()
-    acc = 0
-    for p in mu.parts:
-        acc += p
-        cuts.add(acc)
-    return frozenset(i for i in range(1, mu.n) if i not in cuts)
-
-
 def in_young(w: Perm, mu: Composition) -> bool:
-    """Does w preserve every letter block of mu?"""
+    """Is w in S_{|mu|} and does it preserve every letter block of mu?"""
+    if len(w) != mu.n:
+        return False
     block_id = []
     for a, p in enumerate(mu.parts):
         block_id.extend([a] * p)

@@ -103,8 +103,7 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     out: dict[Composition, LPoly] = {}
     for mu in sorted(M.blocks, key=lambda mu: mu.parts):
         a = spec.alpha(mu.base())
-        tr = M.trace_of_block(mu)
-        out[mu] = tau_parabolic(tr) * a
+        out[mu] = tau_parabolic(mu, M.trace_of_block(mu)) * a
     return out
 
 

@@ -14,7 +14,6 @@ from yokohecke._golden import golden_checks
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import (
     HeckeElem,
-    ParabolicElem,
     h_mul,
     loop_factor,
     markov_tau,
@@ -216,7 +215,7 @@ def test_criterion_08_tau_formulas(acceptance):
             for word, off in zip(words, offsets):
                 for i in word:
                     x = x.mul_gen(i + off)
-            lhs = tau_parabolic(ParabolicElem(mu, x))
+            lhs = tau_parabolic(mu, x)
             rhs = LPoly.one(1)
             for word, p in zip(words, mu.parts):
                 if p:

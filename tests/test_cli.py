@@ -183,14 +183,17 @@ def test_jl_rejects_non_finite_input(capsys, flag, value):
 
 
 def test_jl_non_finite_value_exits_1(capsys):
-    code, out, err = run_main(
-        capsys,
-        "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1 1",
-        "--q", "1e-300", "--z", "1e-20",
-    )
-    assert code == 1
-    assert out == ""
-    assert one_error_line(err), err
+    # the Hopf link at a tiny q gives nan; the trefoil at a huge q overflows
+    for word, q, z in (("1 1", "1e-300", "1e-20"), ("1 1 1", "1e300", "0.2")):
+        code, out, err = run_main(
+            capsys,
+            "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", word,
+            "--q", q, "--z", z,
+        )
+        assert code == 1, word
+        assert out == ""
+        assert one_error_line(err), err
+        assert "not finite" in err, err
 
 
 def test_success_writes_nothing_to_stderr(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import (
     HeckeElem,
-    ParabolicElem,
     h_mul,
     loop_factor,
     markov_tau,
@@ -19,6 +19,9 @@ from yokohecke.hecke import (
     tau_parabolic,
 )
 from yokohecke.permcomp import Composition, all_compositions, identity, length
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "markov_tau_basis.txt"
 
 
 def u2():
@@ -173,6 +176,19 @@ def test_tau_extension_adds_loop():
         assert markov_tau(x.extend(4)) == loop * markov_tau(x)
 
 
+def test_tau_on_basis_matches_golden():
+    # one line "w | tau(T_w)" per w in S_1 ... S_5
+    lines = GOLDEN.read_text().splitlines()
+    assert len(lines) == 1 + 2 + 6 + 24 + 120
+    for line in lines:
+        word, text = line.split(" | ")
+        w = tuple(int(a) for a in word.split())
+        assert markov_tau(HeckeElem.basis(len(w), w)).text() == text, w
+        # over Q(zeta_3) the trace is the lift of the rational one
+        tau3 = markov_tau(HeckeElem.basis(len(w), w, 3))
+        assert tau3 == markov_tau(HeckeElem.basis(len(w), w)).as_order(3), w
+
+
 def test_tau_key_product_identity():
     # tau_3(T_1^2 T_2^{-1} T_1^3 T_2 T_1) factors as tau_2(T_1^3)^2
     word = t_from_word(3, (1, 1))
@@ -193,13 +209,17 @@ def test_tau_parabolic_full_block_is_tau():
     mu = Composition((4,))
     for _ in range(8):
         x = random_elem(rng, 4)
-        assert tau_parabolic(ParabolicElem(mu, x)) == markov_tau(x)
+        assert tau_parabolic(mu, x) == markov_tau(x)
 
 
 def test_tau_parabolic_rejects_outside_young():
     x = HeckeElem.gen(4, 2)  # crosses the (2,2) block boundary
-    with pytest.raises(ValueError):
-        ParabolicElem(Composition((2, 2)), x)
+    with pytest.raises(ValueError, match="Young subgroup"):
+        tau_parabolic(Composition((2, 2)), x)
+    # an element of H_3 against a composition of 4, nonzero or zero
+    for y in (HeckeElem.gen(3, 1), HeckeElem.zero(3)):
+        with pytest.raises(ValueError, match="size"):
+            tau_parabolic(Composition((2, 2)), y)
 
 
 def block_word_elem(n, words, offsets):
@@ -227,7 +247,7 @@ def test_tau_parabolic_product_formula():
                 for p in mu.parts
             ]
             x = block_word_elem(4, words, offsets)
-            lhs = tau_parabolic(ParabolicElem(mu, x))
+            lhs = tau_parabolic(mu, x)
             rhs = LPoly.one(1)
             for word, p in zip(words, mu.parts):
                 if p == 0:

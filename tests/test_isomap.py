@@ -3,10 +3,13 @@
 import itertools
 import random
 
+import pytest
+
 from yokohecke._golden import golden_checks
 from yokohecke.exactnum import LPoly
+from yokohecke.hecke import HeckeElem
 from yokohecke.isomap import BlockMatrix, iota, phi, psi
-from yokohecke.permcomp import all_compositions
+from yokohecke.permcomp import Composition, all_compositions
 from yokohecke.yokonuma import YElem, from_E_basis, y_mul
 
 from test_yokonuma import all_characters, random_yelem
@@ -45,6 +48,17 @@ def test_phi_psi_round_trip_random_elements():
         for _ in range(10):
             x = random_yelem(rng, d, 3)
             assert phi(psi(x)) == x
+
+
+def test_phi_rejects_entries_outside_the_young_subgroup():
+    mu = Composition((2, 2))
+    inside = BlockMatrix(2, 4, {(mu, 0, 0): HeckeElem.gen(4, 1, 2)})
+    phi(inside)
+    # T_2 swaps strands 2 and 3 across the boundary of the (2, 2) blocks;
+    # an entry from H_3 is not in S_4 at all
+    for entry in (HeckeElem.gen(4, 2, 2), HeckeElem.gen(3, 1, 2)):
+        with pytest.raises(ValueError, match="Young subgroup"):
+            phi(BlockMatrix(2, 4, {(mu, 0, 0): entry}))
 
 
 def test_psi_is_linear():

@@ -342,6 +342,9 @@ def test_jl_numeric_rejects_non_finite_values():
     # finite inputs whose value overflows to nan on the way
     with pytest.raises(ValueError, match="not finite"):
         jl_numeric(w, 2, [1, 2], 1e-300, 1e-20)
+    # finite inputs whose evaluation raises OverflowError
+    with pytest.raises(ValueError, match="not finite"):
+        jl_numeric(parse_word("1 1 1", 2, 2), 2, [1, 2], 1e300, 0.2)
 
 
 def test_jl_numeric_agrees_with_exact_evaluation_d1():
