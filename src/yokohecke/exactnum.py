@@ -473,10 +473,6 @@ class LPoly(Sparse):
                 add_to(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
         return LPoly(self.order, out)
 
-    def scale(self, c: Scalar) -> "LPoly":
-        c = c if isinstance(c, Cyclo) else Cyclo.from_rat(self.order, c)
-        return Sparse.scale(self, c)
-
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
         """Multiply by the monomial u^eu v^ev g^eg."""
         return LPoly(

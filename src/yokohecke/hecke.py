@@ -43,7 +43,6 @@ from .permcomp import Composition, Perm, block_split, identity, reduced_word
 __all__ = [
     "HeckeElem",
     "t_from_word",
-    "t_inverse_gen",
     "h_mul",
     "loop_factor",
     "markov_tau",
@@ -115,29 +114,31 @@ class HeckeElem(Sparse):
 
     # -- multiplication -------------------------------------------------------
 
-    def mul_gen(self, i: int) -> "HeckeElem":
-        """Right multiplication by T_i:
-        T_w T_i = T_{w s_i} if the length goes up, else u^2 T_{w s_i} + v T_w.
+    def mul_gen(self, i: int, sign: int = 1) -> "HeckeElem":
+        """Right multiplication by T_i^sign, sign = 1 or -1, in one pass:
+
+            T_w T_i^sign = T_{w s_i}     if len(w s_i) = len(w) + sign,
+                         = u^{2 sign} T_{w s_i} + sign u^{sign-1} v T_w   otherwise.
+
+        The second rule is T_i^2 = u^2 + v T_i for sign = 1 and
+        T_i^{-1} = u^{-2} T_i - u^{-2} v for sign = -1.
+
+        >>> HeckeElem.gen(2, 1).mul_gen(1, -1) == HeckeElem.one(2)
+        True
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        usq = LPoly.var(self.order, "u", 2)
-        vv = LPoly.var(self.order, "v")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign}")
         out: dict[Perm, LPoly] = {}
         for w, c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            if w[i - 1] < w[i]:
+            if (w[i - 1] < w[i]) == (sign == 1):
                 add_to(out, ws, c)
             else:
-                add_to(out, ws, c * usq)
-                add_to(out, w, c * vv)
-        return HeckeElem(self.n, self.order, out)
-
-    def mul_gen_inv(self, i: int) -> "HeckeElem":
-        """Right multiplication by T_i^{-1} = u^{-2} T_i - u^{-2} v."""
-        out: dict[Perm, LPoly] = {}
-        add_all(out, self.mul_gen(i).terms, LPoly.monomial(self.order, 1, -2, 0, 0))
-        add_all(out, self.terms, LPoly.monomial(self.order, -1, -2, 1, 0))
+                add_to(out, ws, c.shift(2 * sign))
+                cv = c.shift(sign - 1, 1)
+                add_to(out, w, cv if sign == 1 else -cv)
         return HeckeElem(self.n, self.order, out)
 
     def __mul__(self, other: "HeckeElem") -> "HeckeElem":
@@ -169,11 +170,6 @@ def t_from_word(n: int, word: Iterable[int], order: int = 1) -> HeckeElem:
     for i in word:
         z = z.mul_gen(i)
     return z
-
-
-def t_inverse_gen(n: int, i: int, order: int = 1) -> HeckeElem:
-    """T_i^{-1} as an element: u^{-2} T_i - u^{-2} v."""
-    return HeckeElem.one(n, order).mul_gen_inv(i)
 
 
 # --------------------------------------------------------------------------

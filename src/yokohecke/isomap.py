@@ -36,6 +36,7 @@ from .permcomp import (
     Composition,
     Perm,
     act,
+    all_compositions,
     comp_of,
     compose,
     coset_reps,
@@ -143,8 +144,6 @@ def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMa
 
 @lru_cache(maxsize=None)
 def _levels(d: int, n: int) -> tuple[Composition, ...]:
-    from .permcomp import all_compositions
-
     return tuple(all_compositions(d, n))
 
 

@@ -261,10 +261,7 @@ def delta_H(w: FramedBraidWord) -> HeckeElem:
         raise ValueError("framed word has no classical Hecke image")
     x = HeckeElem.one(w.n)
     for tok in w.tokens:
-        if tok[2] > 0:
-            x = x.mul_gen(tok[1])
-        else:
-            x = x.mul_gen_inv(tok[1])
+        x = x.mul_gen(tok[1], tok[2])
     return x
 
 
@@ -281,20 +278,15 @@ def delta_gamma(w: FramedBraidWord, d: int) -> YElem:
     True
     """
     one = LPoly.one(d)
-    gamma = LPoly.var(d, "g", 1)
-    gamma_inv = LPoly.var(d, "g", -1)
     x = YElem.one(d, w.n)
-    for tok in w.tokens:
-        if tok[0] == "frame":
-            x = x.mul_t(tok[1], tok[2])
-        elif tok[2] > 0:
-            plain = x.mul_g(tok[1])
-            fused = x.mul_e(tok[1]).mul_g(tok[1])
-            x = plain.scale(gamma) + fused.scale(one - gamma)
-        else:
-            plain = x.mul_g_inv(tok[1])
-            fused = x.mul_e(tok[1]).mul_g_inv(tok[1])
-            x = plain.scale(gamma_inv) + fused.scale(one - gamma_inv)
+    for kind, i, k in w.tokens:
+        if kind == "frame":
+            x = x.mul_t(i, k)
+            continue
+        gamma = LPoly.var(d, "g", k)
+        plain = x.mul_g(i, k)
+        fused = x.mul_e(i).mul_g(i, k)
+        x = plain.scale(gamma) + fused.scale(one - gamma)
     return x
 
 
@@ -483,8 +475,9 @@ def jl_numeric(
     ``lam = (z + (1 - q)/|S|) / (q z)``.  ``branch`` (+1 or -1) selects
     the square root of ``lam`` used consistently in both ``u`` and
     ``v``; link invariants are branch-independent.  Raises
-    ``ValueError`` on vanishing denominators, on non-finite ``q`` or
-    ``z`` and on a non-finite (or overflowing) result.
+    ``ValueError`` on vanishing denominators (``q * z`` included, when it
+    underflows), on non-finite ``q`` or ``z`` and on a non-finite (or
+    overflowing) result.
 
     >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
     Traceback (most recent call last):
@@ -502,8 +495,11 @@ def jl_numeric(
         raise ValueError("q and z must be finite")
     if q == 0 or z == 0:
         raise ValueError("q and z must be nonzero")
+    qz = q * z
+    if qz == 0:
+        raise ValueError(f"q*z underflows to 0 at q={q}, z={z}")
     e_s = 1.0 / len(subset)
-    lam = (z + (1 - q) * e_s) / (q * z)
+    lam = (z + (1 - q) * e_s) / qz
     if lam == 0:
         raise ValueError("lambda vanishes at the given (q, z)")
     sqlam = branch * cmath.sqrt(lam)

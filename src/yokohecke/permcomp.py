@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,8 +212,6 @@ class Composition:
         >>> Composition((2, 2)).multiplicity()
         6
         """
-        import math
-
         out = math.factorial(self.n)
         for p in self.parts:
             out //= math.factorial(p)

@@ -75,10 +75,6 @@ def _random_perm(rng: random.Random, n: int) -> Perm:
     return tuple(values)
 
 
-def _random_character(rng: random.Random, d: int, n: int) -> Character:
-    return tuple(rng.randrange(1, d + 1) for _ in range(n))
-
-
 def _random_kvec(rng: random.Random, d: int, n: int) -> tuple[int, ...]:
     return tuple(rng.randrange(d) for _ in range(n))
 
@@ -173,7 +169,7 @@ def suite_markov(
             x = _random_basis_elem(rng, d, n)
             value = rho(spec, x)
             up = x.extend(n + 1)
-            if rho(spec, up.mul_g(n)) != value or rho(spec, up.mul_g_inv(n)) != value:
+            if rho(spec, up.mul_g(n)) != value or rho(spec, up.mul_g(n, -1)) != value:
                 ok, detail = False, f"stabilization failed for {x!r}"
                 break
         results.append((f"markov-stab-mu0={mu0}", ok, detail))

@@ -37,6 +37,7 @@ from .permcomp import (
     Character,
     Composition,
     Perm,
+    act,
     identity,
     orbit,
     reduced_word,
@@ -144,39 +145,36 @@ class YElem(Sparse):
         """Right multiply by e_i = (1/d) sum_s t_i^s t_{i+1}^{-s}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"idempotent index {i} out of range 1..{self.n - 1}")
-        frac = LPoly.const(self.d, Fraction(1, self.d))
+        frac = Fraction(1, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
-            self._spread_e(out, k, w, i, c * frac)
+            self._spread_e(out, k, w, i, c.scale(frac))
         return YElem(self.d, self.n, out)
 
-    def mul_gtilde(self, i: int) -> "YElem":
-        """Right multiply by gt_i = u^{-1} g_i:
+    def mul_gtilde(self, i: int, sign: int = 1) -> "YElem":
+        """Right multiply by gt_i^sign, sign = 1 or -1, where gt_i = u^{-1} g_i
+        and gt_i^{-1} = gt_i - u^{-1} v e_i:
 
-        t^k gt_w gt_i = t^k gt_{w s_i}                      if len goes up,
-                      = t^k gt_{w s_i} + u^{-1} v t^k gt_w e_i   otherwise.
+            t^k gt_w gt_i^sign = t^k gt_{w s_i}        if len(w s_i) = len(w) + sign,
+                               = t^k gt_{w s_i} + sign u^{-1} v t^k gt_w e_i   otherwise.
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        uv = LPoly.monomial(self.d, Fraction(1, self.d), -1, 1, 0)  # u^{-1} v / d
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        frac = Fraction(sign, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
             add_to(out, (k, ws), c)
-            if w[i - 1] > w[i]:
-                self._spread_e(out, k, w, i, c * uv)
+            if (w[i - 1] < w[i]) != (sign == 1):
+                self._spread_e(out, k, w, i, c.shift(-1, 1).scale(frac))
         return YElem(self.d, self.n, out)
 
-    def mul_g(self, i: int) -> "YElem":
-        """Right multiply by g_i = u gt_i."""
-        return self.mul_gtilde(i).scale(LPoly.var(self.d, "u"))
-
-    def mul_g_inv(self, i: int) -> "YElem":
-        """Right multiply by g_i^{-1} = u^{-2} g_i - u^{-2} v e_i."""
-        out: dict[YKey, LPoly] = {}
-        add_all(out, self.mul_gtilde(i).terms, LPoly.monomial(self.d, 1, -1, 0, 0))
-        add_all(out, self.mul_e(i).terms, LPoly.monomial(self.d, -1, -2, 1, 0))
-        return YElem(self.d, self.n, out)
+    def mul_g(self, i: int, sign: int = 1) -> "YElem":
+        """Right multiply by g_i^sign = u^sign gt_i^sign (sign = 1 or -1)."""
+        x = self.mul_gtilde(i, sign)
+        return YElem(self.d, self.n, {key: c.shift(sign) for key, c in x.terms.items()})
 
     # -- products and embeddings ------------------------------------------------
 
@@ -288,17 +286,14 @@ def e_basis_mul_basis(
     Used as a fast independent route for homomorphism checks; `y_mul` is the
     generic path.
     """
-    from .permcomp import act
-
     if act(w, chi2) != chi:
         return {}
-    uv = LPoly.monomial(d, 1, -1, 1, 0)  # u^{-1} v
     state: dict[Perm, LPoly] = {w: LPoly.one(d)}
     for i in reduced_word(w2):
         nxt: dict[Perm, LPoly] = {}
         for x, c in state.items():
             add_to(nxt, x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :], c)
             if x[i - 1] > x[i] and chi[x[i - 1] - 1] == chi[x[i] - 1]:
-                add_to(nxt, x, c * uv)
+                add_to(nxt, x, c.shift(-1, 1))
         state = {x: c for x, c in nxt.items() if c}
     return {(chi, x): c for x, c in state.items()}

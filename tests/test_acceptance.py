@@ -18,7 +18,6 @@ from yokohecke.hecke import (
     loop_factor,
     markov_tau,
     t_from_word,
-    t_inverse_gen,
     tau_parabolic,
 )
 from yokohecke.links import (
@@ -41,6 +40,8 @@ from yokohecke.traces import (
 )
 from yokohecke.verify import suite_iso, suite_markov
 from yokohecke.yokonuma import YElem
+
+from test_hecke import t_inverse
 
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"  # closes to L10a46
 PAIR_B = "-1 2 2 2 -1 -3 2 2 2 -3"  # closes to L10a110
@@ -76,7 +77,7 @@ def test_criterion_02_pair_block_contributions(acceptance):
     cb = invariant_contributions(parse_word(PAIR_B, 4, 2), spec)
 
     mid = t_from_word(3, (1, 1))
-    mid = h_mul(mid, t_inverse_gen(3, 2))
+    mid = h_mul(mid, t_inverse(3, 2))
     mid = h_mul(mid, t_from_word(3, (1, 1, 1, 2, 1)))
     expected_a = markov_tau(mid).as_order(2).shift(eu=-4, eg=-4)
     tref = markov_tau(t_from_word(2, (1, 1, 1))).as_order(2)

@@ -194,6 +194,16 @@ def test_jl_non_finite_value_exits_1(capsys):
         assert out == ""
         assert one_error_line(err), err
         assert "not finite" in err, err
+    # q*z underflows to 0 although neither is 0
+    code, out, err = run_main(
+        capsys,
+        "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1",
+        "--q", "1e-300", "--z", "1e-300",
+    )
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err), err
+    assert "q=(1e-300+0j), z=(1e-300+0j)" in err, err
 
 
 def test_success_writes_nothing_to_stderr(capsys):

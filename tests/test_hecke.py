@@ -15,7 +15,6 @@ from yokohecke.hecke import (
     loop_factor,
     markov_tau,
     t_from_word,
-    t_inverse_gen,
     tau_parabolic,
 )
 from yokohecke.permcomp import Composition, all_compositions, identity, length
@@ -30,6 +29,13 @@ def u2():
 
 def v1():
     return LPoly.var(1, "v")
+
+
+def t_inverse(n, i):
+    """T_i^{-1} from its definition u^{-2} T_i - u^{-2} v."""
+    return HeckeElem.gen(n, i).scale(LPoly.var(1, "u", -2)) - HeckeElem.one(n).scale(
+        LPoly.monomial(1, 1, -2, 1, 0)
+    )
 
 
 def random_elem(rng, n, terms=3, max_len=4):
@@ -70,9 +76,9 @@ def test_braid_relations():
 def test_generator_inverse():
     for n in (2, 3, 4):
         for i in range(1, n):
-            prod = h_mul(HeckeElem.gen(n, i), t_inverse_gen(n, i))
+            prod = h_mul(HeckeElem.gen(n, i), t_inverse(n, i))
             assert prod == HeckeElem.one(n)
-            prod = h_mul(t_inverse_gen(n, i), HeckeElem.gen(n, i))
+            prod = h_mul(t_inverse(n, i), HeckeElem.gen(n, i))
             assert prod == HeckeElem.one(n)
 
 
@@ -108,7 +114,14 @@ def test_mul_gen_matches_h_mul():
             x = random_elem(rng, n)
             i = rng.randrange(1, n)
             assert x.mul_gen(i) == h_mul(x, HeckeElem.gen(n, i))
-            assert x.mul_gen_inv(i) == h_mul(x, t_inverse_gen(n, i))
+            assert x.mul_gen(i, -1) == h_mul(x, t_inverse(n, i))
+
+
+def test_mul_gen_rejects_other_signs():
+    x = HeckeElem.gen(3, 1)
+    for sign in (0, 2):
+        with pytest.raises(ValueError, match="sign"):
+            x.mul_gen(1, sign)
 
 
 def test_extend_is_algebra_map():
@@ -165,7 +178,7 @@ def test_tau_markov_property_both_signs():
             x = random_elem(rng, n)
             up = x.extend(n + 1)
             assert markov_tau(up.mul_gen(n)) == markov_tau(x)
-            assert markov_tau(up.mul_gen_inv(n)) == markov_tau(x)
+            assert markov_tau(up.mul_gen(n, -1)) == markov_tau(x)
 
 
 def test_tau_extension_adds_loop():
@@ -192,7 +205,7 @@ def test_tau_on_basis_matches_golden():
 def test_tau_key_product_identity():
     # tau_3(T_1^2 T_2^{-1} T_1^3 T_2 T_1) factors as tau_2(T_1^3)^2
     word = t_from_word(3, (1, 1))
-    word = h_mul(word, t_inverse_gen(3, 2))
+    word = h_mul(word, t_inverse(3, 2))
     word = h_mul(word, t_from_word(3, (1, 1, 1, 2, 1)))
     lhs = markov_tau(word)
     rhs = markov_tau(t_from_word(2, (1, 1, 1)))

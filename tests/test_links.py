@@ -76,6 +76,8 @@ def test_parse_word_errors():
     with pytest.raises(ValueError):
         parse_word("t4^1", 3, 2)  # strand 4 absent
     with pytest.raises(ValueError):
+        parse_word("t4^2", 3, 2)  # reduces to t4^0 and is dropped after the check
+    with pytest.raises(ValueError):
         parse_word("xyz", 3, 2)
     with pytest.raises(ValueError):
         parse_word("1", 1, 2)  # no crossings on one strand
@@ -345,6 +347,9 @@ def test_jl_numeric_rejects_non_finite_values():
     # finite inputs whose evaluation raises OverflowError
     with pytest.raises(ValueError, match="not finite"):
         jl_numeric(parse_word("1 1 1", 2, 2), 2, [1, 2], 1e300, 0.2)
+    # nonzero inputs whose product q*z underflows to 0
+    with pytest.raises(ValueError, match=r"q=\(1e-300\+0j\), z=\(1e-300\+0j\)"):
+        jl_numeric(parse_word("1", 2, 2), 2, [1, 2], 1e-300, 1e-300)
 
 
 def test_jl_numeric_agrees_with_exact_evaluation_d1():

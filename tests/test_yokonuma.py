@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from yokohecke.exactnum import LPoly, root_power
 from yokohecke.permcomp import Composition, all_compositions, identity, orbit
 from yokohecke.yokonuma import (
@@ -32,7 +34,7 @@ def random_yelem(rng, d, n, terms=3):
             elif kind == 1:
                 x = x.mul_g(rng.randrange(1, n))
             else:
-                x = x.mul_g_inv(rng.randrange(1, n))
+                x = x.mul_g(rng.randrange(1, n), -1)
         out = out + x.scale(LPoly.const(d, rng.randrange(-2, 3)))
     return out
 
@@ -96,8 +98,35 @@ def test_generator_inverse():
         for n in (2, 3):
             for i in range(1, n):
                 one = YElem.one(d, n)
-                assert one.mul_g(i).mul_g_inv(i) == one
-                assert one.mul_g_inv(i).mul_g(i) == one
+                assert one.mul_g(i).mul_g(i, -1) == one
+                assert one.mul_g(i, -1).mul_g(i) == one
+
+
+def test_mul_g_inverse_matches_y_mul():
+    # g_i^{-1} = u^{-2} g_i - u^{-2} v e_i, built without the signed step
+    rng = random.Random(17)
+    mixed = 0  # draws with both ascent and descent terms at i
+    for d in (1, 2, 3):
+        for n in (2, 3, 4):
+            for _ in range(4):
+                x = random_yelem(rng, d, n, terms=4)
+                i = rng.randrange(1, n)
+                mixed += {w[i - 1] < w[i] for _, w in x.terms} == {True, False}
+                ginv = YElem.g_elem(d, n, i).scale(LPoly.var(d, "u", -2)) - YElem.e_elem(
+                    d, n, i
+                ).scale(LPoly.monomial(d, 1, -2, 1, 0))
+                assert x.mul_g(i, -1) == y_mul(x, ginv), (d, n, i)
+                assert x.mul_g(i).mul_g(i, -1) == x
+                assert x.mul_gtilde(i, -1).mul_gtilde(i) == x
+    assert mixed >= 10
+
+
+def test_signed_steps_reject_other_signs():
+    x = YElem.g_elem(2, 3, 1)
+    for sign in (0, 2):
+        for step in (x.mul_g, x.mul_gtilde):
+            with pytest.raises(ValueError, match="sign"):
+                step(1, sign)
 
 
 def test_e_is_idempotent_and_commutes_with_g():
