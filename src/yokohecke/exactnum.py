@@ -7,13 +7,29 @@ Everything downstream computes over the Laurent polynomial ring
 where zeta_d is a primitive d-th root of unity.  This module provides the
 three layers of that ring:
 
-* rationals: stdlib `fractions.Fraction` (aliased `Rat`);
-* `Cyclo`: elements of the cyclotomic field Q(zeta_d), stored as coefficient
-  vectors on the power basis 1, zeta, ..., zeta^{phi(d)-1} and reduced modulo
-  the minimal polynomial Phi_d (*not* modulo x^d - 1, so equality of field
-  elements is equality of coefficient tuples);
-* `LPoly`: sparse Laurent polynomials in the three variables u, v, g with
-  `Cyclo` coefficients, keyed by integer exponent triples.
+* rationals: a Python `int` wherever the value is integral, a stdlib
+  `fractions.Fraction` (aliased `Rat`) only where a division leaves a
+  non-integer.  Constructors and scaling normalise integral `Fraction`s to
+  `int` (a sum of `Fraction`s may stay an integral `Fraction`, which
+  compares, hashes and prints as that `int`);
+* `Cyclo`: elements of the cyclotomic field Q(zeta_d) on the power basis
+  1, zeta, ..., zeta^{phi(d)-1}, reduced modulo the minimal polynomial Phi_d
+  (*not* modulo x^d - 1, so equality of field elements is equality of
+  coordinates).  The coordinates are stored as integer numerators over one
+  shared denominator, so the 1/d of the idempotents costs a gcd per
+  operation instead of a `Fraction` per coordinate; they read back as the
+  rationals above;
+* `LPoly`: sparse Laurent polynomials in the three variables u, v, g keyed
+  by integer exponent triples.  The coefficient kind follows from the
+  order d alone: at d = 1, where Q(zeta_1) = Q, a coefficient is the
+  rational itself; at d > 1 it is a `Cyclo` of order d.  `coeff` makes a
+  coefficient of either kind and `_coords` reads its coordinates; no other
+  code looks at the kind.
+
+Everything the Hecke algebra and the sublink terms compute lives over
+Z[u^{+-1}, v^{+-1}, g^{+-1}]: only the 1/d of the idempotents e_i and the
+1/|S| of the weighted traces ever divide, so the order-1 path runs on
+plain integer arithmetic.
 
 `LPoly` is built on `Sparse`, the finite linear combination over a basis
 that `HeckeElem`, `YElem` and `BlockMatrix` share as well; sums and products
@@ -28,6 +44,8 @@ parameter used by the link invariants.
 (1, 0, 1)
 >>> Cyclo.zeta(4) * Cyclo.zeta(4) == Cyclo.from_rat(4, -1)
 True
+>>> LPoly.const(1, Fraction(6, 3)).terms, LPoly.const(3, 2).terms
+({(0, 0, 0): 2}, {(0, 0, 0): Cyclo(3, (2, 0))})
 """
 
 from __future__ import annotations
@@ -35,15 +53,18 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 __all__ = [
+    "Coeff",
     "Rat",
     "Cyclo",
     "Sparse",
     "LPoly",
     "add_all",
     "add_to",
+    "coeff",
     "cyclotomic_polynomial",
     "euler_phi",
     "root_power",
@@ -52,6 +73,23 @@ __all__ = [
 Rat = Fraction
 
 ExpKey = tuple[int, int, int]  # exponents of (u, v, g)
+
+
+def _rat(x) -> Union[int, Fraction]:
+    """x as a stored rational: an int where it is integral, else a Fraction.
+
+    Input that is neither an int nor a Fraction goes through `Fraction(x)`
+    first, so strings, floats and Decimals convert (or fail) as Fraction
+    does.
+
+    >>> _rat(Fraction(4, 2)), _rat(Fraction(1, 2)), _rat("6/4"), _rat(2.0)
+    (2, Fraction(1, 2), Fraction(3, 2), 2)
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # --------------------------------------------------------------------------
@@ -142,31 +180,48 @@ def _power_rows(d: int) -> tuple[tuple[int, ...], ...]:
 class Cyclo:
     """An element of Q(zeta_d) on the power basis 1, zeta, ..., zeta^{phi(d)-1}.
 
-    Instances are immutable; arithmetic never mixes orders.
+    Stored as integer numerators `num` over one positive shared denominator
+    `den`, in lowest terms, so that arithmetic runs on ints and equality is
+    equality of (num, den).  `coeffs` reads the coordinates as rationals: an
+    int where a coordinate is integral, a Fraction otherwise.  Instances are
+    immutable; arithmetic never mixes orders.
 
     >>> a = Cyclo.zeta(3)
     >>> a * a + a + Cyclo.from_rat(3, 1)   # 1 + zeta + zeta^2 = 0
-    Cyclo(3, (Fraction(0, 1), Fraction(0, 1)))
+    Cyclo(3, (0, 0))
+    >>> c = Cyclo(3, (Fraction(4, 2), Fraction(1, 2)))
+    >>> c, c.num, c.den
+    (Cyclo(3, (2, Fraction(1, 2))), (4, 1), 2)
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Union[Rat, int]]):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [_rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError(
                 f"need {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
             )
+        # over the lcm of reduced denominators the numerators share no factor
+        den = lcm(*[c.denominator for c in coeffs])
         self.order = order
-        self.coeffs = coeffs
-        self._hash = hash((order, coeffs))
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(d) coordinates: ints where integral, else Fractions."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple([_rat(Fraction(n, den)) for n in self.num])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rat(cls, order: int, r: Union[Rat, int]) -> "Cyclo":
-        phi = euler_phi(order)
-        return cls(order, (Fraction(r),) + (Fraction(0),) * (phi - 1))
+        r = _rat(r)
+        return _cyclo(order, [r.numerator] + [0] * (euler_phi(order) - 1), r.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "Cyclo":
@@ -181,7 +236,7 @@ class Cyclo:
         """zeta_d^power, reduced.
 
         >>> Cyclo.zeta(2)
-        Cyclo(2, (Fraction(-1, 1),))
+        Cyclo(2, (-1,))
         >>> Cyclo.zeta(5, 7) == Cyclo.zeta(5, 2)
         True
         """
@@ -190,12 +245,12 @@ class Cyclo:
     # -- predicates and parts ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
-    def rational_part(self) -> Rat:
+    def rational_part(self) -> Union[Rat, int]:
         """The value as a rational; error if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
@@ -209,45 +264,51 @@ class Cyclo:
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
         self._check(other)
-        return Cyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        p, q = self.den, other.den
+        if p == q:
+            return _cyclo(self.order, [a + b for a, b in zip(self.num, other.num)], p)
+        return _cyclo(self.order, [a * q + b * p for a, b in zip(self.num, other.num)], p * q)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
         self._check(other)
-        return Cyclo(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        p, q = self.den, other.den
+        if p == q:
+            return _cyclo(self.order, [a - b for a, b in zip(self.num, other.num)], p)
+        return _cyclo(self.order, [a * q - b * p for a, b in zip(self.num, other.num)], p * q)
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.order, tuple(-a for a in self.coeffs))
+        return _cyclo(self.order, [-a for a in self.num], self.den)
 
     def __mul__(self, other: Union["Cyclo", Rat, int]) -> "Cyclo":
         if not isinstance(other, Cyclo):
-            q = Fraction(other)
-            return Cyclo(self.order, tuple(a * q for a in self.coeffs))
+            q = _rat(other)
+            return _cyclo(self.order, [a * q.numerator for a in self.num], self.den * q.denominator)
         self._check(other)
-        conv = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        conv = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        return _reduce(self.order, conv)
+        return _reduce(self.order, conv, self.den * other.den)
 
     __rmul__ = __mul__
 
     # -- misc ----------------------------------------------------------------
 
     def eval_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
+        return _eval_coords(self.order, self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cyclo)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -259,6 +320,27 @@ class Cyclo:
         if self.is_rational():
             return str(self.coeffs[0])
         return "(" + format_cyclo(self) + ")"
+
+
+def _cyclo(order: int, num: list[int], den: int) -> Cyclo:
+    """The Cyclo with numerators `num` over den > 0, put in lowest terms;
+    skips the checks of the public constructor."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    c = object.__new__(Cyclo)
+    c.order = order
+    c.num = tuple(num)
+    c.den = den
+    return c
+
+
+def _eval_coords(order: int, coords) -> complex:
+    """sum_k coords[k] zeta_order^k as a complex number."""
+    z = cmath.exp(2j * cmath.pi / order)
+    return sum(float(c) * z**k for k, c in enumerate(coords))
 
 
 @lru_cache(maxsize=None)
@@ -276,17 +358,17 @@ def _zeta_pow(order: int, s: int) -> Cyclo:
     return Cyclo(order, _power_rows(order)[s])
 
 
-def _reduce(order: int, coeffs: list[Fraction]) -> Cyclo:
-    """The element sum_m coeffs[m] zeta^m, reduced mod Phi_order onto the
-    power basis; `coeffs` may run up to degree 2 phi(order) - 2."""
+def _reduce(order: int, num: list[int], den: int) -> Cyclo:
+    """The element (sum_m num[m] zeta^m) / den, reduced mod Phi_order onto
+    the power basis; `num` may run up to degree 2 phi(order) - 2."""
     rows = _power_rows(order)
-    out = [Fraction(0)] * euler_phi(order)
-    for m, c in enumerate(coeffs):
+    out = [0] * euler_phi(order)
+    for m, c in enumerate(num):
         if c:
             for k, r in enumerate(rows[m]):
                 if r:
                     out[k] += c * r
-    return Cyclo(order, out)
+    return _cyclo(order, out, den)
 
 
 def root_power(d: int, a: int, s: int) -> Cyclo:
@@ -295,13 +377,48 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
     The letters a run through 1..d, so xi_1 = 1 always.
 
     >>> root_power(2, 2, 1)
-    Cyclo(2, (Fraction(-1, 1),))
+    Cyclo(2, (-1,))
     >>> root_power(6, 3, 3) == Cyclo.one(6)
     True
     """
     if not 1 <= a <= d:
         raise ValueError(f"letter {a} out of range 1..{d}")
     return _zeta_pow(d, ((a - 1) * s) % d)
+
+
+# --------------------------------------------------------------------------
+# polynomial coefficients
+# --------------------------------------------------------------------------
+
+Coeff = Union[int, Fraction, Cyclo]  # a coefficient of an LPoly
+
+
+def coeff(order: int, x) -> Coeff:
+    """x as a coefficient of an order-`order` polynomial.
+
+    The kind follows from the order alone.  At order 1, where
+    Q(zeta_1) = Q, a coefficient is the rational itself: an int wherever it
+    is integral, else a Fraction.  At order d > 1 it is a `Cyclo` of
+    order d.  x is a rational, anything `Fraction()` accepts, or a `Cyclo`:
+    of order `order`, or rational (`as_order` reinterprets those) of any
+    order.  Every LPoly constructor and reader goes through this function
+    or `_coords`, so no caller branches on the order.
+
+    >>> coeff(1, Fraction(4, 2)), coeff(1, Cyclo.one(1)), coeff(1, "1/2")
+    (2, 1, Fraction(1, 2))
+    >>> coeff(3, 2), coeff(3, Cyclo.zeta(3))
+    (Cyclo(3, (2, 0)), Cyclo(3, (0, 1)))
+    """
+    if isinstance(x, Cyclo):
+        if x.order == order:
+            return x if order > 1 else x.coeffs[0]
+        x = x.rational_part()
+    return _rat(x) if order == 1 else Cyclo.from_rat(order, x)
+
+
+def _coords(c: Coeff) -> tuple:
+    """The phi(d) power-basis coordinates of a coefficient (see `coeff`)."""
+    return c.coeffs if isinstance(c, Cyclo) else (c,)
 
 
 # --------------------------------------------------------------------------
@@ -410,18 +527,23 @@ Scalar = Union[Cyclo, Rat, int]
 class LPoly(Sparse):
     """Sparse Laurent polynomial in u, v, g over Q(zeta_d).
 
-    A `Sparse` combination {(e_u, e_v, e_g): Cyclo} whose parent is the
-    cyclotomic order d.  Unlike the algebra elements built on it, an LPoly
-    is hashable: equal polynomials hash equal.
+    A `Sparse` combination {(e_u, e_v, e_g): coefficient} whose parent is
+    the cyclotomic order d.  The coefficients are of the order's kind (see
+    `coeff`): plain rationals at d = 1, where the 2-variable invariant and
+    the sublink terms are computed, and `Cyclo`s of order d otherwise.
+    Unlike the algebra elements built on it, an LPoly is hashable: equal
+    polynomials hash equal.
 
     >>> p = LPoly.var(1, "u") + LPoly.var(1, "v", -1)
     >>> print((p * p).text())
     1 * u^2 + 2 * u^1 * v^-1 + 1 * v^-2
+    >>> (p * p).terms[(1, -1, 0)]
+    2
     """
 
     __slots__ = ("order",)
 
-    def __init__(self, order: int, terms: Mapping[ExpKey, Cyclo] | None = None):
+    def __init__(self, order: int, terms: Mapping[ExpKey, Coeff] | None = None):
         self.order = order
         Sparse.__init__(self, terms)
 
@@ -436,25 +558,24 @@ class LPoly(Sparse):
 
     @classmethod
     def const(cls, order: int, c: Scalar) -> "LPoly":
-        c = c if isinstance(c, Cyclo) else Cyclo.from_rat(order, c)
-        return cls(order, {(0, 0, 0): c})
+        return cls.monomial(order, c)
 
     @classmethod
     def var(cls, order: int, name: str, exp: int = 1) -> "LPoly":
         key = {"u": (exp, 0, 0), "v": (0, exp, 0), "g": (0, 0, exp)}[name]
-        return cls(order, {key: Cyclo.one(order)})
+        return cls(order, {key: coeff(order, 1)})
 
     @classmethod
     def monomial(cls, order: int, c: Scalar, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
-        c = c if isinstance(c, Cyclo) else Cyclo.from_rat(order, c)
-        return cls(order, {(eu, ev, eg): c})
+        return cls(order, {(eu, ev, eg): coeff(order, c)})
 
     # -- structure ----------------------------------------------------------
 
-    def coefficient(self, eu: int, ev: int, eg: int) -> Cyclo:
-        return self.terms.get((eu, ev, eg), Cyclo.zero(self.order))
+    def coefficient(self, eu: int, ev: int, eg: int) -> Coeff:
+        c = self.terms.get((eu, ev, eg))
+        return coeff(self.order, 0) if c is None else c
 
-    def constant_value(self) -> Cyclo:
+    def constant_value(self) -> Coeff:
         """The coefficient of u^0 v^0 g^0; error if other terms are present."""
         if self.terms and set(self.terms) != {(0, 0, 0)}:
             raise ValueError(f"not a constant: {self.text()}")
@@ -472,6 +593,15 @@ class LPoly(Sparse):
             for (a2, b2, c2), y in other.terms.items():
                 add_to(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
         return LPoly(self.order, out)
+
+    def scale(self, c: Scalar) -> "LPoly":
+        """Every coefficient multiplied by the scalar c: a rational, or an
+        element of this order's field (a `Cyclo` passes through `coeff`)."""
+        c = coeff(self.order, c) if isinstance(c, Cyclo) else _rat(c)
+        terms = {k: x * c for k, x in self.terms.items()}
+        if self.order == 1 and type(c) is Fraction:
+            terms = {k: _rat(x) for k, x in terms.items()}
+        return LPoly(self.order, terms)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
         """Multiply by the monomial u^eu v^ev g^eg."""
@@ -498,15 +628,12 @@ class LPoly(Sparse):
         """Reinterpret in Q(zeta_order); requires all coefficients rational."""
         if order == self.order:
             return self
-        out = {}
-        for k, c in self.terms.items():
-            out[k] = Cyclo.from_rat(order, c.rational_part())
-        return LPoly(order, out)
+        return LPoly(order, {k: coeff(order, c) for k, c in self.terms.items()})
 
     def eval_complex(self, u0: complex, v0: complex, g0: complex) -> complex:
         total = 0j
         for (a, b, c), x in self.terms.items():
-            total += x.eval_complex() * u0**a * v0**b * g0**c
+            total += _eval_coords(self.order, _coords(x)) * u0**a * v0**b * g0**c
         return total
 
     # -- hashing and text -----------------------------------------------------
@@ -526,7 +653,7 @@ class LPoly(Sparse):
         lines = []
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
-            lines.append(" ".join([*map(str, key), *map(str, c.coeffs)]))
+            lines.append(" ".join([*map(str, key), *map(str, _coords(c))]))
         return lines
 
 
@@ -541,9 +668,9 @@ class LPoly(Sparse):
 # irrational coefficients are parenthesized sums `(r0 + r1*z + ...)` in the
 # root of unity z = zeta_d.  The zero polynomial prints as `0`.
 
-def format_cyclo(c: Cyclo) -> str:
+def format_cyclo(c: Coeff) -> str:
     parts: list[tuple[str, str]] = []
-    for k, r in enumerate(c.coeffs):
+    for k, r in enumerate(_coords(c)):
         if not r:
             continue
         sign = "-" if r < 0 else "+"
@@ -571,14 +698,14 @@ def format_lpoly(p: LPoly) -> str:
     for key in sorted(p.terms, reverse=True):
         c = p.terms[key]
         mono = " * ".join(f"{s}^{e}" for s, e in zip("uvg", key) if e != 0)
-        if c.is_rational():
-            r = c.rational_part()
+        r, *irrational = _coords(c)
+        if not any(irrational):
             sign = "-" if r < 0 else "+"
-            coeff = str(abs(r))
+            shown = str(abs(r))
         else:
             sign = "+"
-            coeff = "(" + format_cyclo(c) + ")"
-        rendered.append((sign, coeff + (" * " + mono if mono else "")))
+            shown = "(" + format_cyclo(c) + ")"
+        rendered.append((sign, shown + (" * " + mono if mono else "")))
     first_sign, first_body = rendered[0]
     out = ("-" if first_sign == "-" else "") + first_body
     for sign, body in rendered[1:]:

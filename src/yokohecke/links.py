@@ -277,16 +277,15 @@ def delta_gamma(w: FramedBraidWord, d: int) -> YElem:
     >>> x == YElem.one(2, 3)
     True
     """
-    one = LPoly.one(d)
     x = YElem.one(d, w.n)
     for kind, i, k in w.tokens:
         if kind == "frame":
             x = x.mul_t(i, k)
             continue
-        gamma = LPoly.var(d, "g", k)
+        # x (gamma^k + (1 - gamma^k) e_i) g_i^k = fused + (plain - fused) gamma^k
         plain = x.mul_g(i, k)
         fused = x.mul_e(i).mul_g(i, k)
-        x = plain.scale(gamma) + fused.scale(one - gamma)
+        x = fused + (plain - fused).shift(eg=k)
     return x
 
 

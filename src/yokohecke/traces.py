@@ -37,7 +37,7 @@ from fractions import Fraction
 from numbers import Complex
 from typing import Iterable, Mapping
 
-from .exactnum import Cyclo, LPoly, add_all, root_power
+from .exactnum import Coeff, Cyclo, LPoly, add_all, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import psi
 from .permcomp import Composition, all_comp0, identity
@@ -148,17 +148,22 @@ def _subset(S: Iterable[int], d: int) -> tuple[int, ...]:
     return S
 
 
-def esystem_c(d: int, S: Iterable[int], b: int) -> Cyclo:
+def esystem_c(d: int, S: Iterable[int], b: int) -> Coeff:
     """The E-system solution attached to S: c_b = (1/|S|) sum_{a in S} xi_a^b.
 
     These are the power sums of the subset of d-th roots of unity indexed by
-    S, normalized so that c_0 = 1.
+    S, normalized so that c_0 = 1.  The value is a coefficient of an
+    order-d polynomial (`exactnum.coeff`), comparable with the constant
+    value of a trace: a rational at d = 1.
+
+    >>> esystem_c(1, [1], 5), esystem_c(3, [1, 2], 1)
+    (1, Cyclo(3, (Fraction(1, 2), Fraction(1, 2))))
     """
     S = _subset(S, d)
     acc = Cyclo.zero(d)
     for a in S:
         acc = acc + root_power(d, a, b)
-    return acc * Fraction(1, len(S))
+    return coeff(d, acc * Fraction(1, len(S)))
 
 
 def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:

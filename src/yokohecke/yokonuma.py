@@ -173,8 +173,13 @@ class YElem(Sparse):
 
     def mul_g(self, i: int, sign: int = 1) -> "YElem":
         """Right multiply by g_i^sign = u^sign gt_i^sign (sign = 1 or -1)."""
-        x = self.mul_gtilde(i, sign)
-        return YElem(self.d, self.n, {key: c.shift(sign) for key, c in x.terms.items()})
+        return self.mul_gtilde(i, sign).shift(sign)
+
+    def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "YElem":
+        """Every coefficient multiplied by the monomial u^eu v^ev g^eg."""
+        return YElem(
+            self.d, self.n, {key: c.shift(eu, ev, eg) for key, c in self.terms.items()}
+        )
 
     # -- products and embeddings ------------------------------------------------
 

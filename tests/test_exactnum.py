@@ -1,6 +1,7 @@
 """Exact cyclotomic scalars and three-variable Laurent polynomials."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,46 @@ def test_root_orthogonality():
                 assert acc == expected, (d, a, b)
 
 
+def test_cyclo_stores_ints_where_integral():
+    c = Cyclo(3, (Fraction(4, 2), Fraction(1, 2)))
+    assert c.coeffs == (2, Fraction(1, 2))
+    assert type(c.coeffs[0]) is int
+    same = Cyclo(3, (2, Fraction(1, 2)))
+    assert c == same
+    assert hash(c) == hash(same)
+    # arithmetic keeps the normal form: 1/2 + 1/2 is stored as the int 1
+    half = Cyclo(3, (Fraction(1, 2), 0))
+    assert [type(x) for x in (half + half).coeffs] == [int, int]
+    assert [type(x) for x in (half * 2).coeffs] == [int, int]
+    assert all(type(x) is int for x in Cyclo.zeta(7, 3).coeffs)
+
+
+def test_cyclo_converts_other_input_through_fraction():
+    # strings, floats and Decimals go through Fraction(...) as before
+    from decimal import Decimal
+
+    c = Cyclo(3, ("3/6", 2.0))
+    assert c.coeffs == (Fraction(1, 2), 2)
+    assert type(c.coeffs[1]) is int
+    assert Cyclo(2, (Decimal("0.25"),)).coeffs == (Fraction(1, 4),)
+    with pytest.raises(ValueError):
+        Cyclo(3, ("one", 0))
+    with pytest.raises(TypeError):
+        Cyclo(3, (None, 0))
+
+
+def test_order_one_coefficients_are_rationals():
+    # at order 1 the coefficient is the rational itself, whatever built it
+    p = LPoly.const(1, Fraction(6, 3)) + LPoly.monomial(1, Cyclo.one(1), 1, 0, 0)
+    assert p.terms == {(0, 0, 0): 2, (1, 0, 0): 1}
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(p.scale(Fraction(1, 2)).coefficient(0, 0, 0)) is int
+    assert p.scale(Cyclo.from_rat(1, 3)) == p.scale(3)
+    assert LPoly.monomial(1, Fraction(1, 3)).constant_value() == Fraction(1, 3)
+    assert type(LPoly.zero(1).coefficient(0, 0, 0)) is int
+    assert LPoly.var(3, "u").coefficient(1, 0, 0) == Cyclo.one(3)
+
+
 def test_cyclo_eval_complex_is_primitive_root():
     for d in range(1, 13):
         z = Cyclo.zeta(d).eval_complex()
@@ -87,6 +128,19 @@ def test_cyclo_ring_axioms(a, b, c):
     assert a + Cyclo.zero(6) == a
     assert a * Cyclo.one(6) == a
     assert a - a == Cyclo.zero(6)
+
+
+@given(cyclos(), cyclos(), rationals)
+@settings(max_examples=60, deadline=None)
+def test_cyclo_linear_ops_match_fraction_coordinates(a, b, q):
+    # numerators over a shared denominator give the coordinatewise results
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    assert (a * q).coeffs == tuple(x * q for x in a.coeffs)
+    for c in (a + b, a - b, a * b, a * q):
+        assert math.gcd(c.den, *c.num) == 1 and c.den > 0
+        assert c == Cyclo(6, c.coeffs)
 
 
 @given(cyclos(), cyclos())

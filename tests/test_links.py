@@ -302,6 +302,24 @@ def test_jl_invariant_full_singleton_is_homflypt():
         assert jl_invariant(w, 1, [1]) == expected
 
 
+def test_order_one_invariants_have_int_coefficients():
+    # the 2-variable path lives over Z[u^{+-1}, v]: every stored coefficient
+    # is a plain int, not merely equal to one
+    rng = random.Random(31)
+    for _ in range(8):
+        n = rng.randrange(2, 5)
+        text = random_word(rng, n, rng.randrange(0, 12))
+        word = parse_word(text, n, None)
+        values = [
+            homflypt(word),
+            markov_tau(delta_H(word)),
+            jl_invariant(parse_word(text, n, 1), 1, {1}),
+        ]
+        for poly in values:
+            assert poly.order == 1
+            assert all(type(c) is int for c in poly.terms.values()), text
+
+
 def test_jl_invariant_matches_spec_route():
     rng = random.Random(23)
     d = 2
