@@ -470,6 +470,22 @@ class Sparse:
         """A combination with the same parent and the given terms."""
         return type(self)(*self._parent(), terms)
 
+    def _new_pruned(self, terms: dict):
+        """`_new` for a dict that already holds only nonzero coefficients
+        over valid keys, such as a monomial shift of `self.terms`: the dict
+        is taken as it is, without the zero filter or the subclass's key
+        checks.  Copies the subclass's own slots, which hold its parent.
+
+        >>> p = LPoly.var(1, "u")
+        >>> p._new_pruned({(2, 0, 0): 3}) == LPoly.monomial(1, 3, 2)
+        True
+        """
+        out = object.__new__(type(self))
+        for attr in type(self).__slots__:
+            setattr(out, attr, getattr(self, attr))
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, *parent):
         return cls(*parent)
@@ -604,10 +620,9 @@ class LPoly(Sparse):
         return LPoly(self.order, terms)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
-        """Multiply by the monomial u^eu v^ev g^eg."""
-        return LPoly(
-            self.order,
-            {(a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()},
+        """Multiply by the monomial u^eu v^ev g^eg (a shift makes no zero)."""
+        return self._new_pruned(
+            {(a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()}
         )
 
     def __pow__(self, k: int) -> "LPoly":

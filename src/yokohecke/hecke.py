@@ -35,14 +35,14 @@ subgroup.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Mapping
 
 from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
 
 __all__ = [
     "HeckeElem",
-    "t_from_word",
     "h_mul",
     "loop_factor",
     "markov_tau",
@@ -50,8 +50,12 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=16)
 def loop_factor(order: int) -> LPoly:
-    """v^{-1}(1 - u^2): the trace of 1 in H_2, i.e. the value of one free loop."""
+    """v^{-1}(1 - u^2): the trace of 1 in H_2, i.e. the value of one free loop.
+
+    Cached per order; callers share the result, which no method mutates.
+    """
     return LPoly.monomial(order, 1, 0, -1, 0) - LPoly.monomial(order, 1, 2, -1, 0)
 
 
@@ -164,14 +168,6 @@ def h_mul(x: HeckeElem, y: HeckeElem) -> HeckeElem:
     return HeckeElem(x.n, x.order, out)
 
 
-def t_from_word(n: int, word: Iterable[int], order: int = 1) -> HeckeElem:
-    """The product T_{i_1} ... T_{i_r} for a (not necessarily reduced) word."""
-    z = HeckeElem.one(n, order)
-    for i in word:
-        z = z.mul_gen(i)
-    return z
-
-
 # --------------------------------------------------------------------------
 # the Markov trace
 # --------------------------------------------------------------------------
@@ -206,9 +202,20 @@ def markov_tau(x: HeckeElem) -> LPoly:
     return terms.get(identity(n), LPoly.zero(x.order))
 
 
+@lru_cache(maxsize=4096)
+def _block_tau(wa: Perm, order: int) -> LPoly:
+    """tau(T_wa) for one renumbered block permutation, memoized."""
+    return markov_tau(HeckeElem.basis(len(wa), wa, order))
+
+
 def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     """The block-product trace on H^mu: on a basis term, the product over
     letter blocks of markov_tau applied to the renumbered block permutation.
+
+    The block traces tau(T_wa) are memoized per (wa, order) in `_block_tau`,
+    a fixed-size cache: they depend on nothing else, and the cached LPoly
+    is only read (the product builds a new one).  The same few block
+    permutations recur across every term, block and call of one `rho`.
 
     Raises ValueError if x is not in H^mu: a size other than |mu|, or a
     basis permutation outside the Young subgroup of mu (`block_split`).
@@ -221,6 +228,6 @@ def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
         for wa in block_split(w, mu):
             if len(wa) == 0:
                 continue
-            val = val * markov_tau(HeckeElem.basis(len(wa), wa, x.order))
+            val = val * _block_tau(wa, x.order)
         add_all(total, val.terms)
     return LPoly(x.order, total)

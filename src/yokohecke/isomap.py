@@ -157,21 +157,34 @@ def psi(x: YElem) -> BlockMatrix:
     return psi_from_e_coeffs(x.d, x.n, to_E_basis(x))
 
 
+@lru_cache(maxsize=4096)
+def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Cell, Perm, int]:
+    """Where psi puts E_chi gt_w: the cell (mu, k, j), the block permutation
+    p = pi_k^{-1} w pi_j and the u-exponent -len(p)."""
+    mu = comp_of(chi, d)
+    idx = orbit_index(mu)
+    k = idx[chi]
+    j = idx[act(inverse(w), chi)]
+    reps = coset_reps(mu)
+    p = compose(compose(inverse(reps[k]), w), reps[j])
+    return (mu, k, j), p, -length(p)
+
+
 def psi_from_e_coeffs(
     d: int, n: int, eb: dict[tuple[Character, Perm], LPoly]
 ) -> BlockMatrix:
     """psi applied to an element given directly by idempotent-basis
-    coefficients, skipping the change of basis from t-exponents."""
+    coefficients, skipping the change of basis from t-exponents.
+
+    The index map (d, chi, w) -> (cell, p, -len(p)) is pure permutation
+    combinatorics, so `_psi_cell` memoizes it in a fixed-size cache; 4096
+    entries hold every basis key of the largest `verify` level
+    (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.
+    """
     cells: dict[Cell, dict[Perm, LPoly]] = {}
     for (chi, w), c in eb.items():
-        mu = comp_of(chi, d)
-        idx = orbit_index(mu)
-        k = idx[chi]
-        chi_j = act(inverse(w), chi)
-        j = idx[chi_j]
-        reps = coset_reps(mu)
-        p = compose(compose(inverse(reps[k]), w), reps[j])
-        add_to(cells.setdefault((mu, k, j), {}), p, c.shift(eu=-length(p)))
+        cell, p, eu = _psi_cell(d, chi, w)
+        add_to(cells.setdefault(cell, {}), p, c.shift(eu=eu))
     return _from_cells(d, n, cells)
 
 

@@ -33,10 +33,8 @@ __all__ = [
     "s_perm",
     "compose",
     "inverse",
-    "apply_perm",
     "length",
     "reduced_word",
-    "from_word",
     "extend",
     "cycles",
     "Composition",
@@ -90,10 +88,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(out)
 
 
-def apply_perm(w: Perm, i: int) -> int:
-    return w[i - 1]
-
-
 def length(w: Perm) -> int:
     """Coxeter length = number of inversions.
 
@@ -127,18 +121,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
         else:
             i += 1
     return tuple(word)
-
-
-def from_word(n: int, word: tuple[int, ...] | list[int]) -> Perm:
-    """Multiply out a word in the s_i, left to right.
-
-    >>> from_word(4, (1, 3))
-    (2, 1, 4, 3)
-    """
-    w = identity(n)
-    for i in word:
-        w = compose(w, s_perm(n, i))
-    return w
 
 
 def extend(w: Perm, m: int) -> Perm:

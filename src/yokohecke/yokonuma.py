@@ -24,7 +24,9 @@ xi_{chi_j}) the primitive idempotent is
 
 and conversion in either direction factorizes strand by strand
 (`to_E_basis` / `from_E_basis`), which keeps the cost at n * d^{n+1} scalar
-operations per permutation instead of d^{2n}.
+operations per permutation instead of d^{2n}.  Factors equal to 1 cost no
+multiplication: in `to_E_basis` these are xi_1^k = 1 and xi_a^0 = 1, so
+the letter 1 and every framing 0 only add.
 """
 
 from __future__ import annotations
@@ -176,10 +178,9 @@ class YElem(Sparse):
         return self.mul_gtilde(i, sign).shift(sign)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "YElem":
-        """Every coefficient multiplied by the monomial u^eu v^ev g^eg."""
-        return YElem(
-            self.d, self.n, {key: c.shift(eu, ev, eg) for key, c in self.terms.items()}
-        )
+        """Every coefficient multiplied by the monomial u^eu v^ev g^eg
+        (a shift makes no zero, and keeps the keys)."""
+        return self._new_pruned({key: c.shift(eu, ev, eg) for key, c in self.terms.items()})
 
     # -- products and embeddings ------------------------------------------------
 
@@ -219,9 +220,14 @@ def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dic
     """Apply one linear map to every strand of a (key, w)-indexed combination.
 
     `items` yields ((key, w), c) with key a tuple of n strand labels;
-    `table[e]` lists the (label, factor) pairs strand label e maps to.
+    `table[e]` lists the (label, factor) pairs strand label e maps to.  A
+    factor equal to 1 adds c itself: no multiplication.
     Returns {(key, w): c} with zero coefficients dropped.
     """
+    steps = {
+        e: [(f, None if r == Cyclo.one(r.order) else r) for f, r in pairs]
+        for e, pairs in table.items()
+    }
     by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
     for (key, w), c in items:
         if c:
@@ -232,8 +238,8 @@ def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dic
             nxt: dict[tuple[int, ...], LPoly] = {}
             for key, c in cur.items():
                 head, tail = key[:axis], key[axis + 1 :]
-                for e, r in table[key[axis]]:
-                    add_to(nxt, head + (e,) + tail, c.scale(r))
+                for e, r in steps[key[axis]]:
+                    add_to(nxt, head + (e,) + tail, c if r is None else c.scale(r))
             cur = {key: c for key, c in nxt.items() if c}
         for key, c in cur.items():
             out[(key, w)] = c

@@ -17,7 +17,6 @@ from yokohecke.hecke import (
     h_mul,
     loop_factor,
     markov_tau,
-    t_from_word,
     tau_parabolic,
 )
 from yokohecke.links import (
@@ -41,7 +40,7 @@ from yokohecke.traces import (
 from yokohecke.verify import suite_iso, suite_markov
 from yokohecke.yokonuma import YElem
 
-from test_hecke import t_inverse
+from test_hecke import t_from_word, t_inverse
 
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"  # closes to L10a46
 PAIR_B = "-1 2 2 2 -1 -3 2 2 2 -3"  # closes to L10a110
@@ -256,8 +255,9 @@ def test_criterion_09_jl_reconstruction(acceptance):
 def test_criterion_10_markov_move_invariance(acceptance):
     rng = random.Random(20240810)
     ok = True
-    # 50 words on 2-3 strands, then 40 on 5-6 strands
-    for n_range in [(2, 4)] * 50 + [(5, 7)] * 40:
+    # 50 words on 2-3 strands, then 40 on 5-6 strands, then 20 on 7 strands
+    # (stabilized to 8), continuing the same stream
+    for n_range in [(2, 4)] * 50 + [(5, 7)] * 40 + [(7, 8)] * 20:
         d = rng.randrange(1, 4)
         n = rng.randrange(*n_range)
         parts = []

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yokohecke import hecke
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import (
     HeckeElem,
     h_mul,
     loop_factor,
     markov_tau,
-    t_from_word,
     tau_parabolic,
 )
-from yokohecke.permcomp import Composition, all_compositions, identity, length
+from yokohecke.permcomp import Composition, all_compositions, block_split, identity, length
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "markov_tau_basis.txt"
@@ -29,6 +29,14 @@ def u2():
 
 def v1():
     return LPoly.var(1, "v")
+
+
+def t_from_word(n, word):
+    """The product T_{i_1} ... T_{i_r} for a (not necessarily reduced) word."""
+    z = HeckeElem.one(n)
+    for i in word:
+        z = z.mul_gen(i)
+    return z
 
 
 def t_inverse(n, i):
@@ -267,3 +275,42 @@ def test_tau_parabolic_product_formula():
                     continue
                 rhs = rhs * markov_tau(t_from_word(p, word))
             assert lhs == rhs, (mu, words)
+
+
+def uncached_tau_parabolic(mu, x):
+    """The block-product trace, computing markov_tau afresh for every block
+    of every term."""
+    total = LPoly.zero(x.order)
+    for w, c in x.terms.items():
+        val = c
+        for wa in block_split(w, mu):
+            if wa:
+                val = val * markov_tau(HeckeElem.basis(len(wa), wa, x.order))
+        total = total + val
+    return total
+
+
+def test_tau_parabolic_cached_equals_uncached():
+    rng = random.Random(59)
+    for order in (1, 3):
+        hecke._block_tau.cache_clear()
+        for mu in all_compositions(3, 4):
+            offsets = [sum(mu.parts[:a]) for a in range(3)]
+            x = HeckeElem.zero(4, order)
+            for _ in range(3):
+                term = HeckeElem.one(4, order)
+                for p, off in zip(mu.parts, offsets):
+                    for _ in range(rng.randrange(0, 4) if p > 1 else 0):
+                        term = term.mul_gen(rng.randrange(1, p) + off, rng.choice((1, -1)))
+                x = x + term.scale(LPoly.monomial(order, rng.randrange(1, 4), rng.randrange(-1, 2)))
+            first = tau_parabolic(mu, x)
+            kept = dict(first.terms)
+            again = tau_parabolic(mu, x)
+            assert first == uncached_tau_parabolic(mu, x), (order, mu)
+            assert again == first
+            assert first.terms == kept
+        assert hecke._block_tau.cache_info().hits > 0
+    # the cached block traces were not mutated by the products built on them
+    for n in range(1, 5):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert hecke._block_tau(w, 3) == markov_tau(HeckeElem.basis(n, w, 3))

@@ -8,9 +8,10 @@ import pytest
 from yokohecke._golden import golden_checks
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import HeckeElem
-from yokohecke.isomap import BlockMatrix, iota, phi, psi
+from yokohecke import isomap
+from yokohecke.isomap import BlockMatrix, iota, phi, psi, psi_from_e_coeffs
 from yokohecke.permcomp import Composition, all_compositions
-from yokohecke.yokonuma import YElem, from_E_basis, y_mul
+from yokohecke.yokonuma import YElem, from_E_basis, to_E_basis, y_mul
 
 from test_yokonuma import all_characters, random_yelem
 
@@ -48,6 +49,28 @@ def test_phi_psi_round_trip_random_elements():
         for _ in range(10):
             x = random_yelem(rng, d, 3)
             assert phi(psi(x)) == x
+
+
+def cell_terms(M):
+    """A plain copy of every cell's T-basis coefficients."""
+    return {key: dict(entry.terms) for key, entry in M.terms.items()}
+
+
+def test_psi_cell_cache_cold_and_warm_agree():
+    rng = random.Random(61)
+    for d, n in ((1, 3), (2, 3), (3, 2), (3, 3)):
+        for _ in range(4):
+            x = random_yelem(rng, d, n)
+            eb = to_E_basis(x)
+            isomap._psi_cell.cache_clear()
+            cold = psi_from_e_coeffs(d, n, eb)
+            kept = cell_terms(cold)
+            hits = isomap._psi_cell.cache_info().hits
+            warm = psi_from_e_coeffs(d, n, eb)
+            assert isomap._psi_cell.cache_info().hits == hits + len(eb)
+            assert warm == cold, (d, n)
+            assert cell_terms(cold) == kept
+            assert phi(cold) == x
 
 
 def test_phi_rejects_entries_outside_the_young_subgroup():

@@ -11,7 +11,6 @@ from yokohecke.permcomp import (
     act,
     all_comp0,
     all_compositions,
-    apply_perm,
     block_split,
     chi_one,
     comp_of,
@@ -19,7 +18,6 @@ from yokohecke.permcomp import (
     coset_reps,
     cycles,
     extend,
-    from_word,
     identity,
     in_young,
     inverse,
@@ -34,6 +32,19 @@ from yokohecke.permcomp import (
 
 def all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def apply_perm(w, i):
+    """The image w(i) of a one-line permutation."""
+    return w[i - 1]
+
+
+def from_word(n, word):
+    """Multiply out a word in the s_i, left to right."""
+    w = identity(n)
+    for i in word:
+        w = compose(w, s_perm(n, i))
+    return w
 
 
 def inversions(w):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from yokohecke.exactnum import LPoly, root_power
+from yokohecke.exactnum import Cyclo, LPoly, root_power
 from yokohecke.permcomp import Composition, all_compositions, identity, orbit
 from yokohecke.yokonuma import (
     YElem,
@@ -245,6 +245,48 @@ def test_e_basis_round_trip():
         for _ in range(10):
             x = random_yelem(rng, d, n)
             assert from_E_basis(d, n, to_E_basis(x)) == x
+
+
+def random_basis_combination(rng, d, n, terms=4):
+    """Random keys t^k gt_w with small cyclotomic coefficients; each framing
+    is 0 with probability about one half."""
+    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    out = {}
+    for _ in range(terms):
+        k = tuple(0 if rng.random() < 0.4 else rng.randrange(d) for _ in range(n))
+        c = Cyclo.zeta(d, rng.randrange(d)) * rng.choice((-2, -1, 1, 3))
+        out[k, rng.choice(perms)] = LPoly.monomial(d, c, rng.randrange(-2, 3), rng.randrange(-1, 2))
+    return YElem(d, n, out)
+
+
+def defining_e_coeffs(x):
+    """sum_k c_{k,w} prod_j xi_{chi_j}^{k_j} over every character chi, one
+    (k, w) term at a time, with xi_a = zeta^{a-1}: no factorization."""
+    d, n = x.d, x.n
+    out = {}
+    for (k, w), c in x.terms.items():
+        for chi in all_characters(d, n):
+            r = Cyclo.one(d)
+            for a, kj in zip(chi, k):
+                r = r * Cyclo.zeta(d, (a - 1) * kj)
+            term = c.scale(r)
+            out[chi, w] = out[chi, w] + term if (chi, w) in out else term
+    return {key: c for key, c in out.items() if c}
+
+
+def test_to_e_basis_matches_defining_sum():
+    # the draws hit the unit factors: framing 0 on some strand, and the
+    # letter 1 in every character with a 1
+    rng = random.Random(53)
+    zero_framings = 0
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 3):
+            for _ in range(4):
+                x = random_basis_combination(rng, d, n)
+                zero_framings += sum(0 in k for k, _ in x.terms)
+                assert to_E_basis(x) == defining_e_coeffs(x), (d, n, x)
+                assert from_E_basis(d, n, to_E_basis(x)) == x, (d, n, x)
+    assert zero_framings > 0
 
 
 def test_e_basis_of_identity():
