@@ -169,15 +169,11 @@ def _expected_maps(per_block) -> dict[tuple[int, int], dict]:
 
 
 def _diag_maps(diags) -> dict[tuple[int, int], dict]:
-    out = {}
-    for mu_parts, values in diags.items():
-        chars = _CHARS[mu_parts]
-        cell = {}
-        for k, value in enumerate(values):
-            if value != 0:
-                cell[(chars[k], chars[k])] = _decode(value)
-        out[mu_parts] = cell
-    return out
+    """`_expected_maps` of the diagonal matrices with the given entries."""
+    return _expected_maps(
+        {mu_parts: [(k, k, v) for k, v in enumerate(values, 1) if v != 0]
+         for mu_parts, values in diags.items()}
+    )
 
 
 def _compare(name: str, x: YElem, expected) -> tuple[str, bool, str]:

@@ -225,11 +225,11 @@ class Cyclo:
 
     @classmethod
     def zero(cls, order: int) -> "Cyclo":
-        return _cyclo_zero(order)
+        return _cyclo(order, [0] * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "Cyclo":
-        return _cyclo_one(order)
+        return _zeta_pow(order, 0)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclo":
@@ -341,16 +341,6 @@ def _eval_coords(order: int, coords) -> complex:
     """sum_k coords[k] zeta_order^k as a complex number."""
     z = cmath.exp(2j * cmath.pi / order)
     return sum(float(c) * z**k for k, c in enumerate(coords))
-
-
-@lru_cache(maxsize=None)
-def _cyclo_zero(order: int) -> Cyclo:
-    return Cyclo.from_rat(order, 0)
-
-
-@lru_cache(maxsize=None)
-def _cyclo_one(order: int) -> Cyclo:
-    return Cyclo.from_rat(order, 1)
 
 
 @lru_cache(maxsize=None)
@@ -697,18 +687,10 @@ def format_cyclo(c: Coeff) -> str:
         else:
             body = f"{mag}*z^{k}"
         parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _signed_join(parts)
 
 
 def format_lpoly(p: LPoly) -> str:
-    if not p.terms:
-        return "0"
     rendered: list[tuple[str, str]] = []
     for key in sorted(p.terms, reverse=True):
         c = p.terms[key]
@@ -721,11 +703,21 @@ def format_lpoly(p: LPoly) -> str:
             sign = "+"
             shown = "(" + format_cyclo(c) + ")"
         rendered.append((sign, shown + (" * " + mono if mono else "")))
-    first_sign, first_body = rendered[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in rendered[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _signed_join(rendered)
+
+
+def _signed_join(parts: list[tuple[str, str]]) -> str:
+    """Join (sign, body) pairs as `-a + b - c`; no parts print as `0`.
+
+    >>> _signed_join([("-", "1"), ("+", "2*z"), ("-", "u^1")]), _signed_join([])
+    ('-1 + 2*z - u^1', '0')
+    """
+    if not parts:
+        return "0"
+    (first_sign, out), *rest = parts
+    if first_sign == "-":
+        out = "-" + out
+    return out + "".join(f" {sign} {body}" for sign, body in rest)
 
 
 if __name__ == "__main__":

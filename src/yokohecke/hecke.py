@@ -145,9 +145,6 @@ class HeckeElem(Sparse):
                 add_to(out, w, cv if sign == 1 else -cv)
         return HeckeElem(self.n, self.order, out)
 
-    def __mul__(self, other: "HeckeElem") -> "HeckeElem":
-        return h_mul(self, other)
-
     # -- embeddings ------------------------------------------------------------
 
     def extend(self, m: int) -> "HeckeElem":

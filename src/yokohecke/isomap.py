@@ -99,9 +99,8 @@ class BlockMatrix(Sparse):
     @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
         one = HeckeElem.one(n, d)
-        return cls(
-            d, n, {(mu, i, i): one for mu in _levels(d, n) for i in range(mu.multiplicity())}
-        )
+        levels = all_compositions(d, n)
+        return cls(d, n, {(mu, i, i): one for mu in levels for i in range(mu.multiplicity())})
 
     def block(self, mu: Composition) -> Matrix:
         cells = self.blocks.get(mu, {})
@@ -140,11 +139,6 @@ def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMa
     """The block matrix whose cell (mu, i, j) is the Hecke element with the
     T-basis coefficients cells[(mu, i, j)]."""
     return BlockMatrix(d, n, {key: HeckeElem(n, d, terms) for key, terms in cells.items()})
-
-
-@lru_cache(maxsize=None)
-def _levels(d: int, n: int) -> tuple[Composition, ...]:
-    return tuple(all_compositions(d, n))
 
 
 def psi(x: YElem) -> BlockMatrix:

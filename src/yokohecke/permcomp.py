@@ -271,13 +271,6 @@ def chi_one(mu: Composition) -> Character:
 
 
 @lru_cache(maxsize=None)
-def _orbit_cached(parts: tuple[int, ...]) -> tuple[Character, ...]:
-    mu = Composition(parts)
-    first = chi_one(mu)
-    rest = sorted(set(itertools.permutations(first)) - {first})
-    return (first,) + tuple(rest)
-
-
 def orbit(mu: Composition) -> tuple[Character, ...]:
     """All characters with letter multiplicities mu, the sorted one first,
     the others in ascending lexicographic order.
@@ -285,17 +278,15 @@ def orbit(mu: Composition) -> tuple[Character, ...]:
     >>> orbit(Composition((1, 1)))
     ((1, 2), (2, 1))
     """
-    return _orbit_cached(mu.parts)
+    first = chi_one(mu)
+    rest = sorted(set(itertools.permutations(first)) - {first})
+    return (first,) + tuple(rest)
 
 
 @lru_cache(maxsize=None)
-def _orbit_index_cached(parts: tuple[int, ...]) -> dict[Character, int]:
-    return {chi: k for k, chi in enumerate(_orbit_cached(parts))}
-
-
 def orbit_index(mu: Composition) -> dict[Character, int]:
     """Map each orbit character to its 0-based position in `orbit(mu)`."""
-    return _orbit_index_cached(mu.parts)
+    return {chi: k for k, chi in enumerate(orbit(mu))}
 
 
 def act(w: Perm, chi: Character) -> Character:
@@ -334,14 +325,9 @@ def min_coset_rep(chi: Character, d: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _coset_reps_cached(parts: tuple[int, ...]) -> tuple[Perm, ...]:
-    mu = Composition(parts)
-    return tuple(min_coset_rep(chi, mu.d) for chi in orbit(mu))
-
-
 def coset_reps(mu: Composition) -> tuple[Perm, ...]:
     """min_coset_rep for each orbit character, in orbit order (pi_1 = id first)."""
-    return _coset_reps_cached(mu.parts)
+    return tuple(min_coset_rep(chi, mu.d) for chi in orbit(mu))
 
 
 # --------------------------------------------------------------------------

@@ -98,12 +98,13 @@ def all_basic_specs(d: int) -> list[TraceSpec]:
 
 def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     """Per-composition contributions: alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
-    for the compositions present in x's character support."""
+    for the compositions present in x's character support.  A block whose
+    weight is zero is not traced; its contribution is the zero polynomial."""
     M = psi(x)
     out: dict[Composition, LPoly] = {}
     for mu in sorted(M.blocks, key=lambda mu: mu.parts):
         a = spec.alpha(mu.base())
-        out[mu] = tau_parabolic(mu, M.trace_of_block(mu)) * a
+        out[mu] = a if a.is_zero() else tau_parabolic(mu, M.trace_of_block(mu)) * a
     return out
 
 
@@ -196,29 +197,22 @@ def semisimple_at(n: int, q=None) -> bool:
     if q is None or n <= 1:
         return True
     if isinstance(q, Cyclo):
-        qq = q * q
-        total = Cyclo.one(q.order)
-        for m in range(2, n + 1):
-            acc = Cyclo.zero(q.order)
-            powv = Cyclo.one(q.order)
-            for _ in range(m):
-                acc = acc + powv
-                powv = powv * qq
-            total = total * acc
-        return not total.is_zero()
-    if isinstance(q, (int, Fraction)):
-        qq = Fraction(q) ** 2
-        total = Fraction(1)
-        for m in range(2, n + 1):
-            total *= sum(qq**k for k in range(m))
-        return total != 0
-    if isinstance(q, Complex):
-        qq = complex(q) ** 2
-        total = 1.0 + 0j
-        for m in range(2, n + 1):
-            total *= sum(qq**k for k in range(m))
-        return abs(total) > 1e-12
-    raise TypeError(f"unsupported parameter type {type(q).__name__}")
+        one, nonzero = Cyclo.one(q.order), lambda t: not t.is_zero()
+    elif isinstance(q, (int, Fraction)):
+        one, nonzero = Fraction(1), lambda t: t != 0
+    elif isinstance(q, Complex):
+        q, one, nonzero = complex(q), 1.0 + 0j, lambda t: abs(t) > 1e-12
+    else:
+        raise TypeError(f"unsupported parameter type {type(q).__name__}")
+    qq = q * q
+    total = one
+    for m in range(2, n + 1):
+        acc = power = one
+        for _ in range(m - 1):
+            power = power * qq
+            acc = acc + power
+        total = total * acc
+    return nonzero(total)
 
 
 def format_trace_spec(spec: TraceSpec) -> str:

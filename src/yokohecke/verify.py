@@ -46,16 +46,8 @@ __all__ = ["SuiteConfigError", "run_suite", "suite_names"]
 
 _DEFAULT_SEED = 20240801
 
-# (max d, max n) per suite; beyond these the runtime is not supported.
-_LIMITS = {"iso": (3, 4), "markov": (3, 3), "schur": (3, 3), "jl": (4, 4)}
-
-
 class SuiteConfigError(ValueError):
     """Raised for unknown suites or out-of-range (d, n)."""
-
-
-def suite_names() -> tuple[str, ...]:
-    return tuple(sorted(_LIMITS))
 
 
 Check = tuple[str, bool, str]
@@ -245,19 +237,26 @@ def suite_jl(
     return results
 
 
+# (suite, max d, max n) per name; beyond these the runtime is not supported.
+_SUITES = {
+    "iso": (suite_iso, 3, 4),
+    "markov": (suite_markov, 3, 3),
+    "schur": (suite_schur, 3, 3),
+    "jl": (suite_jl, 4, 4),
+}
+
+
+def suite_names() -> tuple[str, ...]:
+    return tuple(sorted(_SUITES))
+
+
 def run_suite(suite: str, d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     """Run one named suite after validating its supported (d, n) range."""
-    if suite not in _LIMITS:
+    if suite not in _SUITES:
         raise SuiteConfigError(f"unknown suite {suite!r}")
-    max_d, max_n = _LIMITS[suite]
+    suite_fn, max_d, max_n = _SUITES[suite]
     if not 1 <= d <= max_d:
         raise SuiteConfigError(f"suite {suite} supports 1 <= d <= {max_d}, got {d}")
     if not 1 <= n <= max_n:
         raise SuiteConfigError(f"suite {suite} supports 1 <= n <= {max_n}, got {n}")
-    if suite == "iso":
-        return suite_iso(d, n, seed=seed)
-    if suite == "markov":
-        return suite_markov(d, n, seed=seed)
-    if suite == "schur":
-        return suite_schur(d, n, seed=seed)
-    return suite_jl(d, n, seed=seed)
+    return suite_fn(d, n, seed=seed)

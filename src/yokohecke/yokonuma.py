@@ -182,10 +182,7 @@ class YElem(Sparse):
         (a shift makes no zero, and keeps the keys)."""
         return self._new_pruned({key: c.shift(eu, ev, eg) for key, c in self.terms.items()})
 
-    # -- products and embeddings ------------------------------------------------
-
-    def __mul__(self, other: "YElem") -> "YElem":
-        return y_mul(self, other)
+    # -- embeddings ------------------------------------------------------------
 
     def extend(self, m: int) -> "YElem":
         """The image under Y_{d,n} -> Y_{d,m} (new strands unframed, untouched)."""

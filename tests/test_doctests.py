@@ -1,27 +1,17 @@
 """Run the docstring examples embedded in the library modules."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import yokohecke.exactnum
-import yokohecke.hecke
-import yokohecke.isomap
-import yokohecke.links
-import yokohecke.permcomp
-import yokohecke.traces
-import yokohecke.verify
-import yokohecke.yokonuma
+import yokohecke
 
 MODULES = [
-    yokohecke.exactnum,
-    yokohecke.permcomp,
-    yokohecke.hecke,
-    yokohecke.yokonuma,
-    yokohecke.isomap,
-    yokohecke.traces,
-    yokohecke.links,
-    yokohecke.verify,
+    importlib.import_module(f"yokohecke.{name}")
+    for name in sorted(m.name for m in pkgutil.iter_modules(yokohecke.__path__))
+    if name != "__main__"
 ]
 
 

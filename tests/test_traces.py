@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from yokohecke import traces
 from yokohecke.exactnum import Cyclo, LPoly
 from yokohecke.hecke import HeckeElem, h_mul, loop_factor, markov_tau
+from yokohecke.isomap import psi
 from yokohecke.permcomp import Composition, all_comp0, all_compositions
 from yokohecke.traces import (
     TraceSpec,
@@ -91,6 +93,31 @@ def test_rho_blocks_sum_to_rho():
             for val in parts.values():
                 total = total + val
             assert total == rho(spec, x)
+
+
+def test_rho_blocks_traces_only_weighted_blocks(monkeypatch):
+    traced = []
+    real_tau = traces.tau_parabolic
+
+    def counting(mu, x):
+        traced.append(mu)
+        return real_tau(mu, x)
+
+    monkeypatch.setattr(traces, "tau_parabolic", counting)
+    rng = random.Random(19)
+    weighted = skipped = 0
+    for spec in all_basic_specs(3):
+        mu0 = next(iter(spec.alphas))
+        x = random_yelem(rng, 3, 3)
+        blocks = sorted(psi(x).blocks, key=lambda mu: mu.parts)
+        traced.clear()
+        out = rho_blocks(spec, x)
+        assert traced == [mu for mu in blocks if mu.base() == mu0]
+        assert list(out) == blocks
+        assert all(out[mu].is_zero() for mu in blocks if mu.base() != mu0)
+        weighted += len(traced)
+        skipped += len(blocks) - len(traced)
+    assert weighted and skipped
 
 
 def test_rho_is_linear():
