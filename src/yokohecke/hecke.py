@@ -84,10 +84,6 @@ class HeckeElem(Sparse):
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, order: int = 1) -> "HeckeElem":
-        return cls(n, order)
-
-    @classmethod
     def one(cls, n: int, order: int = 1) -> "HeckeElem":
         return cls(n, order, {identity(n): LPoly.one(order)})
 

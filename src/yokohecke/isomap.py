@@ -51,6 +51,7 @@ from .yokonuma import YElem, from_E_basis, to_E_basis
 
 __all__ = [
     "BlockMatrix",
+    "block_traces",
     "iota",
     "phi",
     "phi_to_e_coeffs",
@@ -126,14 +127,6 @@ class BlockMatrix(Sparse):
                     add_all(cells.setdefault((mu, i, j), {}), h_mul(x, y).terms)
         return _from_cells(self.d, self.n, cells)
 
-    def trace_of_block(self, mu: Composition) -> HeckeElem:
-        """Sum of the diagonal entries of one block, an element of H^mu."""
-        out: dict[Perm, LPoly] = {}
-        for (i, j), entry in self.blocks.get(mu, {}).items():
-            if i == j:
-                add_all(out, entry.terms)
-        return HeckeElem(self.n, self.d, out)
-
 
 def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMatrix:
     """The block matrix whose cell (mu, i, j) is the Hecke element with the
@@ -180,6 +173,22 @@ def psi_from_e_coeffs(
         cell, p, eu = _psi_cell(d, chi, w)
         add_to(cells.setdefault(cell, {}), p, c.shift(eu=eu))
     return _from_cells(d, n, cells)
+
+
+def block_traces(x: YElem) -> dict[Composition, HeckeElem]:
+    """Tr psi(x)_mu for every block mu of psi(x), keys ascending by parts.
+
+    Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
+    when w fixes chi; no other cell is built.  psi is a bijection on basis
+    keys, so no block cancels and the keys are those of `psi(x).blocks`.
+    """
+    diag: dict[Composition, dict[Perm, LPoly]] = {}
+    for (chi, w), c in to_E_basis(x).items():
+        (mu, k, j), p, eu = _psi_cell(x.d, chi, w)
+        cell = diag.setdefault(mu, {})
+        if k == j:
+            add_to(cell, p, c.shift(eu=eu))
+    return {mu: HeckeElem(x.n, x.d, diag[mu]) for mu in sorted(diag, key=lambda mu: mu.parts)}
 
 
 def phi(M: BlockMatrix) -> YElem:

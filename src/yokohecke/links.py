@@ -282,9 +282,9 @@ def delta_gamma(w: FramedBraidWord, d: int) -> YElem:
         if kind == "frame":
             x = x.mul_t(i, k)
             continue
-        # x (gamma^k + (1 - gamma^k) e_i) g_i^k = fused + (plain - fused) gamma^k
+        # x (gamma^k + (1 - gamma^k) e_i) g_i^k = fused + (plain - fused) gamma^k, e_i g_i = g_i e_i
         plain = x.mul_g(i, k)
-        fused = x.mul_e(i).mul_g(i, k)
+        fused = plain.mul_e(i)
         x = fused + (plain - fused).shift(eg=k)
     return x
 
@@ -475,8 +475,8 @@ def jl_numeric(
     the square root of ``lam`` used consistently in both ``u`` and
     ``v``; link invariants are branch-independent.  Raises
     ``ValueError`` on vanishing denominators (``q * z`` included, when it
-    underflows), on non-finite ``q`` or ``z`` and on a non-finite (or
-    overflowing) result.
+    underflows), on non-finite ``q`` or ``z`` and on a non-finite result
+    (an overflow, or a power of ``v = 0`` below zero at ``q = 1``).
 
     >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
     Traceback (most recent call last):
@@ -508,7 +508,7 @@ def jl_numeric(
         value = poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
         if cmath.isfinite(value):
             return value
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
     raise ValueError(f"the value at q={q}, z={z} is not finite")
 

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 from .exactnum import Coeff, Cyclo, LPoly, add_all, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
-from .isomap import psi
+from .isomap import block_traces
 from .permcomp import Composition, all_comp0, identity
 from .yokonuma import YElem
 
@@ -100,11 +100,10 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     """Per-composition contributions: alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
     for the compositions present in x's character support.  A block whose
     weight is zero is not traced; its contribution is the zero polynomial."""
-    M = psi(x)
     out: dict[Composition, LPoly] = {}
-    for mu in sorted(M.blocks, key=lambda mu: mu.parts):
+    for mu, tr in block_traces(x).items():
         a = spec.alpha(mu.base())
-        out[mu] = a if a.is_zero() else tau_parabolic(mu, M.trace_of_block(mu)) * a
+        out[mu] = a if a.is_zero() else tau_parabolic(mu, tr) * a
     return out
 
 
@@ -120,12 +119,10 @@ def symmetrizing_rho(x: YElem) -> LPoly:
     """The symmetrizing form through the matrix decomposition: for each block,
     the coefficient of T_identity (equivalently Tt_identity) summed along the
     diagonal, then summed over blocks."""
-    M = psi(x)
     total: dict = {}
     idn = identity(x.n)
-    for (mu, i, j), entry in M.terms.items():
-        if i == j:
-            add_all(total, entry.coefficient(idn).terms)
+    for tr in block_traces(x).values():
+        add_all(total, tr.coefficient(idn).terms)
     return LPoly(x.d, total)
 
 

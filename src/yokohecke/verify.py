@@ -45,6 +45,8 @@ from .yokonuma import YElem, e_basis_mul_basis, y_mul
 __all__ = ["SuiteConfigError", "run_suite", "suite_names"]
 
 _DEFAULT_SEED = 20240801
+_MARKOV_ROUNDS = 10  # random elements per Markov condition and trace
+_JL_QZ_SAMPLES = 5  # random (q, z) points per numeric unknot check
 
 class SuiteConfigError(ValueError):
     """Raised for unknown suites or out-of-range (d, n)."""
@@ -140,15 +142,13 @@ def suite_iso(
     return results
 
 
-def suite_markov(
-    d: int, n: int, rounds: int = 10, seed: int = _DEFAULT_SEED
-) -> list[Check]:
+def suite_markov(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     rng = random.Random(seed)
     results: list[Check] = []
     for spec in all_basic_specs(d):
         mu0 = next(iter(spec.alphas))
         ok, detail = True, ""
-        for _ in range(rounds):
+        for _ in range(_MARKOV_ROUNDS):
             x = _random_basis_elem(rng, d, n)
             y = _random_basis_elem(rng, d, n)
             if rho(spec, y_mul(x, y)) != rho(spec, y_mul(y, x)):
@@ -157,7 +157,7 @@ def suite_markov(
         results.append((f"markov-central-mu0={mu0}", ok, detail))
 
         ok, detail = True, ""
-        for _ in range(rounds):
+        for _ in range(_MARKOV_ROUNDS):
             x = _random_basis_elem(rng, d, n)
             value = rho(spec, x)
             up = x.extend(n + 1)
@@ -200,9 +200,7 @@ def _set_label(subset) -> str:
     return "{" + ",".join(str(a) for a in subset) + "}"
 
 
-def suite_jl(
-    d: int, n: int, qz_samples: int = 5, seed: int = _DEFAULT_SEED
-) -> list[Check]:
+def suite_jl(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     rng = random.Random(seed)
     results: list[Check] = []
     unknot_text = " ".join(str(i) for i in range(1, n))
@@ -221,7 +219,7 @@ def suite_jl(
 
         ok, detail = True, ""
         word = parse_word(unknot_text, n, d)
-        for _ in range(qz_samples):
+        for _ in range(_JL_QZ_SAMPLES):
             while True:
                 q = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
                 z = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())

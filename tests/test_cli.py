@@ -183,8 +183,10 @@ def test_jl_rejects_non_finite_input(capsys, flag, value):
 
 
 def test_jl_non_finite_value_exits_1(capsys):
-    # the Hopf link at a tiny q gives nan; the trefoil at a huge q overflows
-    for word, q, z in (("1 1", "1e-300", "1e-20"), ("1 1 1", "1e300", "0.2")):
+    # the Hopf link at a tiny q gives nan; the trefoil at a huge q overflows;
+    # the two-component unlink at q = 1 has a power of v = 0 below zero
+    for word, q, z in (("1 1", "1e-300", "1e-20"), ("1 1 1", "1e300", "0.2"),
+                       ("", "1", "0.5")):
         code, out, err = run_main(
             capsys,
             "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", word,

@@ -238,7 +238,7 @@ def test_tau_parabolic_rejects_outside_young():
     with pytest.raises(ValueError, match="Young subgroup"):
         tau_parabolic(Composition((2, 2)), x)
     # an element of H_3 against a composition of 4, nonzero or zero
-    for y in (HeckeElem.gen(3, 1), HeckeElem.zero(3)):
+    for y in (HeckeElem.gen(3, 1), HeckeElem.zero(3, 1)):
         with pytest.raises(ValueError, match="size"):
             tau_parabolic(Composition((2, 2)), y)
 

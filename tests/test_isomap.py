@@ -9,7 +9,7 @@ from yokohecke._golden import golden_checks
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import HeckeElem
 from yokohecke import isomap
-from yokohecke.isomap import BlockMatrix, iota, phi, psi, psi_from_e_coeffs
+from yokohecke.isomap import BlockMatrix, block_traces, iota, phi, psi, psi_from_e_coeffs
 from yokohecke.permcomp import Composition, all_compositions
 from yokohecke.yokonuma import YElem, from_E_basis, to_E_basis, y_mul
 
@@ -33,6 +33,22 @@ def test_block_shapes():
         mat = M.block(mu)
         assert len(mat) == mu.multiplicity()
         assert all(len(row) == mu.multiplicity() for row in mat)
+
+
+def test_block_traces_are_the_diagonal_sums_of_psi():
+    rng = random.Random(41)
+    for d in (2, 3):
+        for n in (2, 3):
+            for _ in range(4):
+                x = random_yelem(rng, d, n, terms=4)
+                M = psi(x)
+                traces = block_traces(x)
+                assert list(traces) == sorted(M.blocks, key=lambda mu: mu.parts)
+                for mu, tr in traces.items():
+                    diag = HeckeElem.zero(n, d)
+                    for k, row in enumerate(M.block(mu)):
+                        diag = diag + row[k]
+                    assert tr == diag, (d, n, mu)
 
 
 def test_phi_psi_round_trip_full_basis():

@@ -365,6 +365,11 @@ def test_jl_numeric_rejects_non_finite_values():
     # finite inputs whose evaluation raises OverflowError
     with pytest.raises(ValueError, match="not finite"):
         jl_numeric(parse_word("1 1 1", 2, 2), 2, [1, 2], 1e300, 0.2)
+    # at q = 1, v = 0 and a closure with two components has v^{-1} terms;
+    # the unknot has none
+    with pytest.raises(ValueError, match="not finite"):
+        jl_numeric(parse_word("", 2, 2), 2, [1, 2], 1, 0.5)
+    assert jl_numeric(parse_word("1", 2, 2), 2, [1, 2], 1, 0.5) == 1 + 0j
     # nonzero inputs whose product q*z underflows to 0
     with pytest.raises(ValueError, match=r"q=\(1e-300\+0j\), z=\(1e-300\+0j\)"):
         jl_numeric(parse_word("1", 2, 2), 2, [1, 2], 1e-300, 1e-300)

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from yokohecke import traces
-from yokohecke.isomap import psi
+from yokohecke.isomap import block_traces
 from yokohecke.links import (
     basic_invariants,
     delta_gamma,
@@ -62,10 +62,10 @@ def psi_once(monkeypatch):
     def cached(x):
         if id(x) not in built:
             built.clear()
-            built[id(x)] = (x, psi(x))  # holding x keeps its id unique
+            built[id(x)] = (x, block_traces(x))  # holding x keeps its id unique
         return built[id(x)][1]
 
-    monkeypatch.setattr(traces, "psi", cached)
+    monkeypatch.setattr(traces, "block_traces", cached)
 
 
 @pytest.mark.parametrize("d,n,count", LEVELS)

@@ -139,6 +139,17 @@ def test_e_is_idempotent_and_commutes_with_g():
             assert e.mul_g(i) == one.mul_g(i).mul_e(i)
 
 
+def test_e_commutes_with_signed_steps():
+    # delta_gamma reads x g_i^s e_i for x e_i g_i^s
+    rng = random.Random(23)
+    for d in (1, 2, 3):
+        for n in (2, 3, 4):
+            x = random_yelem(rng, d, n, terms=4)
+            for i in range(1, n):
+                for s in (1, -1):
+                    assert x.mul_e(i).mul_g(i, s) == x.mul_g(i, s).mul_e(i), (d, n, i, s)
+
+
 def test_e_from_framings():
     # e_i = (1/d) sum_s t_i^s t_{i+1}^{-s}
     for d in (2, 3):
