@@ -47,7 +47,7 @@ from .permcomp import (
     orbit,
     orbit_index,
 )
-from .yokonuma import YElem, from_E_basis, to_E_basis
+from .yokonuma import YElem, fixed_E_coeffs, from_E_basis, to_E_basis
 
 __all__ = [
     "BlockMatrix",
@@ -175,20 +175,26 @@ def psi_from_e_coeffs(
     return _from_cells(d, n, cells)
 
 
-def block_traces(x: YElem) -> dict[Composition, HeckeElem]:
-    """Tr psi(x)_mu for every block mu of psi(x), keys ascending by parts.
+def block_traces(x: YElem, letters=None) -> dict[Composition, HeckeElem]:
+    """Tr psi(x)_mu for every composition mu of n into d parts whose nonzero
+    parts sit at `letters` (default: all d letters), keys ascending by
+    parts; a block psi(x) leaves empty has trace zero.
 
     Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
-    when w fixes chi; no other cell is built.  psi is a bijection on basis
-    keys, so no block cancels and the keys are those of `psi(x).blocks`.
+    when w fixes chi; `fixed_E_coeffs` computes only those coefficients,
+    and only for characters with letters in `letters`.  No other cell is
+    built.
     """
-    diag: dict[Composition, dict[Perm, LPoly]] = {}
-    for (chi, w), c in to_E_basis(x).items():
-        (mu, k, j), p, eu = _psi_cell(x.d, chi, w)
-        cell = diag.setdefault(mu, {})
-        if k == j:
-            add_to(cell, p, c.shift(eu=eu))
-    return {mu: HeckeElem(x.n, x.d, diag[mu]) for mu in sorted(diag, key=lambda mu: mu.parts)}
+    allowed = range(1, x.d + 1) if letters is None else set(letters)
+    diag: dict[Composition, dict[Perm, LPoly]] = {
+        mu: {}
+        for mu in all_compositions(x.d, x.n)
+        if all(a in allowed for a, part in enumerate(mu.parts, 1) if part)
+    }
+    for (chi, w), c in fixed_E_coeffs(x, letters).items():
+        (mu, _, _), p, eu = _psi_cell(x.d, chi, w)
+        add_to(diag[mu], p, c.shift(eu=eu))
+    return {mu: HeckeElem(x.n, x.d, cell) for mu, cell in diag.items()}
 
 
 def phi(M: BlockMatrix) -> YElem:

@@ -415,8 +415,9 @@ def invariant_contributions(
     The values sum to ``invariant_gamma(w, spec)``; the entry of ``mu`` is
     the weighted trace of the ``mu``-block of the image of the word, which
     collects the colourings with ``mu_a`` strands of letter ``a``.  Every
-    composition of ``n`` into ``d`` parts is a key, as in
-    :func:`~yokohecke.traces.rho_blocks`.
+    composition of ``n`` into ``d`` parts is a key, ascending by parts:
+    the one key set of :func:`~yokohecke.traces.rho_blocks`, and of
+    :func:`~yokohecke.isomap.block_traces` over all ``d`` letters.
     """
     sums = _sublink_sums(w, spec.d, spec.alphas)
     zero = LPoly.zero(spec.d)

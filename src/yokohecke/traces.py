@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 from .exactnum import Coeff, Cyclo, LPoly, add_all, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
-from .permcomp import Composition, all_comp0, identity
+from .permcomp import Composition, all_comp0, all_compositions, identity
 from .yokonuma import YElem
 
 __all__ = [
@@ -97,13 +97,20 @@ def all_basic_specs(d: int) -> list[TraceSpec]:
 
 
 def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
-    """Per-composition contributions: alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
-    for the compositions present in x's character support.  A block whose
-    weight is zero is not traced; its contribution is the zero polynomial."""
+    """Per-composition contributions alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
+    one for every composition of n into d parts, ascending by parts.
+
+    Only the blocks whose support has a nonzero weight are traced, and the
+    change of basis runs over the letters of those supports alone; every
+    other contribution is the zero polynomial."""
+    if spec.d != x.d:
+        raise ValueError(f"a trace at d={spec.d} cannot evaluate an element of Y_{{{x.d},{x.n}}}")
+    letters = {a for mu0 in spec.alphas for a, part in enumerate(mu0.parts, 1) if part}
+    traces = block_traces(x, letters)
     out: dict[Composition, LPoly] = {}
-    for mu, tr in block_traces(x).items():
+    for mu in all_compositions(x.d, x.n):
         a = spec.alpha(mu.base())
-        out[mu] = a if a.is_zero() else tau_parabolic(mu, tr) * a
+        out[mu] = a if a.is_zero() else tau_parabolic(mu, traces[mu]) * a
     return out
 
 
@@ -118,10 +125,15 @@ def rho(spec: TraceSpec, x: YElem) -> LPoly:
 def symmetrizing_rho(x: YElem) -> LPoly:
     """The symmetrizing form through the matrix decomposition: for each block,
     the coefficient of T_identity (equivalently Tt_identity) summed along the
-    diagonal, then summed over blocks."""
-    total: dict = {}
+    diagonal, then summed over blocks.
+
+    A diagonal cell (k, k) holds T_p with p = pi_k^{-1} w pi_k, which is the
+    identity exactly when w is, so only the identity terms of x are
+    decomposed."""
     idn = identity(x.n)
-    for tr in block_traces(x).values():
+    at_id = YElem(x.d, x.n, {key: c for key, c in x.terms.items() if key[1] == idn})
+    total: dict = {}
+    for tr in block_traces(at_id).values():
         add_all(total, tr.coefficient(idn).terms)
     return LPoly(x.d, total)
 

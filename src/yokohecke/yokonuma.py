@@ -27,6 +27,11 @@ and conversion in either direction factorizes strand by strand
 operations per permutation instead of d^{2n}.  Factors equal to 1 cost no
 multiplication: in `to_E_basis` these are xi_1^k = 1 and xi_a^0 = 1, so
 the letter 1 and every framing 0 only add.
+
+A trace reads only the keys (chi, w) with w(chi) = chi, those that land on
+the diagonal of the matrix decomposition.  `fixed_E_coeffs` produces just
+those, over a chosen set of letters, by running the same strand transform
+over the cycles of w instead of its strands.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .permcomp import (
     Composition,
     Perm,
     act,
+    cycles,
     identity,
     orbit,
     reduced_word,
@@ -51,6 +57,7 @@ __all__ = [
     "idempotent_E",
     "idempotent_Emu",
     "to_E_basis",
+    "fixed_E_coeffs",
     "from_E_basis",
     "e_basis_mul_basis",
 ]
@@ -213,12 +220,13 @@ def y_mul(x: YElem, y: YElem) -> YElem:
 # the idempotent basis
 # --------------------------------------------------------------------------
 
-def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dict:
-    """Apply one linear map to every strand of a (key, w)-indexed combination.
+def _strandwise(items, table: dict[int, list[tuple[int, Cyclo]]]) -> dict:
+    """Apply one linear map to every axis of a (key, w)-indexed combination.
 
-    `items` yields ((key, w), c) with key a tuple of n strand labels;
-    `table[e]` lists the (label, factor) pairs strand label e maps to.  A
-    factor equal to 1 adds c itself: no multiplication.
+    `items` yields ((key, w), c) with key a tuple of axis labels, as many
+    for one w as there are axes; items sharing a key add up.  `table[e]`
+    lists the (label, factor) pairs axis label e maps to.  A factor equal to
+    1 adds c itself: no multiplication.
     Returns {(key, w): c} with zero coefficients dropped.
     """
     steps = {
@@ -228,10 +236,10 @@ def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dic
     by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
     for (key, w), c in items:
         if c:
-            by_w.setdefault(w, {})[key] = c
+            add_to(by_w.setdefault(w, {}), key, c)
     out: dict[tuple[tuple[int, ...], Perm], LPoly] = {}
     for w, cur in by_w.items():
-        for axis in range(n):
+        for axis in range(len(next(iter(cur)))):
             nxt: dict[tuple[int, ...], LPoly] = {}
             for key, c in cur.items():
                 head, tail = key[:axis], key[axis + 1 :]
@@ -243,6 +251,11 @@ def _strandwise(n: int, items, table: dict[int, list[tuple[int, Cyclo]]]) -> dic
     return out
 
 
+def _to_E_table(d: int, letters) -> dict[int, list[tuple[int, Cyclo]]]:
+    """Framing exponent e -> [(a, xi_a^e) for a in letters]."""
+    return {e: [(a, root_power(d, a, e)) for a in letters] for e in range(d)}
+
+
 def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
     """Coefficients of x on the basis {E_chi gt_w}.
 
@@ -250,9 +263,51 @@ def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
     (chi, w) is sum_k c_{k,w} prod_j xi_{chi_j}^{k_j}; the sum factorizes and
     is evaluated one strand at a time.
     """
+    return _strandwise(x.terms.items(), _to_E_table(x.d, range(1, x.d + 1)))
+
+
+def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly]:
+    """The coefficients of `to_E_basis(x)` on the keys (chi, w) with
+    w(chi) = chi and every letter of chi in `letters` (default: all d),
+    computed without the others.
+
+    w fixes chi exactly when chi is constant on every cycle C of w, say
+    chi_j = a_C for j in C.  Then
+
+        prod_j xi_{chi_j}^{k_j} = prod_C xi_{a_C}^{K_C},
+        K_C = sum_{j in C} k_j  mod d,
+
+    since xi_a is a d-th root of unity.  So the coefficient on (chi, w) is
+    sum_K c_{K,w} prod_C xi_{a_C}^{K_C}, where c_{K,w} sums the c_{k,w}
+    with the same cycle sums K: the strand transform of `to_E_basis`, run
+    over the c(w) cycles of w with only the given letters.  Per w it makes
+    |letters|^{c(w)} coefficients where `to_E_basis` makes d^n.
+
+    >>> x = YElem(2, 2, {((1, 0), (2, 1)): LPoly.one(2)})  # t_1 gt_1
+    >>> len(to_E_basis(x))
+    4
+    >>> {key: c.text() for key, c in fixed_E_coeffs(x).items()}
+    {((1, 1), (2, 1)): '1', ((2, 2), (2, 1)): '-1'}
+    >>> list(fixed_E_coeffs(x, letters={2}))
+    [((2, 2), (2, 1))]
+    """
     d = x.d
-    table = {e: [(a, root_power(d, a, e)) for a in range(1, d + 1)] for e in range(d)}
-    return _strandwise(x.n, x.terms.items(), table)
+    letters = range(1, d + 1) if letters is None else sorted(letters)
+    cycs: dict[Perm, list[tuple[int, ...]]] = {}
+    collapsed = []
+    for (k, w), c in x.terms.items():
+        cyc = cycs.get(w)
+        if cyc is None:
+            cyc = cycs[w] = cycles(w)
+        collapsed.append(((tuple(sum(k[j - 1] for j in C) % d for C in cyc), w), c))
+    out: dict[tuple[Character, Perm], LPoly] = {}
+    for (a, w), c in _strandwise(collapsed, _to_E_table(d, letters)).items():
+        chi = [0] * x.n
+        for C, letter in zip(cycs[w], a):
+            for j in C:
+                chi[j - 1] = letter
+        out[(tuple(chi), w)] = c
+    return out
 
 
 def from_E_basis(
@@ -264,7 +319,7 @@ def from_E_basis(
     table = {
         a: [(e, root_power(d, a, -e) * inv_d) for e in range(d)] for a in range(1, d + 1)
     }
-    return YElem(d, n, _strandwise(n, coeffs.items(), table))
+    return YElem(d, n, _strandwise(coeffs.items(), table))
 
 
 def idempotent_E(d: int, chi: Character) -> YElem:

@@ -11,7 +11,7 @@ from yokohecke.hecke import HeckeElem
 from yokohecke import isomap
 from yokohecke.isomap import BlockMatrix, block_traces, iota, phi, psi, psi_from_e_coeffs
 from yokohecke.permcomp import Composition, all_compositions
-from yokohecke.yokonuma import YElem, from_E_basis, to_E_basis, y_mul
+from yokohecke.yokonuma import YElem, from_E_basis, idempotent_Emu, to_E_basis, y_mul
 
 from test_yokonuma import all_characters, random_yelem
 
@@ -36,19 +36,28 @@ def test_block_shapes():
 
 
 def test_block_traces_are_the_diagonal_sums_of_psi():
+    # the random elements reach every block; the central idempotent of one
+    # composition times a random element reaches only that block
     rng = random.Random(41)
+    missing = 0
     for d in (2, 3):
         for n in (2, 3):
-            for _ in range(4):
-                x = random_yelem(rng, d, n, terms=4)
+            xs = [random_yelem(rng, d, n, terms=4) for _ in range(4)]
+            mu1 = rng.choice(all_compositions(d, n))
+            xs.append(y_mul(idempotent_Emu(mu1), random_yelem(rng, d, n, terms=4)))
+            for x in xs:
                 M = psi(x)
                 traces = block_traces(x)
-                assert list(traces) == sorted(M.blocks, key=lambda mu: mu.parts)
+                assert list(traces) == all_compositions(d, n)
                 for mu, tr in traces.items():
                     diag = HeckeElem.zero(n, d)
-                    for k, row in enumerate(M.block(mu)):
-                        diag = diag + row[k]
+                    if mu in M.blocks:
+                        for k, row in enumerate(M.block(mu)):
+                            diag = diag + row[k]
+                    else:
+                        missing += 1
                     assert tr == diag, (d, n, mu)
+    assert missing
 
 
 def test_phi_psi_round_trip_full_basis():

@@ -56,14 +56,17 @@ def random_subset(rng, d):
 @pytest.fixture
 def psi_once(monkeypatch):
     """`rho` and `rho_blocks` decompose their argument on every call; serve
-    repeated calls on the same image from one decomposition."""
+    repeated calls on the same image and letters from one decomposition,
+    so each spec still reads the transform restricted to its letters."""
     built = {}
 
-    def cached(x):
-        if id(x) not in built:
-            built.clear()
-            built[id(x)] = (x, block_traces(x))  # holding x keeps its id unique
-        return built[id(x)][1]
+    def cached(x, letters=None):
+        key = (id(x), None if letters is None else frozenset(letters))
+        if key not in built:
+            if any(held is not x for held, _ in built.values()):
+                built.clear()
+            built[key] = (x, block_traces(x, letters))  # holding x keeps its id unique
+        return built[key][1]
 
     monkeypatch.setattr(traces, "block_traces", cached)
 

@@ -9,9 +9,9 @@ import pytest
 
 from yokohecke import traces
 from yokohecke.exactnum import Cyclo, LPoly
-from yokohecke.hecke import HeckeElem, h_mul, loop_factor, markov_tau
+from yokohecke.hecke import HeckeElem, h_mul, loop_factor, markov_tau, tau_parabolic
 from yokohecke.isomap import psi
-from yokohecke.permcomp import Composition, all_comp0, all_compositions
+from yokohecke.permcomp import Composition, all_comp0, all_compositions, identity
 from yokohecke.traces import (
     TraceSpec,
     all_basic_specs,
@@ -27,7 +27,7 @@ from yokohecke.traces import (
 )
 from yokohecke.yokonuma import YElem, y_mul
 
-from test_yokonuma import random_yelem
+from test_yokonuma import random_framed_combination, random_yelem
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_rho_blocks_traces_only_weighted_blocks(monkeypatch):
     for spec in all_basic_specs(3):
         mu0 = next(iter(spec.alphas))
         x = random_yelem(rng, 3, 3)
-        blocks = sorted(psi(x).blocks, key=lambda mu: mu.parts)
+        blocks = all_compositions(3, 3)
         traced.clear()
         out = rho_blocks(spec, x)
         assert traced == [mu for mu in blocks if mu.base() == mu0]
@@ -118,6 +118,50 @@ def test_rho_blocks_traces_only_weighted_blocks(monkeypatch):
         weighted += len(traced)
         skipped += len(blocks) - len(traced)
     assert weighted and skipped
+
+
+def full_transform_traces(x):
+    """Tr psi(x)_mu for every block of the whole psi(x), summed from the
+    diagonal of each matrix: the change of basis over every character."""
+    M = psi(x)
+    out = {}
+    for mu in all_compositions(x.d, x.n):
+        tr = HeckeElem.zero(x.n, x.d)
+        if mu in M.blocks:
+            for k, row in enumerate(M.block(mu)):
+                tr = tr + row[k]
+        out[mu] = tr
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_rho_matches_the_full_transform(d):
+    rng = random.Random(90 + d)
+    for n in (1, 2, 3, 4):
+        x = random_framed_combination(rng, d, n)
+        full = full_transform_traces(x)
+        subset = rng.sample(range(1, d + 1), rng.randrange(1, d + 1))
+        for spec in all_basic_specs(d) + [jl_spec(d, subset)]:
+            expected = {
+                mu: tau_parabolic(mu, tr) * spec.alpha(mu.base()) for mu, tr in full.items()
+            }
+            assert rho_blocks(spec, x) == expected, (n, spec)
+            total = LPoly.zero(d)
+            for val in expected.values():
+                total = total + val
+            assert rho(spec, x) == total, (n, spec)
+        idn = identity(n)
+        sym = LPoly.zero(d)
+        for tr in full.values():
+            sym = sym + tr.coefficient(idn)
+        assert symmetrizing_rho(x) == sym == symmetrizing_tilde(x), n
+
+
+def test_rho_rejects_an_element_of_another_d():
+    spec = basic_spec(Composition((1, 1, 1)))
+    for x in (YElem.one(2, 2), YElem.one(4, 2)):
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            rho(spec, x)
 
 
 def test_rho_is_linear():

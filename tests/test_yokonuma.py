@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from yokohecke.exactnum import Cyclo, LPoly, root_power
-from yokohecke.permcomp import Composition, all_compositions, identity, orbit
+from yokohecke.exactnum import Cyclo, LPoly, euler_phi, root_power
+from yokohecke.permcomp import Composition, act, all_compositions, identity, orbit
 from yokohecke.yokonuma import (
     YElem,
     e_basis_mul_basis,
+    fixed_E_coeffs,
     from_E_basis,
     idempotent_E,
     idempotent_Emu,
@@ -298,6 +299,41 @@ def test_to_e_basis_matches_defining_sum():
                 assert to_E_basis(x) == defining_e_coeffs(x), (d, n, x)
                 assert from_E_basis(d, n, to_E_basis(x)) == x, (d, n, x)
     assert zero_framings > 0
+
+
+def random_framed_combination(rng, d, n, terms=8):
+    """Random keys t^k gt_w over at most two permutations, so that several
+    framings of one w share their cycle sums; each framing exponent is 0
+    with probability 0.4, and each coefficient has random rational
+    coordinates on the power basis (irrational from d = 3 on)."""
+    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    chosen = [rng.choice(perms) for _ in range(2)]
+    out = {}
+    for _ in range(terms):
+        k = tuple(0 if d == 1 or rng.random() < 0.4 else rng.randrange(1, d) for _ in range(n))
+        coords = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(euler_phi(d))]
+        c = LPoly.monomial(d, Cyclo(d, coords), rng.randrange(-1, 2), rng.randrange(0, 2))
+        out[k, rng.choice(chosen)] = c
+    return YElem(d, n, out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fixed_e_coeffs_are_the_fixed_part_of_to_e_basis(d):
+    # every letter set: empty, singletons, proper subsets and all letters
+    rng = random.Random(70 + d)
+    letter_sets = [
+        set(s) for r in range(d + 1) for s in itertools.combinations(range(1, d + 1), r)
+    ]
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            x = random_framed_combination(rng, d, n)
+            fixed = {
+                (chi, w): c for (chi, w), c in to_E_basis(x).items() if act(w, chi) == chi
+            }
+            assert fixed_E_coeffs(x) == fixed, (d, n, x)
+            for letters in letter_sets:
+                expected = {key: c for key, c in fixed.items() if set(key[0]) <= letters}
+                assert fixed_E_coeffs(x, letters) == expected, (d, n, letters, x)
 
 
 def test_e_basis_of_identity():
