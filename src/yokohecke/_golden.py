@@ -3,9 +3,10 @@
 Golden data: the matrices assigned by psi to g_1, g_2, g_3, t_1, ..., t_4
 and e_1, e_2, e_3 of Y_{2,4}, worked out independently by hand.  Each of
 the five blocks (4,0), (0,4), (3,1), (1,3), (2,2) is recorded with an
-explicit character ordering and sparse 1-based entries, so the check
-re-keys both sides by (row character, column character) and is therefore
-insensitive to the orbit ordering used internally.
+explicit character ordering and sparse 1-based entries; the check places
+each entry at the orbit indices of its row and column characters and
+compares the resulting block matrix with psi, so it is insensitive to the
+orbit ordering used internally.
 
 Entry codes: ``"u"`` is the scalar u, ``("T", i)`` the parabolic
 generator T_i of H_4 (block-internal generators are realised at their
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from .exactnum import LPoly
 from .hecke import HeckeElem
-from .isomap import psi
-from .permcomp import Character, Composition, orbit
+from .isomap import BlockMatrix, psi
+from .permcomp import Character, Composition, orbit, orbit_index
 from .yokonuma import YElem
 
 __all__ = ["golden_checks"]
@@ -156,45 +157,38 @@ def _decode(code) -> HeckeElem:
     return HeckeElem.one(_N, _D).scale(LPoly.const(_D, code))
 
 
-def _expected_maps(per_block) -> dict[tuple[int, int], dict]:
-    """Per block: {(row char, col char): HeckeElem} from sparse entries."""
-    out = {}
+def _expected(per_block) -> BlockMatrix:
+    """The block matrix of the sparse entries, re-keyed by orbit index."""
+    terms = {}
     for mu_parts, entries in per_block.items():
-        chars = _CHARS[mu_parts]
-        cell = {}
+        mu = Composition(mu_parts)
+        chars, idx = _CHARS[mu_parts], orbit_index(mu)
         for r, c, code in entries:
-            cell[(chars[r - 1], chars[c - 1])] = _decode(code)
-        out[mu_parts] = cell
-    return out
+            terms[mu, idx[chars[r - 1]], idx[chars[c - 1]]] = _decode(code)
+    return BlockMatrix(_D, _N, terms)
 
 
-def _diag_maps(diags) -> dict[tuple[int, int], dict]:
-    """`_expected_maps` of the diagonal matrices with the given entries."""
-    return _expected_maps(
+def _diag(diags) -> BlockMatrix:
+    """`_expected` of the diagonal matrices with the given entries."""
+    return _expected(
         {mu_parts: [(k, k, v) for k, v in enumerate(values, 1) if v != 0]
          for mu_parts, values in diags.items()}
     )
 
 
-def _compare(name: str, x: YElem, expected) -> tuple[str, bool, str]:
+def _compare(name: str, x: YElem, expected: BlockMatrix) -> tuple[str, bool, str]:
     actual = psi(x)
-    for mu_parts in _MUS:
-        mu = Composition(mu_parts)
-        chars = orbit(mu)
-        mat = actual.block(mu)
-        want = expected.get(mu_parts, {})
-        m = len(chars)
-        for r in range(m):
-            for c in range(m):
-                got = mat[r][c]
-                exp = want.get((chars[r], chars[c]), HeckeElem.zero(_N, _D))
-                if got != exp:
-                    detail = (
-                        f"block {mu} row {chars[r]} col {chars[c]}: "
-                        f"{got!r} != {exp!r}"
-                    )
-                    return (name, False, detail)
-    return (name, True, "")
+    if actual == expected:
+        return (name, True, "")
+    zero = HeckeElem.zero(_N, _D)
+    cells = sorted(actual.terms.keys() | expected.terms.keys(),
+                   key=lambda cell: (_MUS.index(cell[0].parts), cell[1], cell[2]))
+    for cell in cells:
+        got, exp = actual.terms.get(cell, zero), expected.terms.get(cell, zero)
+        if got != exp:
+            mu, r, c = cell
+            chars = orbit(mu)
+            return (name, False, f"block {mu} row {chars[r]} col {chars[c]}: {got!r} != {exp!r}")
 
 
 def golden_checks() -> list[tuple[str, bool, str]]:
@@ -203,11 +197,11 @@ def golden_checks() -> list[tuple[str, bool, str]]:
     results = []
     for i, per_block in sorted(_G_IMAGES.items()):
         x = YElem.g_elem(_D, _N, i)
-        results.append(_compare(f"iso-golden-g{i}", x, _expected_maps(per_block)))
+        results.append(_compare(f"iso-golden-g{i}", x, _expected(per_block)))
     for j, diags in sorted(_T_DIAGS.items()):
         x = YElem.t_elem(_D, _N, j)
-        results.append(_compare(f"iso-golden-t{j}", x, _diag_maps(diags)))
+        results.append(_compare(f"iso-golden-t{j}", x, _diag(diags)))
     for i, diags in sorted(_E_DIAGS.items()):
         x = YElem.e_elem(_D, _N, i)
-        results.append(_compare(f"iso-golden-e{i}", x, _diag_maps(diags)))
+        results.append(_compare(f"iso-golden-e{i}", x, _diag(diags)))
     return results

@@ -270,11 +270,7 @@ class Cyclo:
         return _cyclo(self.order, [a * q + b * p for a, b in zip(self.num, other.num)], p * q)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        self._check(other)
-        p, q = self.den, other.den
-        if p == q:
-            return _cyclo(self.order, [a - b for a, b in zip(self.num, other.num)], p)
-        return _cyclo(self.order, [a * q - b * p for a, b in zip(self.num, other.num)], p * q)
+        return self + (-other)
 
     def __neg__(self) -> "Cyclo":
         return _cyclo(self.order, [-a for a in self.num], self.den)

@@ -175,25 +175,26 @@ def psi_from_e_coeffs(
     return _from_cells(d, n, cells)
 
 
-def block_traces(x: YElem, letters=None) -> dict[Composition, HeckeElem]:
-    """Tr psi(x)_mu for every composition mu of n into d parts whose nonzero
-    parts sit at `letters` (default: all d letters), keys ascending by
-    parts; a block psi(x) leaves empty has trace zero.
+def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
+    """Tr psi(x)_mu for every composition mu of n into d parts whose support
+    mu.base() is in `supports` (0/1 compositions; default: every support),
+    keys ascending by parts; a block psi(x) leaves empty has trace zero.
 
     Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
     when w fixes chi; `fixed_E_coeffs` computes only those coefficients,
-    and only for characters with letters in `letters`.  No other cell is
-    built.
+    and only for characters over the letters of `supports`.  No other cell
+    is built, and no block outside `supports` is traced.
     """
-    allowed = range(1, x.d + 1) if letters is None else set(letters)
+    blocks = all_compositions(x.d, x.n)
+    supports = {mu.base() for mu in blocks} if supports is None else set(supports)
+    letters = {a for mu0 in supports for a, part in enumerate(mu0.parts, 1) if part}
     diag: dict[Composition, dict[Perm, LPoly]] = {
-        mu: {}
-        for mu in all_compositions(x.d, x.n)
-        if all(a in allowed for a, part in enumerate(mu.parts, 1) if part)
+        mu: {} for mu in blocks if mu.base() in supports
     }
     for (chi, w), c in fixed_E_coeffs(x, letters).items():
         (mu, _, _), p, eu = _psi_cell(x.d, chi, w)
-        add_to(diag[mu], p, c.shift(eu=eu))
+        if mu in diag:
+            add_to(diag[mu], p, c.shift(eu=eu))
     return {mu: HeckeElem(x.n, x.d, cell) for mu, cell in diag.items()}
 
 

@@ -180,46 +180,40 @@ _SIGMA_RE = re.compile(r"[+-]?[0-9]+$")
 
 
 def parse_word(text: str, n: int, d: int | None) -> FramedBraidWord:
-    """Parse whitespace-separated braid tokens.
+    """Split whitespace-separated braid tokens into a word.
 
     A nonzero integer ``K`` stands for ``sigma_{|K|}^{sign K}`` and
     ``tJ^K`` for the ``J``-th framing generator to the power ``K``
-    (reduced mod ``d``; trivial framings are dropped).  With ``d=None``
-    framing exponents are kept as written, for callers that only want to
-    reject framed words.  Raises ``ValueError`` on malformed tokens or
-    out-of-range indices.
+    (reduced mod ``d``; trivial framings are dropped once
+    :class:`FramedBraidWord` has checked the strand count and every
+    index).  With ``d=None`` framing exponents are kept as written, for
+    callers that only want to reject framed words.  Raises ``ValueError``
+    on malformed tokens or out-of-range indices.
 
     >>> str(parse_word("1 1 -2 t3^1", 4, 2))
     '1 1 -2 t3^1'
     >>> parse_word("t1^5", 2, 3).tokens
     (('frame', 1, 2),)
     """
-    if n < 1:
-        raise ValueError("strand count must be at least 1")
     if d is not None and d < 1:
         raise ValueError("framing modulus must be at least 1")
     tokens: list[Token] = []
     for raw in text.split():
         m = _FRAME_RE.fullmatch(raw)
         if m is not None:
-            j = int(m.group(1))
-            if not 1 <= j <= n:
-                raise ValueError(f"framing index {j} out of range for {n} strands")
-            k = int(m.group(2)) if d is None else int(m.group(2)) % d
-            if d is None or k != 0:
-                tokens.append(("frame", j, k))
-            continue
-        if _SIGMA_RE.fullmatch(raw):
+            k = int(m.group(2))
+            tokens.append(("frame", int(m.group(1)), k if d is None else k % d))
+        elif _SIGMA_RE.fullmatch(raw):
             value = int(raw)
             if value == 0:
                 raise ValueError("crossing token 0 is not allowed")
-            i = abs(value)
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"crossing index {i} out of range for {n} strands")
-            tokens.append(("sigma", i, 1 if value > 0 else -1))
-            continue
-        raise ValueError(f"malformed token {raw!r}")
-    return FramedBraidWord(n, tuple(tokens))
+            tokens.append(("sigma", abs(value), 1 if value > 0 else -1))
+        else:
+            raise ValueError(f"malformed token {raw!r}")
+    word = FramedBraidWord(n, tuple(tokens))
+    if d is None:
+        return word
+    return FramedBraidWord(n, tuple(t for t in tokens if t[0] == "sigma" or t[2]))
 
 
 def underlying_perm(w: FramedBraidWord) -> Perm:

@@ -223,10 +223,11 @@ def all_compositions(d: int, n: int) -> list[Composition]:
     [(0, 2), (1, 1), (2, 0)]
     """
     out = []
+    # the cuts come in lexicographic order, and so do the parts they give
     for cuts in itertools.combinations(range(n + d - 1), d - 1):
         ext = (-1,) + cuts + (n + d - 1,)
         out.append(Composition(tuple(ext[i + 1] - ext[i] - 1 for i in range(d))))
-    return sorted(out, key=lambda c: c.parts)
+    return out
 
 
 def all_comp0(d: int) -> list[Composition]:

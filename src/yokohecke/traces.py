@@ -100,18 +100,17 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     """Per-composition contributions alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
     one for every composition of n into d parts, ascending by parts.
 
-    Only the blocks whose support has a nonzero weight are traced, and the
-    change of basis runs over the letters of those supports alone; every
-    other contribution is the zero polynomial."""
+    `block_traces` traces only the blocks whose support `spec` weighs, and
+    runs the change of basis over the letters of those supports alone;
+    every other contribution is the zero polynomial."""
     if spec.d != x.d:
         raise ValueError(f"a trace at d={spec.d} cannot evaluate an element of Y_{{{x.d},{x.n}}}")
-    letters = {a for mu0 in spec.alphas for a, part in enumerate(mu0.parts, 1) if part}
-    traces = block_traces(x, letters)
-    out: dict[Composition, LPoly] = {}
-    for mu in all_compositions(x.d, x.n):
-        a = spec.alpha(mu.base())
-        out[mu] = a if a.is_zero() else tau_parabolic(mu, traces[mu]) * a
-    return out
+    traces = block_traces(x, spec.alphas)
+    zero = LPoly.zero(x.d)
+    return {
+        mu: tau_parabolic(mu, traces[mu]) * spec.alphas[mu.base()] if mu in traces else zero
+        for mu in all_compositions(x.d, x.n)
+    }
 
 
 def rho(spec: TraceSpec, x: YElem) -> LPoly:

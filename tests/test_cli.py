@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from yokohecke.cli import main
+from yokohecke.verify import run_suite
 
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"
 PAIR_A_POLY = (
@@ -120,6 +121,21 @@ def test_verify_iso_small(capsys):
     assert all(line.startswith("PASS ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 3), (3, 3), (4, 4)])
+def test_jl_suite_passes(d, n):
+    results = run_suite("jl", d, n)
+    assert len(results) == 2 * (2**d - 1)
+    assert all(ok for _, ok, _ in results), results
+
+
+def test_verify_jl_prints_only_pass_lines(capsys):
+    code, out, err = run_main(capsys, "verify", "--suite", "jl", "--d", "2", "--n", "2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("PASS jl-") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error lines
 # ---------------------------------------------------------------------------
@@ -159,6 +175,13 @@ def test_computation_errors_exit_1(capsys):
         ("jl", "--d", "2", "--S", "3", "--n", "2", "--word", "1"),
         ("jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1",
          "--q", "0", "--z", "1"),
+        ("invariant", "--d", "2", "--n", "0", "--mu0", "1,1", "--word", ""),
+        ("invariant", "--d", "0", "--n", "2", "--all-basic", "--word", "1"),
+        ("invariant", "--d", "2", "--n", "2", "--mu0", "1,x", "--word", "1"),
+        ("invariant", "--d", "2", "--n", "2", "--mu0", "1,0,1", "--word", "1"),
+        ("jl", "--d", "2", "--S", "1,x", "--n", "2", "--word", "1"),
+        ("jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1",
+         "--q", "3", "--z", "1"),  # lambda vanishes
     ]
     for argv in cases:
         code = main(list(argv))

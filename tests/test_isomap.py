@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from yokohecke import _golden
 from yokohecke._golden import golden_checks
 from yokohecke.exactnum import LPoly
 from yokohecke.hecke import HeckeElem
 from yokohecke import isomap
 from yokohecke.isomap import BlockMatrix, block_traces, iota, phi, psi, psi_from_e_coeffs
-from yokohecke.permcomp import Composition, all_compositions
+from yokohecke.permcomp import Composition, all_comp0, all_compositions
 from yokohecke.yokonuma import YElem, from_E_basis, idempotent_Emu, to_E_basis, y_mul
 
 from test_yokonuma import all_characters, random_yelem
@@ -58,6 +59,20 @@ def test_block_traces_are_the_diagonal_sums_of_psi():
                         missing += 1
                     assert tr == diag, (d, n, mu)
     assert missing
+
+
+def test_block_traces_build_only_the_given_supports():
+    rng = random.Random(43)
+    for d, n in ((2, 2), (3, 3)):
+        x = random_yelem(rng, d, n, terms=4)
+        full = block_traces(x)
+        for size in (0, 1, 2):
+            for supports in itertools.combinations(all_comp0(d), size):
+                out = block_traces(x, supports)
+                assert list(out) == [mu for mu in full if mu.base() in supports]
+                assert all(out[mu] == full[mu] for mu in out), supports
+    # at n = 0 the one block is the empty composition, over no letters
+    assert block_traces(YElem.one(2, 0)) == {Composition((0, 0)): HeckeElem.one(0, 2)}
 
 
 def test_phi_psi_round_trip_full_basis():
@@ -158,3 +173,24 @@ def test_golden_generator_matrices():
     assert len(results) == 10
     for check_id, ok, detail in results:
         assert ok, (check_id, detail)
+
+
+@pytest.mark.parametrize(
+    "table,index,block,entries,failing,detail",
+    [
+        # g_1 on block (3,1): cell (3,4) holds u, not T_1
+        ("_G_IMAGES", 1, (3, 1), ((1, 1, ("T", 1)), (2, 2, ("T", 1)), (3, 4, ("T", 1)), (4, 3, "u")),
+         "iso-golden-g1", "block (3,1) row (1, 2, 1, 1) col (2, 1, 1, 1): "),
+        # t_2 on block (2,2): the third diagonal entry is 1, not -1
+        ("_T_DIAGS", 2, (2, 2), (1, -1, -1, -1, 1, -1),
+         "iso-golden-t2", "block (2,2) row (2, 1, 1, 2) col (2, 1, 1, 2): "),
+    ],
+    ids=["g1", "t2"],
+)
+def test_golden_checks_catch_a_corrupted_entry(
+    monkeypatch, table, index, block, entries, failing, detail
+):
+    monkeypatch.setitem(getattr(_golden, table)[index], block, entries)
+    results = golden_checks()
+    assert [check_id for check_id, ok, _ in results if not ok] == [failing]
+    assert dict((check_id, text) for check_id, _, text in results)[failing].startswith(detail)

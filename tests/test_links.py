@@ -69,18 +69,30 @@ def test_parse_word_reduces_framings_mod_d():
 
 
 def test_parse_word_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="crossing index 3 out of range for 3 strands"):
         parse_word("3", 3, 2)  # sigma_3 needs 4 strands
     with pytest.raises(ValueError):
         parse_word("0", 3, 2)
     with pytest.raises(ValueError):
         parse_word("t4^1", 3, 2)  # strand 4 absent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="framing index 4 out of range for 3 strands"):
         parse_word("t4^2", 3, 2)  # reduces to t4^0 and is dropped after the check
     with pytest.raises(ValueError):
         parse_word("xyz", 3, 2)
     with pytest.raises(ValueError):
         parse_word("1", 1, 2)  # no crossings on one strand
+    with pytest.raises(ValueError, match="strand count must be at least 1"):
+        parse_word("", 0, 2)
+    with pytest.raises(ValueError, match="framing modulus must be at least 1"):
+        parse_word("1", 2, 0)
+
+
+@pytest.mark.parametrize(
+    "token", [("sigma", 1), ("sigma", 1, 2), ("frame", 1, "x"), ("twist", 1, 1), "x"]
+)
+def test_framed_braid_word_rejects_malformed_tokens(token):
+    with pytest.raises(ValueError, match="malformed token"):
+        FramedBraidWord(3, (token,))
 
 
 def test_empty_word_is_identity_braid():
@@ -350,6 +362,12 @@ def test_jl_numeric_validation():
         jl_numeric(w, 2, [1], 0.5, 0)
     with pytest.raises(ValueError):
         jl_numeric(w, 2, [1], 0.5, 0.3, branch=2)
+
+
+def test_jl_numeric_rejects_a_vanishing_lambda():
+    # lam = (z + (1 - q)/|S|) / (q z) is 0 at q = 3, |S| = 2, z = 1
+    with pytest.raises(ValueError, match="lambda vanishes"):
+        jl_numeric(parse_word("1", 2, 2), 2, [1, 2], 3, 1)
 
 
 def test_jl_numeric_rejects_non_finite_values():

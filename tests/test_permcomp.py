@@ -139,6 +139,13 @@ def test_all_compositions_count():
             assert len(all_compositions(d, n)) == comb(n + d - 1, d - 1)
 
 
+def test_all_compositions_ascend_without_a_sort():
+    for d in range(1, 6):
+        for n in range(0, 7):
+            parts = [mu.parts for mu in all_compositions(d, n)]
+            assert all(a < b for a, b in zip(parts, parts[1:])), (d, n)
+
+
 def test_all_comp0():
     for d in range(1, 5):
         comps = all_comp0(d)

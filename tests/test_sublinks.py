@@ -56,16 +56,16 @@ def random_subset(rng, d):
 @pytest.fixture
 def psi_once(monkeypatch):
     """`rho` and `rho_blocks` decompose their argument on every call; serve
-    repeated calls on the same image and letters from one decomposition,
-    so each spec still reads the transform restricted to its letters."""
+    repeated calls on the same image and supports from one decomposition,
+    so each spec still reads only the blocks of its own supports."""
     built = {}
 
-    def cached(x, letters=None):
-        key = (id(x), None if letters is None else frozenset(letters))
+    def cached(x, supports=None):
+        key = (id(x), None if supports is None else frozenset(supports))
         if key not in built:
             if any(held is not x for held, _ in built.values()):
                 built.clear()
-            built[key] = (x, block_traces(x, letters))  # holding x keeps its id unique
+            built[key] = (x, block_traces(x, supports))  # holding x keeps its id unique
         return built[key][1]
 
     monkeypatch.setattr(traces, "block_traces", cached)
