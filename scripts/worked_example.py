@@ -9,6 +9,7 @@ Run:  python3 scripts/worked_example.py
 
 import time
 
+from yokohecke.exactnum import LPoly
 from yokohecke.links import (
     component_count,
     homflypt,
@@ -17,7 +18,7 @@ from yokohecke.links import (
     parse_word,
     underlying_perm,
 )
-from yokohecke.permcomp import Composition, cycles
+from yokohecke.permcomp import Composition, all_compositions, cycles
 from yokohecke.traces import basic_spec
 
 WORDS = {
@@ -55,9 +56,8 @@ def main():
         totals[name] = invariant_gamma(w, spec)
         dt = time.perf_counter() - t0
         print(f"  {name} ({dt:.2f} s)")
-        for mu, val in sorted(contributions.items(), key=lambda kv: kv[0].parts):
-            shown = val.text() if not val.is_zero() else "0"
-            print(f"    block {mu}: {shown}")
+        for mu in all_compositions(2, 4):
+            print(f"    block {mu}: {contributions.get(mu, LPoly.zero(2)).text()}")
         print(f"    total: {totals[name].text()}")
     print(f"  equal: {totals['L10a46'] == totals['L10a110']}")
 

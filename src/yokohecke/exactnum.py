@@ -491,10 +491,7 @@ class Sparse:
         return self._new(out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        add_all(out, (-other).terms)
-        return self._new(out)
+        return self + (-other)
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})

@@ -176,26 +176,30 @@ def psi_from_e_coeffs(
 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
-    """Tr psi(x)_mu for every composition mu of n into d parts whose support
-    mu.base() is in `supports` (0/1 compositions; default: every support),
-    keys ascending by parts; a block psi(x) leaves empty has trace zero.
+    """The nonzero traces Tr psi(x)_mu, keyed by composition mu, over the
+    blocks whose support mu.base() is in `supports` (0/1 compositions;
+    None: every block).  Like a `Sparse`, an absent block has trace zero,
+    and the keys come in no promised order.
 
     Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
     when w fixes chi; `fixed_E_coeffs` computes only those coefficients,
     and only for characters over the letters of `supports`.  No other cell
     is built, and no block outside `supports` is traced.
     """
-    blocks = all_compositions(x.d, x.n)
-    supports = {mu.base() for mu in blocks} if supports is None else set(supports)
-    letters = {a for mu0 in supports for a, part in enumerate(mu0.parts, 1) if part}
-    diag: dict[Composition, dict[Perm, LPoly]] = {
-        mu: {} for mu in blocks if mu.base() in supports
-    }
+    letters = None
+    if supports is not None:
+        supports = set(supports)
+        letters = {a for mu0 in supports for a, part in enumerate(mu0.parts, 1) if part}
+    wanted: dict[Composition, bool] = {}  # decided once per block
+    diag: dict[Composition, dict[Perm, LPoly]] = {}
     for (chi, w), c in fixed_E_coeffs(x, letters).items():
         (mu, _, _), p, eu = _psi_cell(x.d, chi, w)
-        if mu in diag:
-            add_to(diag[mu], p, c.shift(eu=eu))
-    return {mu: HeckeElem(x.n, x.d, cell) for mu, cell in diag.items()}
+        if mu not in wanted:
+            wanted[mu] = supports is None or mu.base() in supports
+        if wanted[mu]:
+            add_to(diag.setdefault(mu, {}), p, c.shift(eu=eu))
+    traces = {mu: HeckeElem(x.n, x.d, cell) for mu, cell in diag.items()}
+    return {mu: tr for mu, tr in traces.items() if tr}
 
 
 def phi(M: BlockMatrix) -> YElem:

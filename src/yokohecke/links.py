@@ -91,7 +91,6 @@ from .permcomp import (
     Composition,
     Perm,
     all_comp0,
-    all_compositions,
     compose,
     cycles,
     identity,
@@ -374,14 +373,6 @@ def _sublink_sums(
     return {mu: LPoly(d, terms) for mu, terms in sums.items()}
 
 
-def _support_sums(sums: dict[Composition, LPoly], d: int) -> dict[Composition, LPoly]:
-    """Group per-composition sums by support ``base(mu)``."""
-    grouped: dict[Composition, dict] = {}
-    for mu, val in sums.items():
-        add_all(grouped.setdefault(mu.base(), {}), val.terms)
-    return {mu0: LPoly(d, terms) for mu0, terms in grouped.items()}
-
-
 def invariant_gamma(w: FramedBraidWord, spec: TraceSpec) -> LPoly:
     """The 3-variable invariant of the closure of a framed word.
 
@@ -396,8 +387,8 @@ def invariant_gamma(w: FramedBraidWord, spec: TraceSpec) -> LPoly:
     2 * u^2 * g^2
     """
     total: dict = {}
-    for mu0, val in _support_sums(_sublink_sums(w, spec.d, spec.alphas), spec.d).items():
-        add_all(total, (val * spec.alphas[mu0]).terms)
+    for val in invariant_contributions(w, spec).values():
+        add_all(total, val.terms)
     return LPoly(spec.d, total)
 
 
@@ -408,17 +399,15 @@ def invariant_contributions(
 
     The values sum to ``invariant_gamma(w, spec)``; the entry of ``mu`` is
     the weighted trace of the ``mu``-block of the image of the word, which
-    collects the colourings with ``mu_a`` strands of letter ``a``.  Every
-    composition of ``n`` into ``d`` parts is a key, ascending by parts:
-    the one key set of :func:`~yokohecke.traces.rho_blocks`, and of
-    :func:`~yokohecke.isomap.block_traces` over all ``d`` letters.
+    collects the colourings with ``mu_a`` strands of letter ``a``.  Only
+    nonzero summands are kept, as in
+    :func:`~yokohecke.traces.rho_blocks`: an absent block contributes zero.
     """
-    sums = _sublink_sums(w, spec.d, spec.alphas)
-    zero = LPoly.zero(spec.d)
-    return {
-        mu: sums[mu] * spec.alpha(mu.base()) if mu in sums else zero
-        for mu in all_compositions(spec.d, w.n)
-    }
+    parts = (
+        (mu, val * spec.alphas[mu.base()])
+        for mu, val in _sublink_sums(w, spec.d, spec.alphas).items()
+    )
+    return {mu: val for mu, val in parts if val}
 
 
 def basic_invariants(w: FramedBraidWord, d: int) -> dict[Composition, LPoly]:
@@ -434,9 +423,10 @@ def basic_invariants(w: FramedBraidWord, d: int) -> dict[Composition, LPoly]:
     2 * u^2 * g^2
     """
     supports = all_comp0(d)
-    sums = _support_sums(_sublink_sums(w, d, supports), d)
-    zero = LPoly.zero(d)
-    return {mu0: sums.get(mu0, zero) for mu0 in supports}
+    grouped: dict[Composition, dict] = {mu0: {} for mu0 in supports}
+    for mu, val in _sublink_sums(w, d, supports).items():
+        add_all(grouped[mu.base()], val.terms)
+    return {mu0: LPoly(d, terms) for mu0, terms in grouped.items()}
 
 
 def jl_invariant(w: FramedBraidWord, d: int, S) -> LPoly:
@@ -469,8 +459,9 @@ def jl_numeric(
     ``lam = (z + (1 - q)/|S|) / (q z)``.  ``branch`` (+1 or -1) selects
     the square root of ``lam`` used consistently in both ``u`` and
     ``v``; link invariants are branch-independent.  Raises
-    ``ValueError`` on vanishing denominators (``q * z`` included, when it
-    underflows), on non-finite ``q`` or ``z`` and on a non-finite result
+    ``ValueError`` on an empty ``S`` (the check of ``jl_spec``), on
+    vanishing denominators (``q * z`` included, when it underflows), on
+    non-finite ``q`` or ``z`` and on a non-finite result
     (an overflow, or a power of ``v = 0`` below zero at ``q = 1``).
 
     >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
@@ -480,9 +471,6 @@ def jl_numeric(
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    subset = sorted(set(S))
-    if not subset:
-        raise ValueError("subset S must be non-empty")
     q = complex(q)
     z = complex(z)
     if not (cmath.isfinite(q) and cmath.isfinite(z)):
@@ -492,13 +480,13 @@ def jl_numeric(
     qz = q * z
     if qz == 0:
         raise ValueError(f"q*z underflows to 0 at q={q}, z={z}")
-    e_s = 1.0 / len(subset)
+    poly = jl_invariant(w, d, S)  # checks S before |S| is read below
+    e_s = 1.0 / len(set(S))
     lam = (z + (1 - q) * e_s) / qz
     if lam == 0:
         raise ValueError("lambda vanishes at the given (q, z)")
     sqlam = branch * cmath.sqrt(lam)
     sqq = cmath.sqrt(q)
-    poly = jl_invariant(w, d, S)
     try:
         value = poly.eval_complex(sqq * sqlam, (q - 1) * sqlam, 1 / sqq)
         if cmath.isfinite(value):

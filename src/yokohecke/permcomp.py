@@ -305,24 +305,16 @@ def act(w: Perm, chi: Character) -> Character:
 def min_coset_rep(chi: Character, d: int) -> Perm:
     """The shortest permutation sending chi_one(comp_of(chi)) to chi.
 
-    It fills the positions of each letter in increasing order, which keeps
-    every letter block order-preserved; this is the distinguished (minimal
+    It sends the letter blocks, in order, to the positions of each letter
+    taken in increasing order (a stable sort of the positions by letter),
+    which keeps every letter block order-preserved; this is the distinguished (minimal
     length) representative of the left coset pi * Stab(chi_one).
 
     >>> min_coset_rep((1, 2, 1, 1), 2)
     (1, 3, 4, 2)
     """
-    mu = comp_of(chi, d)
-    positions: dict[int, list[int]] = {a: [] for a in range(1, d + 1)}
-    for j, a in enumerate(chi, start=1):
-        positions[a].append(j)
-    out = [0] * len(chi)
-    src = 1
-    for a in range(1, d + 1):
-        for tgt in positions[a]:
-            out[src - 1] = tgt
-            src += 1
-    return tuple(out)
+    comp_of(chi, d)  # checks every letter
+    return tuple(sorted(range(1, len(chi) + 1), key=lambda j: chi[j - 1]))
 
 
 @lru_cache(maxsize=None)
@@ -339,10 +331,8 @@ def in_young(w: Perm, mu: Composition) -> bool:
     """Is w in S_{|mu|} and does it preserve every letter block of mu?"""
     if len(w) != mu.n:
         return False
-    block_id = []
-    for a, p in enumerate(mu.parts):
-        block_id.extend([a] * p)
-    return all(block_id[w[j] - 1] == block_id[j] for j in range(len(w)))
+    letter = chi_one(mu)
+    return all(letter[w[j] - 1] == letter[j] for j in range(len(w)))
 
 
 def block_split(w: Perm, mu: Composition) -> list[Perm]:

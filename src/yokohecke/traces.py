@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 from .exactnum import Coeff, Cyclo, LPoly, add_all, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
-from .permcomp import Composition, all_comp0, all_compositions, identity
+from .permcomp import Composition, all_comp0, identity
 from .yokonuma import YElem
 
 __all__ = [
@@ -97,20 +97,18 @@ def all_basic_specs(d: int) -> list[TraceSpec]:
 
 
 def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
-    """Per-composition contributions alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
-    one for every composition of n into d parts, ascending by parts.
+    """The nonzero contributions alpha_{base(mu)} * tau^mu(Tr psi(x)_mu),
+    keyed by composition mu; an absent block contributes zero.
 
     `block_traces` traces only the blocks whose support `spec` weighs, and
-    runs the change of basis over the letters of those supports alone;
-    every other contribution is the zero polynomial."""
+    runs the change of basis over the letters of those supports alone."""
     if spec.d != x.d:
         raise ValueError(f"a trace at d={spec.d} cannot evaluate an element of Y_{{{x.d},{x.n}}}")
-    traces = block_traces(x, spec.alphas)
-    zero = LPoly.zero(x.d)
-    return {
-        mu: tau_parabolic(mu, traces[mu]) * spec.alphas[mu.base()] if mu in traces else zero
-        for mu in all_compositions(x.d, x.n)
-    }
+    parts = (
+        (mu, tau_parabolic(mu, tr) * spec.alphas[mu.base()])
+        for mu, tr in block_traces(x, spec.alphas).items()
+    )
+    return {mu: val for mu, val in parts if val}
 
 
 def rho(spec: TraceSpec, x: YElem) -> LPoly:

@@ -91,11 +91,7 @@ class YElem(Sparse):
     @classmethod
     def t_elem(cls, d: int, n: int, j: int, power: int = 1) -> "YElem":
         """The framing generator t_j^power."""
-        if not 1 <= j <= n:
-            raise ValueError(f"framing index {j} out of range 1..{n}")
-        k = [0] * n
-        k[j - 1] = power % d
-        return cls(d, n, {(tuple(k), identity(n)): LPoly.one(d)})
+        return cls.one(d, n).mul_t(j, power)
 
     @classmethod
     def g_elem(cls, d: int, n: int, i: int) -> "YElem":

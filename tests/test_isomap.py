@@ -49,15 +49,14 @@ def test_block_traces_are_the_diagonal_sums_of_psi():
             for x in xs:
                 M = psi(x)
                 traces = block_traces(x)
-                assert list(traces) == all_compositions(d, n)
-                for mu, tr in traces.items():
+                for mu in all_compositions(d, n):
                     diag = HeckeElem.zero(n, d)
                     if mu in M.blocks:
                         for k, row in enumerate(M.block(mu)):
                             diag = diag + row[k]
                     else:
                         missing += 1
-                    assert tr == diag, (d, n, mu)
+                    assert traces.get(mu, HeckeElem.zero(n, d)) == diag, (d, n, mu)
     assert missing
 
 

@@ -1,8 +1,9 @@
 """The example scripts print exactly their golden text.
 
 The goldens in `tests/golden/` hold each script's standard output with the
-`(x.xx s)` timings masked.  The worked example's per-block lines include
-the zero blocks, so they also pin the key set of `invariant_contributions`.
+`(x.xx s)` timings masked.  The worked example prints every block of the
+pair, a block that `invariant_contributions` leaves out as `0`, so its
+golden pins which blocks contribute.
 """
 
 import os

@@ -10,7 +10,7 @@ import pytest
 from yokohecke import traces
 from yokohecke.exactnum import Cyclo, LPoly
 from yokohecke.hecke import HeckeElem, h_mul, loop_factor, markov_tau, tau_parabolic
-from yokohecke.isomap import psi
+from yokohecke.isomap import block_traces, psi
 from yokohecke.permcomp import Composition, all_comp0, all_compositions, identity
 from yokohecke.traces import (
     TraceSpec,
@@ -25,7 +25,7 @@ from yokohecke.traces import (
     symmetrizing_rho,
     symmetrizing_tilde,
 )
-from yokohecke.yokonuma import YElem, y_mul
+from yokohecke.yokonuma import YElem, idempotent_Emu, y_mul
 
 from test_yokonuma import random_framed_combination, random_yelem
 
@@ -95,6 +95,32 @@ def test_rho_blocks_sum_to_rho():
             assert total == rho(spec, x)
 
 
+def test_per_block_maps_keep_only_nonzero_blocks():
+    # like a Sparse: a block whose trace or contribution is zero is absent;
+    # the central idempotent of one composition keeps only that block
+    rng = random.Random(23)
+    absent = 0
+    for d in (1, 2, 3):
+        for n in (2, 3):
+            mu1 = rng.choice(all_compositions(d, n))
+            xs = [
+                random_yelem(rng, d, n),
+                random_framed_combination(rng, d, n, terms=3),
+                y_mul(idempotent_Emu(mu1), random_yelem(rng, d, n)),
+            ]
+            for x in xs:
+                full = block_traces(x)
+                assert all(full.values()), (d, n)
+                absent += len(all_compositions(d, n)) - len(full)
+                for spec in all_basic_specs(d):
+                    assert all(block_traces(x, spec.alphas).values()), (d, n, spec)
+                    assert all(rho_blocks(spec, x).values()), (d, n, spec)
+    assert absent
+    # t_1 - t_2 reaches the block (1,1) of Y(2,2), and its diagonal cancels
+    x = YElem.t_elem(2, 2, 1) - YElem.t_elem(2, 2, 2)
+    assert block_traces(x) == {}
+
+
 def test_rho_blocks_traces_only_weighted_blocks(monkeypatch):
     traced = []
     real_tau = traces.tau_parabolic
@@ -112,9 +138,9 @@ def test_rho_blocks_traces_only_weighted_blocks(monkeypatch):
         blocks = all_compositions(3, 3)
         traced.clear()
         out = rho_blocks(spec, x)
-        assert traced == [mu for mu in blocks if mu.base() == mu0]
-        assert list(out) == blocks
-        assert all(out[mu].is_zero() for mu in blocks if mu.base() != mu0)
+        assert traced == list(block_traces(x, spec.alphas))
+        assert all(mu.base() == mu0 for mu in traced)
+        assert all(mu.base() == mu0 for mu in out)
         weighted += len(traced)
         skipped += len(blocks) - len(traced)
     assert weighted and skipped
@@ -145,6 +171,7 @@ def test_rho_matches_the_full_transform(d):
             expected = {
                 mu: tau_parabolic(mu, tr) * spec.alpha(mu.base()) for mu, tr in full.items()
             }
+            expected = {mu: val for mu, val in expected.items() if val}
             assert rho_blocks(spec, x) == expected, (n, spec)
             total = LPoly.zero(d)
             for val in expected.values():
