@@ -87,8 +87,7 @@ def _cmd_invariant(args) -> int:
         for mu0, poly in basic_invariants(word, args.d).items():
             if args.machine:
                 print(f"mu0={mu0}")
-                for line in poly.machine_lines():
-                    print(line)
+                _print_poly(poly, True)
             else:
                 print(f"mu0={mu0} : {poly.text()}")
     else:
@@ -176,7 +175,7 @@ def _build_parser() -> _Parser:
         type=int,
         choices=(1, -1),
         default=1,
-        help="square-root branch for the numeric evaluation",
+        help="branch of sqrt(lambda); -1 multiplies the value by (-1)^(c-1) for c components",
     )
     p.add_argument("--machine", action="store_true", help="one term per line")
     p.set_defaults(func=_cmd_jl)

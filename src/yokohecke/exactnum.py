@@ -34,7 +34,7 @@ plain integer arithmetic.
 `LPoly` is built on `Sparse`, the finite linear combination over a basis
 that `HeckeElem`, `YElem` and `BlockMatrix` share as well; sums and products
 accumulate into plain dicts through `add_to` / `add_all` and wrap the result
-once.
+once, and `LPoly.sum` is that loop for a sum of polynomials.
 
 The variable names match the algebraic setup they feed: u and v are the
 Hecke-relation parameters (T_i^2 = u^2 + v T_i) and g is the extra framing
@@ -567,6 +567,16 @@ class LPoly(Sparse):
     @classmethod
     def monomial(cls, order: int, c: Scalar, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
         return cls(order, {(eu, ev, eg): coeff(order, c)})
+
+    @classmethod
+    def sum(cls, order: int, polys: Iterable["LPoly"]) -> "LPoly":
+        """The sum of `polys`, all of this order, added in one dict and wrapped once."""
+        total: dict = {}
+        for p in polys:
+            if p.order != order:
+                raise ValueError(f"cannot add an order-{p.order} LPoly into order {order}")
+            add_all(total, p.terms)
+        return cls(order, total)
 
     # -- structure ----------------------------------------------------------
 

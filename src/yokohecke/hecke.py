@@ -215,12 +215,11 @@ def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     """
     if x.n != mu.n:
         raise ValueError(f"element lives in S_{x.n}, mu has size {mu.n}")
-    total: dict = {}
-    for w, c in x.terms.items():
-        val = c
+
+    def term(w: Perm, c: LPoly) -> LPoly:
         for wa in block_split(w, mu):
-            if len(wa) == 0:
-                continue
-            val = val * _block_tau(wa, x.order)
-        add_all(total, val.terms)
-    return LPoly(x.order, total)
+            if wa:
+                c = c * _block_tau(wa, x.order)
+        return c
+
+    return LPoly.sum(x.order, (term(w, c) for w, c in x.terms.items()))

@@ -373,23 +373,30 @@ def _sublink_sums(
     return {mu: LPoly(d, terms) for mu, terms in sums.items()}
 
 
+def _support_sums(w: FramedBraidWord, d: int, supports) -> dict[Composition, LPoly]:
+    """The sublink sums of ``supports`` added up per support ``base(mu)``."""
+    grouped: dict[Composition, list] = {}
+    for mu, val in _sublink_sums(w, d, supports).items():
+        grouped.setdefault(mu.base(), []).append(val)
+    return {mu0: LPoly.sum(d, vals) for mu0, vals in grouped.items()}
+
+
 def invariant_gamma(w: FramedBraidWord, spec: TraceSpec) -> LPoly:
     """The 3-variable invariant of the closure of a framed word.
 
     Equal to ``rho(spec, delta_gamma(w, spec.d))``, computed from the
     monochromatic sublinks (see the module docstring); the result is a
     Laurent polynomial in ``u, v, gamma`` with coefficients in the
-    ``spec.d``-th cyclotomic field.
+    ``spec.d``-th cyclotomic field.  The sublink sums are added up per
+    support first, so each support's weight multiplies once.
 
     >>> from .traces import basic_spec
     >>> hopf = parse_word("1 1", 2, 2)
     >>> print(invariant_gamma(hopf, basic_spec(Composition((1, 1)))).text())
     2 * u^2 * g^2
     """
-    total: dict = {}
-    for val in invariant_contributions(w, spec).values():
-        add_all(total, val.terms)
-    return LPoly(spec.d, total)
+    weighed = spec.weigh(_support_sums(w, spec.d, spec.alphas))
+    return LPoly.sum(spec.d, weighed.values())
 
 
 def invariant_contributions(
@@ -403,11 +410,7 @@ def invariant_contributions(
     nonzero summands are kept, as in
     :func:`~yokohecke.traces.rho_blocks`: an absent block contributes zero.
     """
-    parts = (
-        (mu, val * spec.alphas[mu.base()])
-        for mu, val in _sublink_sums(w, spec.d, spec.alphas).items()
-    )
-    return {mu: val for mu, val in parts if val}
+    return spec.weigh(_sublink_sums(w, spec.d, spec.alphas))
 
 
 def basic_invariants(w: FramedBraidWord, d: int) -> dict[Composition, LPoly]:
@@ -423,10 +426,8 @@ def basic_invariants(w: FramedBraidWord, d: int) -> dict[Composition, LPoly]:
     2 * u^2 * g^2
     """
     supports = all_comp0(d)
-    grouped: dict[Composition, dict] = {mu0: {} for mu0 in supports}
-    for mu, val in _sublink_sums(w, d, supports).items():
-        add_all(grouped[mu.base()], val.terms)
-    return {mu0: LPoly(d, terms) for mu0, terms in grouped.items()}
+    sums = _support_sums(w, d, supports)
+    return {mu0: sums.get(mu0, LPoly.zero(d)) for mu0 in supports}
 
 
 def jl_invariant(w: FramedBraidWord, d: int, S) -> LPoly:
@@ -458,7 +459,9 @@ def jl_numeric(
     ``v = (q - 1) * sqrt(lam)``, ``gamma = 1 / sqrt(q)`` where
     ``lam = (z + (1 - q)/|S|) / (q z)``.  ``branch`` (+1 or -1) selects
     the square root of ``lam`` used consistently in both ``u`` and
-    ``v``; link invariants are branch-independent.  Raises
+    ``v``.  Switching it multiplies the value by ``(-1)^(c-1)``, ``c``
+    the number of components of the closure, so only a knot's value is
+    branch-independent.  Raises
     ``ValueError`` on an empty ``S`` (the check of ``jl_spec``), on
     vanishing denominators (``q * z`` included, when it underflows), on
     non-finite ``q`` or ``z`` and on a non-finite result

@@ -13,7 +13,8 @@ picture as
     rho(x) = sum_mu alpha_{base(mu)} * tau^mu( Tr( psi(x)_mu ) ),
 
 where Tr is the matrix trace of the mu-block and tau^mu the block-product
-Markov trace on H^mu; a `TraceSpec` stores d and the alpha parameters.
+Markov trace on H^mu; a `TraceSpec` stores d and the alpha parameters, and
+its `weigh` is the one place that applies them to per-block values.
 
 Also here:
 
@@ -37,7 +38,7 @@ from fractions import Fraction
 from numbers import Complex
 from typing import Iterable, Mapping
 
-from .exactnum import Coeff, Cyclo, LPoly, add_all, coeff, root_power
+from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
 from .permcomp import Composition, all_comp0, identity
@@ -82,8 +83,11 @@ class TraceSpec:
                 clean[mu0] = a
         object.__setattr__(self, "alphas", clean)
 
-    def alpha(self, mu0: Composition) -> LPoly:
-        return self.alphas.get(mu0, LPoly.zero(self.d))
+    def weigh(self, per_block: Mapping[Composition, LPoly]) -> dict[Composition, LPoly]:
+        """The nonzero alpha_{base(mu)} * value of each block mu of `per_block`
+        (every support must carry a weight); absent means zero."""
+        parts = ((mu, val * self.alphas[mu.base()]) for mu, val in per_block.items())
+        return {mu: val for mu, val in parts if val}
 
 
 def basic_spec(mu0: Composition) -> TraceSpec:
@@ -104,19 +108,13 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
     runs the change of basis over the letters of those supports alone."""
     if spec.d != x.d:
         raise ValueError(f"a trace at d={spec.d} cannot evaluate an element of Y_{{{x.d},{x.n}}}")
-    parts = (
-        (mu, tau_parabolic(mu, tr) * spec.alphas[mu.base()])
-        for mu, tr in block_traces(x, spec.alphas).items()
-    )
-    return {mu: val for mu, val in parts if val}
+    traced = block_traces(x, spec.alphas)
+    return spec.weigh({mu: tau_parabolic(mu, tr) for mu, tr in traced.items()})
 
 
 def rho(spec: TraceSpec, x: YElem) -> LPoly:
     """The Markov trace described by `spec`, evaluated at x."""
-    total: dict = {}
-    for val in rho_blocks(spec, x).values():
-        add_all(total, val.terms)
-    return LPoly(spec.d, total)
+    return LPoly.sum(spec.d, rho_blocks(spec, x).values())
 
 
 def symmetrizing_rho(x: YElem) -> LPoly:
@@ -129,10 +127,7 @@ def symmetrizing_rho(x: YElem) -> LPoly:
     decomposed."""
     idn = identity(x.n)
     at_id = YElem(x.d, x.n, {key: c for key, c in x.terms.items() if key[1] == idn})
-    total: dict = {}
-    for tr in block_traces(at_id).values():
-        add_all(total, tr.coefficient(idn).terms)
-    return LPoly(x.d, total)
+    return LPoly.sum(x.d, (tr.coefficient(idn) for tr in block_traces(at_id).values()))
 
 
 def symmetrizing_tilde(x: YElem) -> LPoly:

@@ -26,13 +26,15 @@ import cmath
 import itertools
 import math
 import random
+from typing import Iterable
 
 from ._golden import golden_checks
 from .exactnum import LPoly, add_to
 from .isomap import iota, phi_to_e_coeffs, psi, psi_from_e_coeffs
 from .links import jl_numeric, parse_word
-from .permcomp import Character, Composition, Perm
+from .permcomp import Character, Perm
 from .traces import (
+    TraceSpec,
     all_basic_specs,
     esystem_c,
     jl_spec,
@@ -69,22 +71,27 @@ def _random_perm(rng: random.Random, n: int) -> Perm:
     return tuple(values)
 
 
-def _random_kvec(rng: random.Random, d: int, n: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(d) for _ in range(n))
+def _random_key(rng: random.Random, d: int, n: int) -> tuple:
+    """A random basis key (framing exponents, permutation) of Y(d,n)."""
+    return (tuple(rng.randrange(d) for _ in range(n)), _random_perm(rng, n))
 
 
 def _random_basis_elem(rng: random.Random, d: int, n: int) -> YElem:
-    key = (_random_kvec(rng, d, n), _random_perm(rng, n))
-    return YElem(d, n, {key: LPoly.one(d)})
+    return YElem(d, n, {_random_key(rng, d, n): LPoly.one(d)})
 
 
 def _random_elem(rng: random.Random, d: int, n: int, terms: int = 3) -> YElem:
     out: dict = {}
     for _ in range(terms):
         c = LPoly.const(d, rng.choice((-2, -1, 1, 2)))
-        key = (_random_kvec(rng, d, n), _random_perm(rng, n))
-        add_to(out, key, c)
+        add_to(out, _random_key(rng, d, n), c)
     return YElem(d, n, out)
+
+
+def _check(check_id: str, failures: Iterable[str | None]) -> Check:
+    """One check's result: failed at the first truthy message of `failures`, read no further."""
+    detail = next(filter(None, failures), "")
+    return (check_id, not detail, detail)
 
 
 def suite_iso(
@@ -95,48 +102,36 @@ def suite_iso(
     seed: int = _DEFAULT_SEED,
 ) -> list[Check]:
     rng = random.Random(seed)
-    results: list[Check] = []
-    chars = _all_characters(d, n)
-    perms = _all_perms(n)
-
-    ok, detail = True, ""
+    chars, perms = _all_characters(d, n), _all_perms(n)
     one = LPoly.one(d)
-    for chi in chars:
-        for w in perms:
-            coeffs = {(chi, w): one}
-            back = phi_to_e_coeffs(psi_from_e_coeffs(d, n, coeffs))
-            back = {key: c for key, c in back.items() if not c.is_zero()}
-            if back != coeffs:
-                ok, detail = False, f"round trip failed on E_{chi} gt_{w}"
-                break
-        if not ok:
-            break
-    results.append((f"iso-roundtrip-d{d}-n{n}", ok, detail))
 
-    ok, detail = True, ""
-    for _ in range(pairs):
+    def roundtrip_failure(chi: Character, w: Perm) -> str | None:
+        coeffs = {(chi, w): one}
+        back = phi_to_e_coeffs(psi_from_e_coeffs(d, n, coeffs))
+        back = {key: c for key, c in back.items() if not c.is_zero()}
+        return None if back == coeffs else f"round trip failed on E_{chi} gt_{w}"
+
+    def product_failure() -> str | None:
         chi, w = rng.choice(chars), rng.choice(perms)
         chi2, w2 = rng.choice(chars), rng.choice(perms)
-        product = e_basis_mul_basis(d, chi, w, chi2, w2)
-        lhs = psi_from_e_coeffs(d, n, product)
-        rhs = psi_from_e_coeffs(d, n, {(chi, w): one}) * psi_from_e_coeffs(
-            d, n, {(chi2, w2): one}
-        )
+        lhs = psi_from_e_coeffs(d, n, e_basis_mul_basis(d, chi, w, chi2, w2))
+        rhs = psi_from_e_coeffs(d, n, {(chi, w): one}) * psi_from_e_coeffs(d, n, {(chi2, w2): one})
         if lhs != rhs:
-            ok = False
-            detail = f"psi not multiplicative on E_{chi} gt_{w} * E_{chi2} gt_{w2}"
-            break
-    results.append((f"iso-product-d{d}-n{n}", ok, detail))
+            return f"psi not multiplicative on E_{chi} gt_{w} * E_{chi2} gt_{w2}"
+        return None
 
+    def embed_failure() -> str | None:
+        x = _random_elem(rng, d, n)
+        return None if psi(x.extend(n + 1)) == iota(psi(x)) else f"embedding square failed on {x!r}"
+
+    results = [
+        _check(f"iso-roundtrip-d{d}-n{n}",
+               (roundtrip_failure(chi, w) for chi in chars for w in perms)),
+        _check(f"iso-product-d{d}-n{n}", (product_failure() for _ in range(pairs))),
+    ]
     if n <= 3:
-        ok, detail = True, ""
-        for _ in range(embed_samples):
-            x = _random_elem(rng, d, n)
-            if psi(x.extend(n + 1)) != iota(psi(x)):
-                ok, detail = False, f"embedding square failed on {x!r}"
-                break
-        results.append((f"iso-embed-d{d}-n{n}", ok, detail))
-
+        results.append(_check(f"iso-embed-d{d}-n{n}",
+                              (embed_failure() for _ in range(embed_samples))))
     if (d, n) == (2, 4):
         results.extend(golden_checks())
     return results
@@ -144,51 +139,47 @@ def suite_iso(
 
 def suite_markov(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     rng = random.Random(seed)
-    results: list[Check] = []
-    for spec in all_basic_specs(d):
-        mu0 = next(iter(spec.alphas))
-        ok, detail = True, ""
-        for _ in range(_MARKOV_ROUNDS):
-            x = _random_basis_elem(rng, d, n)
-            y = _random_basis_elem(rng, d, n)
-            if rho(spec, y_mul(x, y)) != rho(spec, y_mul(y, x)):
-                ok, detail = False, f"rho(xy) != rho(yx) for {x!r}, {y!r}"
-                break
-        results.append((f"markov-central-mu0={mu0}", ok, detail))
 
-        ok, detail = True, ""
-        for _ in range(_MARKOV_ROUNDS):
-            x = _random_basis_elem(rng, d, n)
-            value = rho(spec, x)
-            up = x.extend(n + 1)
-            if rho(spec, up.mul_g(n)) != value or rho(spec, up.mul_g(n, -1)) != value:
-                ok, detail = False, f"stabilization failed for {x!r}"
-                break
-        results.append((f"markov-stab-mu0={mu0}", ok, detail))
-    return results
+    def central_failure(spec: TraceSpec) -> str | None:
+        x, y = _random_basis_elem(rng, d, n), _random_basis_elem(rng, d, n)
+        if rho(spec, y_mul(x, y)) != rho(spec, y_mul(y, x)):
+            return f"rho(xy) != rho(yx) for {x!r}, {y!r}"
+        return None
+
+    def stab_failure(spec: TraceSpec) -> str | None:
+        x = _random_basis_elem(rng, d, n)
+        value = rho(spec, x)
+        up = x.extend(n + 1)
+        if rho(spec, up.mul_g(n)) != value or rho(spec, up.mul_g(n, -1)) != value:
+            return f"stabilization failed for {x!r}"
+        return None
+
+    return [
+        _check(f"markov-{name}-mu0={next(iter(spec.alphas))}",
+               (failure(spec) for _ in range(_MARKOV_ROUNDS)))
+        for spec in all_basic_specs(d)
+        for name, failure in (("central", central_failure), ("stab", stab_failure))
+    ]
 
 
 def suite_schur(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
-    results: list[Check] = []
-    expected = LPoly.const(d, d**n)
-    one = YElem.one(d, n)
-    ok = symmetrizing_rho(one) == expected and symmetrizing_tilde(one) == expected
-    results.append(
-        (f"schur-identity-d{d}-n{n}", ok, "" if ok else f"value on 1 is not {d**n}")
-    )
+    one = LPoly.one(d)
 
-    ok, detail = True, ""
-    coeff = LPoly.one(d)
-    for k in itertools.product(range(d), repeat=n):
-        for w in _all_perms(n):
-            el = YElem(d, n, {(k, w): coeff})
-            if symmetrizing_rho(el) != symmetrizing_tilde(el):
-                ok, detail = False, f"forms differ on t^{k} gt_{w}"
-                break
-        if not ok:
-            break
-    results.append((f"schur-basis-d{d}-n{n}", ok, detail))
-    return results
+    def forms_failure(k: tuple[int, ...], w: Perm) -> str | None:
+        x = YElem(d, n, {(k, w): one})
+        if symmetrizing_rho(x) != symmetrizing_tilde(x):
+            return f"forms differ on t^{k} gt_{w}"
+        return None
+
+    expected = LPoly.const(d, d**n)
+    unit = YElem.one(d, n)
+    ok = symmetrizing_rho(unit) == expected and symmetrizing_tilde(unit) == expected
+    kvecs = itertools.product(range(d), repeat=n)
+    return [
+        _check(f"schur-identity-d{d}-n{n}", [None if ok else f"value on 1 is not {d**n}"]),
+        _check(f"schur-basis-d{d}-n{n}",
+               (forms_failure(k, w) for k in kvecs for w in _all_perms(n))),
+    ]
 
 
 def _subsets(d: int):
@@ -196,42 +187,35 @@ def _subsets(d: int):
         yield from itertools.combinations(range(1, d + 1), r)
 
 
-def _set_label(subset) -> str:
-    return "{" + ",".join(str(a) for a in subset) + "}"
-
-
 def suite_jl(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     rng = random.Random(seed)
+    word = parse_word(" ".join(str(i) for i in range(1, n)), n, d)
+
+    def moment_failure(spec: TraceSpec, subset, b: int) -> str | None:
+        got = rho(spec, YElem.t_elem(d, 1, 1, b))
+        want = LPoly.const(d, esystem_c(d, subset, b))
+        return None if got == want else f"moment b={b}: {got.text()} != {want.text()}"
+
+    def unknot_failure(subset) -> str | None:
+        """The numeric unknot at one random (q, z), redrawn until it is defined."""
+        while True:
+            q = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
+            z = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
+            try:
+                value = jl_numeric(word, d, subset, q, z, rng.choice((1, -1)))
+            except ValueError:
+                continue
+            if abs(value - 1) > 1e-9:
+                return f"unknot value {value!r} at q={q!r}, z={z!r}"
+            return None
+
     results: list[Check] = []
-    unknot_text = " ".join(str(i) for i in range(1, n))
     for subset in _subsets(d):
         spec = jl_spec(d, subset)
-        label = _set_label(subset)
-
-        ok, detail = True, ""
-        for b in range(d):
-            got = rho(spec, YElem.t_elem(d, 1, 1, b))
-            want = LPoly.const(d, esystem_c(d, subset, b))
-            if got != want:
-                ok, detail = False, f"moment b={b}: {got.text()} != {want.text()}"
-                break
-        results.append((f"jl-moments-S={label}", ok, detail))
-
-        ok, detail = True, ""
-        word = parse_word(unknot_text, n, d)
-        for _ in range(_JL_QZ_SAMPLES):
-            while True:
-                q = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
-                z = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
-                try:
-                    value = jl_numeric(word, d, subset, q, z, rng.choice((1, -1)))
-                except ValueError:
-                    continue
-                break
-            if abs(value - 1) > 1e-9:
-                ok, detail = False, f"unknot value {value!r} at q={q!r}, z={z!r}"
-                break
-        results.append((f"jl-unknot-S={label}", ok, detail))
+        label = "S={" + ",".join(str(a) for a in subset) + "}"
+        moments = (moment_failure(spec, subset, b) for b in range(d))
+        unknots = (unknot_failure(subset) for _ in range(_JL_QZ_SAMPLES))
+        results += [_check(f"jl-moments-{label}", moments), _check(f"jl-unknot-{label}", unknots)]
     return results
 
 

@@ -73,6 +73,14 @@ def test_invariant_all_basic_machine_headers(capsys):
     assert lines[-1] == "mu0=(1,1)"  # zero polynomial: header, no terms
 
 
+def test_invariant_machine_mode_prints_nothing_for_zero(capsys):
+    # a support with two letters on a knot: text mode prints 0, machine
+    # mode one line per term, that is none
+    args = ["invariant", "--d", "3", "--n", "3", "--mu0", "1,0,1", "--word", "1 2"]
+    assert run_main(capsys, *args) == (0, "0\n", "")
+    assert run_main(capsys, *args, "--machine") == (0, "", "")
+
+
 def test_homflypt_golden(capsys):
     code, out, err = run_main(capsys, "homflypt", "--n", "2", "--word", "1 1 1")
     assert code == 0

@@ -221,6 +221,20 @@ def test_as_order_round_trip():
         bad.as_order(2)
 
 
+def test_sum_equals_repeated_addition():
+    u, v = LPoly.var(3, "u"), LPoly.var(3, "v", -1)
+    polys = [u, v.scale(Cyclo.zeta(3)), -u, LPoly.const(3, 2), v]
+    expected = LPoly.zero(3)
+    for p in polys:
+        expected = expected + p
+    total = LPoly.sum(3, iter(polys))
+    assert total == expected
+    assert (0, 0, 0) in total.terms and (1, 0, 0) not in total.terms  # u - u cancels
+    assert LPoly.sum(2, []) == LPoly.zero(2)
+    with pytest.raises(ValueError, match="order"):
+        LPoly.sum(2, [LPoly.one(2), LPoly.one(3)])
+
+
 def test_constant_value():
     assert LPoly.const(2, 7).constant_value() == Cyclo.from_rat(2, 7)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every exported or re-exported name resolves, so a deleted function left
-in an export list fails the suite."""
+in an export list fails the suite; and no module imports a name it never
+uses."""
 
 import ast
 import importlib
@@ -35,3 +36,29 @@ def test_package_imports_resolve():
         module = importlib.import_module(f"yokohecke.{module_name}")
         assert hasattr(module, attr), f"yokohecke.{module_name}.{attr}"
         assert getattr(yokohecke, attr) is getattr(module, attr)
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds in its module."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    # MODULES holds no __init__: the package's own imports are re-exports
+    path = pathlib.Path(yokohecke.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        bound
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for bound in _bound_names(node)
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

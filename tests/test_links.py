@@ -352,6 +352,27 @@ def test_jl_numeric_unknot_is_one():
             assert abs(val - 1) < 1e-9, (q, z, branch)
 
 
+def test_jl_numeric_branch_sign_is_the_component_parity():
+    # the other square root of lambda flips the signs of u and v together;
+    # every term u^a v^b of the invariant has a + b = c - 1 mod 2 on a
+    # closure of c components, so the value changes by (-1)^(c-1)
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(60):
+        d, n = rng.randint(1, 3), rng.randint(2, 4)
+        w = parse_word(random_word(rng, n, rng.randint(0, 8), d, framed=d > 1), n, d)
+        S = rng.sample(range(1, d + 1), rng.randint(1, d))
+        c = component_count(w)
+        seen.add(c)
+        assert all((a + b - c + 1) % 2 == 0 for a, b, _ in jl_invariant(w, d, S).terms), str(w)
+        q = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        z = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        plus = jl_numeric(w, d, S, q, z, branch=1)
+        minus = jl_numeric(w, d, S, q, z, branch=-1)
+        assert abs(minus - (-1) ** (c - 1) * plus) <= 1e-9 * max(1.0, abs(plus)), (str(w), S)
+    assert seen == {1, 2, 3, 4}
+
+
 def test_jl_numeric_validation():
     w = parse_word("1", 2, 2)
     with pytest.raises(ValueError, match="S must be a nonempty subset"):

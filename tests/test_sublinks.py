@@ -15,6 +15,7 @@ import random
 import pytest
 
 from yokohecke import traces
+from yokohecke.exactnum import Cyclo, LPoly
 from yokohecke.isomap import block_traces
 from yokohecke.links import (
     basic_invariants,
@@ -25,8 +26,8 @@ from yokohecke.links import (
     jl_invariant,
     parse_word,
 )
-from yokohecke.permcomp import Composition
-from yokohecke.traces import all_basic_specs, basic_spec, jl_spec, rho, rho_blocks
+from yokohecke.permcomp import Composition, all_comp0
+from yokohecke.traces import TraceSpec, all_basic_specs, basic_spec, jl_spec, rho, rho_blocks
 
 # (d, n, words): the oracle's cost grows like d^n * n!, so the largest
 # levels get fewer words
@@ -140,3 +141,36 @@ def test_jl_invariant_of_a_small_subset_at_large_d():
     w = parse_word("1 1 1", 2, 30)
     expected = homflypt(parse_word("1 1 1", 2, None)).as_order(30)
     assert jl_invariant(w, 30, {1, 2}) == expected  # two halves of one colour
+
+
+def random_weight(rng, d):
+    """A nonzero order-d Laurent polynomial with a few small terms, each a
+    small integer times a power of zeta_d."""
+    while True:
+        weight = LPoly.sum(d, (
+            LPoly.monomial(d, rng.choice((-2, -1, 1, 3)), *(rng.randrange(-2, 3) for _ in "uvg"))
+            .scale(Cyclo.zeta(d, rng.randrange(d)))
+            for _ in range(rng.randrange(1, 4))
+        ))
+        if weight:
+            return weight
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weighted_supports_sum_their_basic_invariants(d):
+    # a general trace: random supports with non-unit weights; each support
+    # is weighed once, so the invariant is the weighted sum of the basic ones
+    rng = random.Random(4000 + d)
+    supports = all_comp0(d)
+    for n in (1, 2, 3, 4):
+        for _ in range(3 if n <= 3 else 2):
+            text = random_word(rng, d, n)
+            w = parse_word(text, n, d)
+            chosen = rng.sample(supports, rng.randrange(1, len(supports) + 1))
+            spec = TraceSpec(d, {mu0: random_weight(rng, d) for mu0 in chosen})
+            basics = basic_invariants(w, d)
+            expected = LPoly.sum(d, (alpha * basics[mu0] for mu0, alpha in spec.alphas.items()))
+            value = invariant_gamma(w, spec)
+            assert value == expected, (text, spec)
+            if n <= 3:
+                assert value == rho(spec, delta_gamma(w, d)), (text, spec)

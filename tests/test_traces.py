@@ -59,7 +59,24 @@ def test_trace_spec_validation():
         },
     )
     assert set(spec.alphas) == {Composition((0, 1))}
-    assert spec.alpha(Composition((1, 0))).is_zero()
+    assert Composition((1, 0)) not in spec.alphas
+
+
+def test_weigh_multiplies_each_block_by_its_support_weight():
+    d = 2
+    alpha = LPoly.var(d, "u").scale(Cyclo.zeta(d))
+    spec = TraceSpec(d, {Composition((1, 1)): alpha, Composition((1, 0)): LPoly.one(d)})
+    value = LPoly.var(d, "v") + LPoly.one(d)
+    per_block = {
+        Composition((2, 1)): value,
+        Composition((1, 2)): LPoly.zero(d),  # a zero value leaves no key
+        Composition((3, 0)): value,
+    }
+    assert spec.weigh(per_block) == {
+        Composition((2, 1)): value * alpha,
+        Composition((3, 0)): value,
+    }
+    assert spec.weigh({}) == {}
 
 
 def test_rho_identity_value():
@@ -169,7 +186,8 @@ def test_rho_matches_the_full_transform(d):
         subset = rng.sample(range(1, d + 1), rng.randrange(1, d + 1))
         for spec in all_basic_specs(d) + [jl_spec(d, subset)]:
             expected = {
-                mu: tau_parabolic(mu, tr) * spec.alpha(mu.base()) for mu, tr in full.items()
+                mu: tau_parabolic(mu, tr) * spec.alphas.get(mu.base(), LPoly.zero(d))
+                for mu, tr in full.items()
             }
             expected = {mu: val for mu, val in expected.items() if val}
             assert rho_blocks(spec, x) == expected, (n, spec)
@@ -339,13 +357,13 @@ def test_jl_spec_weights():
     spec = jl_spec(d, [1, 2])
     loop = loop_factor(d)
     half = Fraction(1, 2)
-    assert spec.alpha(Composition((1, 0))) == LPoly.one(d).scale(half)
-    assert spec.alpha(Composition((0, 1))) == LPoly.one(d).scale(half)
-    assert spec.alpha(Composition((1, 1))) == loop.scale(half)
+    assert spec.alphas[Composition((1, 0))] == LPoly.one(d).scale(half)
+    assert spec.alphas[Composition((0, 1))] == LPoly.one(d).scale(half)
+    assert spec.alphas[Composition((1, 1))] == loop.scale(half)
     # supports sticking out of S vanish
     spec13 = jl_spec(3, [2])
-    assert spec13.alpha(Composition((0, 1, 0))) == LPoly.one(3)
-    assert spec13.alpha(Composition((1, 1, 0))).is_zero()
+    assert spec13.alphas[Composition((0, 1, 0))] == LPoly.one(3)
+    assert Composition((1, 1, 0)) not in spec13.alphas
 
 
 def test_jl_spec_builds_only_subsets_of_S():
