@@ -4,9 +4,8 @@ Golden data: the matrices assigned by psi to g_1, g_2, g_3, t_1, ..., t_4
 and e_1, e_2, e_3 of Y_{2,4}, worked out independently by hand.  Each of
 the five blocks (4,0), (0,4), (3,1), (1,3), (2,2) is recorded with an
 explicit character ordering and sparse 1-based entries; the check places
-each entry at the orbit indices of its row and column characters and
-compares the resulting block matrix with psi, so it is insensitive to the
-orbit ordering used internally.
+each entry at the cell (mu, row character, column character) that psi
+addresses and compares the resulting block matrix with psi.
 
 Entry codes: ``"u"`` is the scalar u, ``("T", i)`` the parabolic
 generator T_i of H_4 (block-internal generators are realised at their
@@ -20,7 +19,7 @@ from __future__ import annotations
 from .exactnum import LPoly
 from .hecke import HeckeElem
 from .isomap import BlockMatrix, psi
-from .permcomp import Character, Composition, orbit, orbit_index
+from .permcomp import Character, Composition
 from .yokonuma import YElem
 
 __all__ = ["golden_checks"]
@@ -158,13 +157,13 @@ def _decode(code) -> HeckeElem:
 
 
 def _expected(per_block) -> BlockMatrix:
-    """The block matrix of the sparse entries, re-keyed by orbit index."""
+    """The block matrix of the sparse entries, keyed by their tabulated
+    row and column characters."""
     terms = {}
     for mu_parts, entries in per_block.items():
-        mu = Composition(mu_parts)
-        chars, idx = _CHARS[mu_parts], orbit_index(mu)
+        mu, chars = Composition(mu_parts), _CHARS[mu_parts]
         for r, c, code in entries:
-            terms[mu, idx[chars[r - 1]], idx[chars[c - 1]]] = _decode(code)
+            terms[mu, chars[r - 1], chars[c - 1]] = _decode(code)
     return BlockMatrix(_D, _N, terms)
 
 
@@ -186,9 +185,8 @@ def _compare(name: str, x: YElem, expected: BlockMatrix) -> tuple[str, bool, str
     for cell in cells:
         got, exp = actual.terms.get(cell, zero), expected.terms.get(cell, zero)
         if got != exp:
-            mu, r, c = cell
-            chars = orbit(mu)
-            return (name, False, f"block {mu} row {chars[r]} col {chars[c]}: {got!r} != {exp!r}")
+            mu, row, col = cell
+            return (name, False, f"block {mu} row {row} col {col}: {got!r} != {exp!r}")
 
 
 def golden_checks() -> list[tuple[str, bool, str]]:

@@ -215,11 +215,10 @@ def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     """
     if x.n != mu.n:
         raise ValueError(f"element lives in S_{x.n}, mu has size {mu.n}")
-
-    def term(w: Perm, c: LPoly) -> LPoly:
+    total: dict = {}
+    for w, c in x.terms.items():
         for wa in block_split(w, mu):
             if wa:
                 c = c * _block_tau(wa, x.order)
-        return c
-
-    return LPoly.sum(x.order, (term(w, c) for w, c in x.terms.items()))
+        add_all(total, c.terms)
+    return LPoly(x.order, total)

@@ -3,22 +3,22 @@
 Y_{d,n} is isomorphic to the direct sum over compositions mu of n with d
 parts of the m_mu x m_mu matrix algebras over the parabolic Hecke algebra
 H^mu (the span of T_w for w preserving the letter blocks of mu), where m_mu
-is the orbit size of mu.  Rows and columns are indexed by the orbit
-characters chi_1, ..., chi_{m_mu} (chi_1 block-sorted), with pi_k the
-minimal-length permutation taking chi_1 to chi_k.
+is the orbit size of mu.  The rows and columns of block mu are the
+characters chi with comp(chi) = mu, and pi_chi is the minimal-length
+permutation taking the block-sorted chi_one(mu) to chi.
 
 The two directions are
 
-    psi:  E_{chi_k} gt_w  |->  Tt_p M_{k,j}   with p = pi_k^{-1} w pi_j,
-          where j is fixed by w(chi_j) = chi_k (then p preserves blocks);
-    phi:  Tt_p M_{i,j}    |->  E_{chi_i} gt_{pi_i p pi_j^{-1}},
+    psi:  E_chi gt_w            |->  Tt_p M_{chi, w^{-1} chi}
+          with p = pi_chi^{-1} w pi_{w^{-1} chi} (then p preserves blocks);
+    phi:  Tt_p M_{chi, chi'}    |->  E_chi gt_{pi_chi p pi_chi'^{-1}},
 
 inverse to each other; on the T basis the normalization is
 Tt_p = u^{-len(p)} T_p, so psi scales by u^{-len(p)} and phi by u^{+len(p)}.
 
 `iota` is the embedding of the level-n matrix side into level n+1 induced by
 adding an unframed strand: the block mu spreads over the blocks mu^[a]
-(one extra strand of letter a) for a = 1..d; rows/columns re-index by
+(one extra strand of letter a) for a = 1..d; rows and columns re-address by
 extending each character with the letter a at position n+1, and entries
 conjugate by the cycle moving position n+1 down to the end of the letter-a
 block, which is exactly the order-preserving relabeling of the mu-blocks
@@ -39,11 +39,11 @@ from .permcomp import (
     all_compositions,
     comp_of,
     compose,
-    coset_reps,
     extend,
     in_young,
     inverse,
     length,
+    min_coset_rep,
     orbit,
     orbit_index,
 )
@@ -61,16 +61,18 @@ __all__ = [
 
 
 Matrix = tuple[tuple[HeckeElem, ...], ...]
-Cell = tuple[Composition, int, int]
+# A cell of block mu: (mu, row character, column character), both of composition mu.
+Cell = tuple[Composition, Character, Character]
 
 
 class BlockMatrix(Sparse):
     """One m_mu x m_mu matrix of H^mu elements per composition mu.
 
-    Stored sparsely as a `Sparse` combination keyed by (mu, i, j), the
-    0-indexed cell (i, j) of block mu, over the nonzero cells only; `blocks`
-    groups those cells by composition ({mu: {(i, j): entry}}, nonzero blocks
-    only) and `block(mu)` gives the dense m_mu x m_mu view.  Entries are
+    Stored sparsely as a `Sparse` combination keyed by (mu, row, col), row
+    and col being characters of composition mu, over the nonzero cells only;
+    `blocks` groups those cells by composition ({mu: {(row, col): entry}},
+    nonzero blocks only) and `block(mu)` gives the dense view in `orbit(mu)`
+    order.  Entries are
     HeckeElem of size n whose basis permutations preserve the mu-blocks;
     `phi` checks that on input from outside, and `tau_parabolic` on traces.
     """
@@ -81,15 +83,15 @@ class BlockMatrix(Sparse):
         self.d = d
         self.n = n
         Sparse.__init__(self, terms)
-        blocks: dict[Composition, dict[tuple[int, int], HeckeElem]] = {}
-        for (mu, i, j), entry in self.terms.items():
-            blocks.setdefault(mu, {})[i, j] = entry
+        blocks: dict[Composition, dict[tuple[Character, Character], HeckeElem]] = {}
+        for (mu, row, col), entry in self.terms.items():
+            blocks.setdefault(mu, {})[row, col] = entry
         for mu, cells in blocks.items():
             if mu.d != d or mu.n != n:
                 raise ValueError(f"block {mu} does not fit level ({d},{n})")
-            m = mu.multiplicity()
-            if any(not (0 <= i < m and 0 <= j < m) for i, j in cells):
-                raise ValueError(f"block {mu} must be {m}x{m}")
+            chars = orbit_index(mu)
+            if any(row not in chars or col not in chars for row, col in cells):
+                raise ValueError(f"block {mu} has a row or column that is not a character of {mu}")
         self.blocks = blocks
 
     def _parent(self) -> tuple:
@@ -101,13 +103,13 @@ class BlockMatrix(Sparse):
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
         one = HeckeElem.one(n, d)
         levels = all_compositions(d, n)
-        return cls(d, n, {(mu, i, i): one for mu in levels for i in range(mu.multiplicity())})
+        return cls(d, n, {(mu, chi, chi): one for mu in levels for chi in orbit(mu)})
 
     def block(self, mu: Composition) -> Matrix:
         cells = self.blocks.get(mu, {})
         z = HeckeElem.zero(self.n, self.d)
-        m = mu.multiplicity()
-        return tuple(tuple(cells.get((i, j), z) for j in range(m)) for i in range(m))
+        chars = orbit(mu)
+        return tuple(tuple(cells.get((row, col), z) for col in chars) for row in chars)
 
     # -- algebra ----------------------------------------------------------------
 
@@ -119,7 +121,7 @@ class BlockMatrix(Sparse):
             b = other.blocks.get(mu)
             if b is None:
                 continue
-            rows: dict[int, list[tuple[int, HeckeElem]]] = {}
+            rows: dict[Character, list[tuple[Character, HeckeElem]]] = {}
             for (k, j), y in b.items():
                 rows.setdefault(k, []).append((j, y))
             for (i, k), x in a.items():
@@ -129,32 +131,29 @@ class BlockMatrix(Sparse):
 
 
 def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMatrix:
-    """The block matrix whose cell (mu, i, j) is the Hecke element with the
-    T-basis coefficients cells[(mu, i, j)]."""
+    """The block matrix whose cell (mu, row, col) is the Hecke element with
+    the T-basis coefficients cells[(mu, row, col)]."""
     return BlockMatrix(d, n, {key: HeckeElem(n, d, terms) for key, terms in cells.items()})
 
 
 def psi(x: YElem) -> BlockMatrix:
     """Decompose x into one matrix per composition.
 
-    Each idempotent-basis coefficient c on (chi_k, w) contributes
-    c * u^{-len(p)} T_p at entry (k, j) of the block comp(chi_k), where
-    j is the orbit index of w^{-1}(chi_k) and p = pi_k^{-1} w pi_j.
+    Each idempotent-basis coefficient c on (chi, w) contributes
+    c * u^{-len(p)} T_p at the cell (chi, w^{-1} chi) of the block comp(chi),
+    where p = pi_chi^{-1} w pi_{w^{-1} chi}.
     """
     return psi_from_e_coeffs(x.d, x.n, to_E_basis(x))
 
 
 @lru_cache(maxsize=4096)
 def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Cell, Perm, int]:
-    """Where psi puts E_chi gt_w: the cell (mu, k, j), the block permutation
-    p = pi_k^{-1} w pi_j and the u-exponent -len(p)."""
-    mu = comp_of(chi, d)
-    idx = orbit_index(mu)
-    k = idx[chi]
-    j = idx[act(inverse(w), chi)]
-    reps = coset_reps(mu)
-    p = compose(compose(inverse(reps[k]), w), reps[j])
-    return (mu, k, j), p, -length(p)
+    """Where psi puts E_chi gt_w: the cell (comp(chi), chi, col) with
+    col = w^{-1} chi, the block permutation p = pi_chi^{-1} w pi_col and the
+    u-exponent -len(p)."""
+    col = act(inverse(w), chi)
+    p = compose(compose(inverse(min_coset_rep(chi, d)), w), min_coset_rep(col, d))
+    return (comp_of(chi, d), chi, col), p, -length(p)
 
 
 def psi_from_e_coeffs(
@@ -203,8 +202,8 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
 
 
 def phi(M: BlockMatrix) -> YElem:
-    """Inverse of psi: entry (i, j) of block mu sends u^{-len(p)} T_p to the
-    single idempotent-basis element E_{chi_i} gt_{pi_i p pi_j^{-1}}."""
+    """Inverse of psi: the cell (mu, row, col) sends u^{-len(p)} T_p to the
+    single idempotent-basis element E_row gt_{pi_row p pi_col^{-1}}."""
     return from_E_basis(M.d, M.n, phi_to_e_coeffs(M))
 
 
@@ -213,15 +212,14 @@ def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     change of basis back to t-exponents.  Raises ValueError if an entry of
     block mu leaves the Young subgroup of mu."""
     eb: dict[tuple[Character, Perm], LPoly] = {}
-    for (mu, i, j), entry in M.terms.items():
-        reps = coset_reps(mu)
-        chi = orbit(mu)[i]
-        pj_inv = inverse(reps[j])
+    for (mu, row, col), entry in M.terms.items():
+        pi_row = min_coset_rep(row, mu.d)
+        pi_col_inv = inverse(min_coset_rep(col, mu.d))
         for p, c in entry.terms.items():
             if not in_young(p, mu):
                 raise ValueError(f"{p} is outside the Young subgroup of {mu}")
-            w = compose(compose(reps[i], p), pj_inv)
-            add_to(eb, (chi, w), c.shift(eu=length(p)))
+            w = compose(compose(pi_row, p), pi_col_inv)
+            add_to(eb, (row, w), c.shift(eu=length(p)))
     return eb
 
 
@@ -229,25 +227,23 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     """The level-(n+1) image of a level-n matrix tuple: what psi of the
     unframed-strand extension looks like, computed purely on the matrix side.
 
-    Block mu feeds each block mu^[a]; rows re-index by appending the letter a
-    to the row character, and entries conjugate by the relabeling cycle of
-    the letter-a block (length-preserving, so T-coefficients carry over).
+    Block mu feeds each block mu^[a]; the cell (mu, row, col) moves to
+    (mu^[a], row + (a,), col + (a,)), the letter a appended to both
+    characters, and entries conjugate by the relabeling cycle of the
+    letter-a block (length-preserving, so T-coefficients carry over).
     """
     d, n = M.d, M.n
     cells: dict[Cell, dict[Perm, LPoly]] = {}
     for mu, block in M.blocks.items():
-        orb = orbit(mu)
         for a in range(1, d + 1):
             mua = mu.bump(a)
-            idxa = orbit_index(mua)
-            rowmap = [idxa[chi + (a,)] for chi in orb]
             # relabeling cycle: position n+1 moves down to the end of the
             # letter-a block; positions p..n shift up by one.
             p = sum(mu.parts[:a]) + 1
             cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
             cyc_inv = inverse(cyc)
-            for (i, j), entry in block.items():
-                cell = cells.setdefault((mua, rowmap[i], rowmap[j]), {})
+            for (row, col), entry in block.items():
+                cell = cells.setdefault((mua, row + (a,), col + (a,)), {})
                 for w, c in entry.terms.items():
                     add_to(cell, compose(compose(cyc, extend(w, n + 1)), cyc_inv), c)
     return _from_cells(d, n + 1, cells)

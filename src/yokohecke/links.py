@@ -118,14 +118,20 @@ __all__ = [
 Token = tuple
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, as every count, index and exponent is."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FramedBraidWord:
     """A word in the framed braid group on ``n`` strands.
 
     ``tokens`` is a tuple of ``("sigma", i, sign)`` and
-    ``("frame", j, k)`` entries.  Index ranges are checked on
-    construction; framing exponents are stored as given (callers that
-    know ``d`` should reduce them, as :func:`parse_word` does).
+    ``("frame", j, k)`` entries.  ``n``, indices and exponents must be
+    ``int`` (not ``bool``), and index ranges are checked on construction;
+    framing exponents are stored as given (callers that know ``d`` should
+    reduce them, as :func:`parse_word` does).
 
     >>> FramedBraidWord(2, (("sigma", 1, 1), ("sigma", 1, 1), ("sigma", 1, 1))).n
     2
@@ -135,29 +141,26 @@ class FramedBraidWord:
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"strand count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
         for tok in self.tokens:
-            if not isinstance(tok, tuple) or not tok:
+            shaped = isinstance(tok, tuple) and len(tok) == 3 and tok[0] in ("sigma", "frame")
+            if not (shaped and _is_int(tok[1]) and _is_int(tok[2])):
                 raise ValueError(f"malformed token {tok!r}")
-            if tok[0] == "sigma":
-                if len(tok) != 3 or tok[2] not in (1, -1):
+            kind, i, k = tok
+            if kind == "sigma":
+                if k not in (1, -1):
                     raise ValueError(f"malformed token {tok!r}")
-                i = tok[1]
                 if not 1 <= i <= self.n - 1:
                     raise ValueError(
                         f"crossing index {i} out of range for {self.n} strands"
                     )
-            elif tok[0] == "frame":
-                if len(tok) != 3 or not isinstance(tok[2], int):
-                    raise ValueError(f"malformed token {tok!r}")
-                j = tok[1]
-                if not 1 <= j <= self.n:
-                    raise ValueError(
-                        f"framing index {j} out of range for {self.n} strands"
-                    )
-            else:
-                raise ValueError(f"malformed token {tok!r}")
+            elif not 1 <= i <= self.n:
+                raise ValueError(
+                    f"framing index {i} out of range for {self.n} strands"
+                )
 
     @property
     def is_framed(self) -> bool:

@@ -45,7 +45,6 @@ __all__ = [
     "orbit",
     "orbit_index",
     "min_coset_rep",
-    "coset_reps",
     "act",
     "in_young",
     "block_split",
@@ -273,15 +272,14 @@ def chi_one(mu: Composition) -> Character:
 
 @lru_cache(maxsize=None)
 def orbit(mu: Composition) -> tuple[Character, ...]:
-    """All characters with letter multiplicities mu, the sorted one first,
-    the others in ascending lexicographic order.
+    """All characters with letter multiplicities mu, in ascending
+    lexicographic order; the block-sorted chi_one(mu) is the least of them,
+    so it comes first.
 
     >>> orbit(Composition((1, 1)))
     ((1, 2), (2, 1))
     """
-    first = chi_one(mu)
-    rest = sorted(set(itertools.permutations(first)) - {first})
-    return (first,) + tuple(rest)
+    return tuple(sorted(set(itertools.permutations(chi_one(mu)))))
 
 
 @lru_cache(maxsize=None)
@@ -302,25 +300,21 @@ def act(w: Perm, chi: Character) -> Character:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def min_coset_rep(chi: Character, d: int) -> Perm:
     """The shortest permutation sending chi_one(comp_of(chi)) to chi.
 
     It sends the letter blocks, in order, to the positions of each letter
     taken in increasing order (a stable sort of the positions by letter),
     which keeps every letter block order-preserved; this is the distinguished (minimal
-    length) representative of the left coset pi * Stab(chi_one).
+    length) representative of the left coset pi * Stab(chi_one).  Memoized
+    in a fixed-size cache, which cannot grow with the d^n characters.
 
     >>> min_coset_rep((1, 2, 1, 1), 2)
     (1, 3, 4, 2)
     """
     comp_of(chi, d)  # checks every letter
     return tuple(sorted(range(1, len(chi) + 1), key=lambda j: chi[j - 1]))
-
-
-@lru_cache(maxsize=None)
-def coset_reps(mu: Composition) -> tuple[Perm, ...]:
-    """min_coset_rep for each orbit character, in orbit order (pi_1 = id first)."""
-    return tuple(min_coset_rep(chi, mu.d) for chi in orbit(mu))
 
 
 # --------------------------------------------------------------------------

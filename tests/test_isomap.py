@@ -11,7 +11,7 @@ from yokohecke.exactnum import LPoly
 from yokohecke.hecke import HeckeElem
 from yokohecke import isomap
 from yokohecke.isomap import BlockMatrix, block_traces, iota, phi, psi, psi_from_e_coeffs
-from yokohecke.permcomp import Composition, all_comp0, all_compositions
+from yokohecke.permcomp import Composition, all_comp0, all_compositions, chi_one, comp_of, orbit
 from yokohecke.yokonuma import YElem, from_E_basis, idempotent_Emu, to_E_basis, y_mul
 
 from test_yokonuma import all_characters, random_yelem
@@ -114,13 +114,47 @@ def test_psi_cell_cache_cold_and_warm_agree():
 
 def test_phi_rejects_entries_outside_the_young_subgroup():
     mu = Composition((2, 2))
-    inside = BlockMatrix(2, 4, {(mu, 0, 0): HeckeElem.gen(4, 1, 2)})
+    one = chi_one(mu)
+    inside = BlockMatrix(2, 4, {(mu, one, one): HeckeElem.gen(4, 1, 2)})
     phi(inside)
     # T_2 swaps strands 2 and 3 across the boundary of the (2, 2) blocks;
     # an entry from H_3 is not in S_4 at all
     for entry in (HeckeElem.gen(4, 2, 2), HeckeElem.gen(3, 1, 2)):
         with pytest.raises(ValueError, match="Young subgroup"):
-            phi(BlockMatrix(2, 4, {(mu, 0, 0): entry}))
+            phi(BlockMatrix(2, 4, {(mu, one, one): entry}))
+
+
+def test_psi_cells_are_addressed_by_characters_of_their_block():
+    rng = random.Random(19)
+    for d in (1, 2, 3):
+        for n in (2, 3):
+            for _ in range(4):
+                M = psi(random_yelem(rng, d, n, terms=4))
+                assert M.terms, (d, n)
+                for mu, row, col in M.terms:
+                    assert comp_of(row, d) == comp_of(col, d) == mu, (d, n, mu, row, col)
+
+
+def test_block_reads_its_cells_in_orbit_order():
+    rng = random.Random(23)
+    d, n = 2, 3
+    M = psi(random_yelem(rng, d, n, terms=6))
+    zero = HeckeElem.zero(n, d)
+    for mu in all_compositions(d, n):
+        chars = orbit(mu)
+        for k, row in enumerate(M.block(mu)):
+            for j, entry in enumerate(row):
+                assert entry == M.terms.get((mu, chars[k], chars[j]), zero), (mu, k, j)
+
+
+def test_block_matrix_rejects_a_character_of_another_composition():
+    mu = Composition((2, 1))
+    one, entry = chi_one(mu), HeckeElem.one(3, 2)
+    BlockMatrix(2, 3, {(mu, one, (1, 2, 1)): entry})
+    # (1, 2, 2) has composition (1, 2); (1, 1, 3) has a letter beyond d = 2
+    for cell in ((mu, one, (1, 2, 2)), (mu, (1, 2, 2), one), (mu, one, (1, 1, 3))):
+        with pytest.raises(ValueError, match="not a character of"):
+            BlockMatrix(2, 3, {cell: entry})
 
 
 def test_psi_is_linear():

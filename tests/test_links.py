@@ -88,11 +88,31 @@ def test_parse_word_errors():
 
 
 @pytest.mark.parametrize(
-    "token", [("sigma", 1), ("sigma", 1, 2), ("frame", 1, "x"), ("twist", 1, 1), "x"]
+    "token",
+    [
+        ("sigma", 1),
+        ("sigma", 1, 2),
+        ("frame", 1, "x"),
+        ("twist", 1, 1),
+        "x",
+        ("sigma", "a", 1),
+        ("sigma", 1.0, 1),
+        ("sigma", True, 1),
+        ("sigma", 1, True),
+        ("frame", 1, True),
+        ("frame", 1.0, 1),
+        ("frame", 1, 1.0),
+    ],
 )
 def test_framed_braid_word_rejects_malformed_tokens(token):
     with pytest.raises(ValueError, match="malformed token"):
         FramedBraidWord(3, (token,))
+
+
+@pytest.mark.parametrize("n", ["3", 2.0, True, None])
+def test_framed_braid_word_rejects_a_non_int_strand_count(n):
+    with pytest.raises(ValueError, match="strand count must be an integer"):
+        FramedBraidWord(n, ())
 
 
 def test_empty_word_is_identity_braid():
