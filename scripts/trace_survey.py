@@ -13,7 +13,6 @@ import itertools
 
 from yokohecke.links import jl_invariant, invariant_gamma, parse_word
 from yokohecke.traces import all_basic_specs, format_trace_spec
-from yokohecke.exactnum import LPoly
 
 CLOSURES = [
     ("unknot", "", 1),

@@ -15,7 +15,9 @@ three layers of that ring:
 * `Cyclo`: elements of the cyclotomic field Q(zeta_d) on the power basis
   1, zeta, ..., zeta^{phi(d)-1}, reduced modulo the minimal polynomial Phi_d
   (*not* modulo x^d - 1, so equality of field elements is equality of
-  coordinates).  The coordinates are stored as integer numerators over one
+  coordinates).  The reduction is one long division by the monic Phi_d,
+  the same division that builds Phi_d, so no table of x^m mod Phi_d is
+  kept.  The coordinates are stored as integer numerators over one
   shared denominator, so the 1/d of the idempotents costs a gcd per
   operation instead of a `Fraction` per coordinate; they read back as the
   rationals above;
@@ -114,25 +116,25 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
-            num = _exact_div(num, list(cyclotomic_polynomial(e)))
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(e))
+            if any(rem):  # pragma: no cover - Phi_e divides x^d - 1 for e | d
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(num)
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of integer polynomials known to divide exactly (ascending coeffs)."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
+def _poly_divmod(num: list[int], mono: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending coefficients)
+    by the monic `mono`; the remainder has exactly deg(mono) coefficients."""
+    top = len(mono) - 1
+    rem = list(num) + [0] * (top - len(num))
+    quot = [0] * (len(rem) - top)
     for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:  # pragma: no cover - division is always exact here
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        quot[k] = q
-        for j, dj in enumerate(den):
-            num[k + j] -= q * dj
-    if any(num):  # pragma: no cover
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
+        q = rem[k + top]
+        if q:
+            quot[k] = q
+            for j in range(top):
+                rem[k + j] -= q * mono[j]
+    return quot, rem[:top]
 
 
 def euler_phi(d: int) -> int:
@@ -142,35 +144,6 @@ def euler_phi(d: int) -> int:
     [1, 1, 2, 2, 4, 2, 6, 4]
     """
     return len(cyclotomic_polynomial(d)) - 1
-
-
-@lru_cache(maxsize=None)
-def _power_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    """Row m = coefficients of x^m mod Phi_d on the power basis, for m < d.
-
-    Covers every exponent produced either by zeta^s (s < d) or by products of
-    two reduced elements (degree <= 2 phi(d) - 2 <= 2(d-1) - 2 < d for d >= 2;
-    d = 1 has phi = 1 and only row 0 is ever used).
-    """
-    phi = euler_phi(d)
-    top = max(d, 2 * phi - 1)
-    rows: list[list[int]] = []
-    for m in range(top):
-        if m < phi:
-            row = [0] * phi
-            row[m] = 1
-        else:
-            # x^m = x * x^{m-1}, then fold the leading term with
-            # x^phi = -(Phi_d - x^phi).
-            prev = rows[m - 1]
-            row = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                mono = cyclotomic_polynomial(d)
-                for k in range(phi):
-                    row[k] -= lead * mono[k]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
 
 
 # --------------------------------------------------------------------------
@@ -341,20 +314,13 @@ def _eval_coords(order: int, coords) -> complex:
 
 @lru_cache(maxsize=None)
 def _zeta_pow(order: int, s: int) -> Cyclo:
-    return Cyclo(order, _power_rows(order)[s])
+    return _reduce(order, [0] * s + [1], 1)
 
 
 def _reduce(order: int, num: list[int], den: int) -> Cyclo:
     """The element (sum_m num[m] zeta^m) / den, reduced mod Phi_order onto
-    the power basis; `num` may run up to degree 2 phi(order) - 2."""
-    rows = _power_rows(order)
-    out = [0] * euler_phi(order)
-    for m, c in enumerate(num):
-        if c:
-            for k, r in enumerate(rows[m]):
-                if r:
-                    out[k] += c * r
-    return _cyclo(order, out, den)
+    the power basis."""
+    return _cyclo(order, _poly_divmod(num, cyclotomic_polynomial(order))[1], den)
 
 
 def root_power(d: int, a: int, s: int) -> Cyclo:

@@ -272,3 +272,31 @@ def test_entry_point_usage_exit():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert len(proc.stderr.decode().splitlines()) == 1
+
+
+def test_large_order_runs_in_small_memory():
+    # Q(zeta_4000) has phi = 1600.  A table of x^m mod Phi_d for m < d holds
+    # d * phi = 6.4 M ints and peaks past 100 MB; long division keeps none.
+    # The child reports the peak of its own address space (VmHWM, Linux):
+    # its ru_maxrss would also count this process's RSS at the spawn, which
+    # Linux carries across exec, and RUSAGE_CHILDREN here would keep the
+    # maximum over every earlier child of this process.
+    mu0 = ",".join(["1"] + ["0"] * 3999)
+    code = (
+        "import re, sys\n"
+        "from yokohecke import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "invariant", "--d", "4000", "--n", "2",
+         "--mu0", mu0, "--word", "1"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"1\n"
+    peak_kb = int(proc.stderr.decode().split()[-1])
+    assert peak_kb < 64 * 1024

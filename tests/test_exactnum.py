@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yokohecke.exactnum import Cyclo, LPoly, euler_phi, root_power
+from yokohecke.exactnum import Cyclo, LPoly, cyclotomic_polynomial, euler_phi, root_power
 
 # ---------------------------------------------------------------------------
 # cyclotomic scalars
@@ -30,6 +31,51 @@ def test_zeta_satisfies_minimal_polynomial():
         for k, c in enumerate(coeffs):
             acc = acc + Cyclo.zeta(d, k) * Fraction(int(c))
         assert acc.is_zero(), d
+
+
+X = sympy.Symbol("x")
+
+
+def _sympy_phi(d):
+    return sympy.Poly(sympy.cyclotomic_poly(d, X), X)
+
+
+def _ascending(poly, length):
+    """The integer coefficients of a sympy Poly, ascending, padded to length."""
+    coeffs = [int(c) for c in poly.all_coeffs()[::-1]]
+    return coeffs + [0] * (length - len(coeffs))
+
+
+def test_reduction_modulo_phi_against_sympy():
+    # Phi_d, zeta^s and products of random elements against sympy's
+    # remainders; s always includes phi(d), the first power that divides
+    rng = random.Random(15)
+    for d in range(1, 41):
+        phi_d = _sympy_phi(d)
+        phi = phi_d.degree()
+        assert cyclotomic_polynomial(d) == tuple(_ascending(phi_d, phi + 1)), d
+        powers = {0, phi, d - 1} | {rng.randrange(d) for _ in range(3)}
+        for s in powers:
+            rem = sympy.Poly(X**s, X).rem(phi_d)
+            assert Cyclo.zeta(d, s).num == tuple(_ascending(rem, phi)), (d, s)
+        for _ in range(10):
+            da, db = rng.randint(1, 6), rng.randint(1, 6)
+            na = [rng.randint(-9, 9) for _ in range(phi)]
+            nb = [rng.randint(-9, 9) for _ in range(phi)]
+            a = Cyclo(d, [Fraction(n, da) for n in na])
+            b = Cyclo(d, [Fraction(n, db) for n in nb])
+            prod = sympy.Poly(na[::-1], X) * sympy.Poly(nb[::-1], X)
+            rem = _ascending(prod.rem(phi_d), phi)
+            assert a * b == Cyclo(d, [Fraction(c, da * db) for c in rem]), (d, na, nb)
+
+
+def test_reduction_at_a_large_order():
+    # d = 4000, phi = 1600: zeta^{d-1} needs 2399 division steps
+    d = 4000
+    last = Cyclo.zeta(d, d - 1)
+    rem = sympy.Poly(X ** (d - 1), X).rem(_sympy_phi(d))
+    assert last.num == tuple(_ascending(rem, euler_phi(d)))
+    assert last * Cyclo.zeta(d) == Cyclo.one(d)
 
 
 def test_zeta_power_wraps_modulo_order():
@@ -110,29 +156,39 @@ rationals = st.fractions(
 )
 
 
+# phi = 1 (orders 1, 2), prime and composite orders
+ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+
+
 @st.composite
-def cyclos(draw, order=6):
+def cyclos(draw, k):
+    """k elements of Q(zeta_d) for one drawn order d."""
+    order = draw(st.sampled_from(ORDERS))
     phi = euler_phi(order)
-    coeffs = draw(st.lists(rationals, min_size=phi, max_size=phi))
-    return Cyclo(order, tuple(coeffs))
+    return [
+        Cyclo(order, tuple(draw(st.lists(rationals, min_size=phi, max_size=phi))))
+        for _ in range(k)
+    ]
 
 
-@given(cyclos(), cyclos(), cyclos())
+@given(cyclos(3))
 @settings(max_examples=60, deadline=None)
-def test_cyclo_ring_axioms(a, b, c):
+def test_cyclo_ring_axioms(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + Cyclo.zero(6) == a
-    assert a * Cyclo.one(6) == a
-    assert a - a == Cyclo.zero(6)
+    assert a + Cyclo.zero(a.order) == a
+    assert a * Cyclo.one(a.order) == a
+    assert a - a == Cyclo.zero(a.order)
 
 
-@given(cyclos(), cyclos(), rationals)
+@given(cyclos(2), rationals)
 @settings(max_examples=60, deadline=None)
-def test_cyclo_linear_ops_match_fraction_coordinates(a, b, q):
+def test_cyclo_linear_ops_match_fraction_coordinates(ab, q):
+    a, b = ab
     # numerators over a shared denominator give the coordinatewise results
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
@@ -140,12 +196,13 @@ def test_cyclo_linear_ops_match_fraction_coordinates(a, b, q):
     assert (a * q).coeffs == tuple(x * q for x in a.coeffs)
     for c in (a + b, a - b, a * b, a * q):
         assert math.gcd(c.den, *c.num) == 1 and c.den > 0
-        assert c == Cyclo(6, c.coeffs)
+        assert c == Cyclo(a.order, c.coeffs)
 
 
-@given(cyclos(), cyclos())
+@given(cyclos(2))
 @settings(max_examples=40, deadline=None)
-def test_cyclo_eval_complex_is_ring_map(a, b):
+def test_cyclo_eval_complex_is_ring_map(ab):
+    a, b = ab
     za, zb = a.eval_complex(), b.eval_complex()
     assert abs((a + b).eval_complex() - (za + zb)) < 1e-9
     assert abs((a * b).eval_complex() - za * zb) < 1e-9

@@ -49,10 +49,7 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_uses_every_import(name):
-    # MODULES holds no __init__: the package's own imports are re-exports
-    path = pathlib.Path(yokohecke.__path__[0]) / f"{name}.py"
+def _unused_imports(path: pathlib.Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {
         bound
@@ -61,4 +58,21 @@ def test_module_uses_every_import(name):
         for bound in _bound_names(node)
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - used) == []
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    # MODULES holds no __init__: the package's own imports are re-exports
+    assert _unused_imports(pathlib.Path(yokohecke.__path__[0]) / f"{name}.py") == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS_AND_TESTS = sorted(
+    str(p.relative_to(ROOT)) for d in ("scripts", "tests") for p in (ROOT / d).glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", SCRIPTS_AND_TESTS)
+def test_script_or_test_uses_every_import(path):
+    assert _unused_imports(ROOT / path) == []

@@ -17,7 +17,7 @@ from yokohecke.hecke import (
     markov_tau,
     tau_parabolic,
 )
-from yokohecke.permcomp import Composition, all_compositions, block_split, identity, length
+from yokohecke.permcomp import Composition, all_compositions, block_split, length
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "markov_tau_basis.txt"

@@ -20,7 +20,7 @@ from yokohecke.links import (
     underlying_perm,
 )
 from yokohecke.permcomp import Composition
-from yokohecke.traces import basic_spec, jl_spec, rho
+from yokohecke.traces import basic_spec, jl_spec
 from yokohecke.yokonuma import YElem, y_mul
 
 TREFOIL = "1 1 1"

@@ -9,7 +9,7 @@ import pytest
 
 from yokohecke import traces
 from yokohecke.exactnum import Cyclo, LPoly
-from yokohecke.hecke import HeckeElem, h_mul, loop_factor, markov_tau, tau_parabolic
+from yokohecke.hecke import HeckeElem, loop_factor, markov_tau, tau_parabolic
 from yokohecke.isomap import block_traces, psi
 from yokohecke.permcomp import Composition, all_comp0, all_compositions, identity
 from yokohecke.traces import (

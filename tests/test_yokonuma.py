@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from yokohecke.exactnum import Cyclo, LPoly, euler_phi, root_power
-from yokohecke.permcomp import Composition, act, all_compositions, identity, orbit
+from yokohecke.permcomp import act, all_compositions, identity, orbit
 from yokohecke.yokonuma import (
     YElem,
     e_basis_mul_basis,
