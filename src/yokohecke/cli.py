@@ -103,10 +103,10 @@ def _cmd_homflypt(args) -> int:
 
 
 def _cmd_jl(args) -> int:
-    subset = _parse_subset(args.S)
-    word = parse_word(args.word, args.n, args.d)
     if (args.q is None) != (args.z is None):
         raise _UsageError("--q and --z must be given together")
+    subset = _parse_subset(args.S)
+    word = parse_word(args.word, args.n, args.d)
     if args.q is not None:
         value = jl_numeric(word, args.d, subset, args.q, args.z, args.branch)
         print(format(value, ".12g"))

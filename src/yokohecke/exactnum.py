@@ -53,10 +53,10 @@ True
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
 
 __all__ = [
     "Coeff",
@@ -77,7 +77,7 @@ Rat = Fraction
 ExpKey = tuple[int, int, int]  # exponents of (u, v, g)
 
 
-def _rat(x) -> Union[int, Fraction]:
+def _rat(x) -> int | Fraction:
     """x as a stored rational: an int where it is integral, else a Fraction.
 
     Input that is neither an int nor a Fraction goes through `Fraction(x)`
@@ -169,7 +169,7 @@ class Cyclo:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Union[Rat, int]]):
+    def __init__(self, order: int, coeffs: Iterable[Rat | int]):
         coeffs = [_rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError(
@@ -192,7 +192,7 @@ class Cyclo:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_rat(cls, order: int, r: Union[Rat, int]) -> "Cyclo":
+    def from_rat(cls, order: int, r: Rat | int) -> "Cyclo":
         r = _rat(r)
         return _cyclo(order, [r.numerator] + [0] * (euler_phi(order) - 1), r.denominator)
 
@@ -223,7 +223,7 @@ class Cyclo:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_part(self) -> Union[Rat, int]:
+    def rational_part(self) -> Rat | int:
         """The value as a rational; error if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
@@ -248,7 +248,7 @@ class Cyclo:
     def __neg__(self) -> "Cyclo":
         return _cyclo(self.order, [-a for a in self.num], self.den)
 
-    def __mul__(self, other: Union["Cyclo", Rat, int]) -> "Cyclo":
+    def __mul__(self, other: Cyclo | Rat | int) -> "Cyclo":
         if not isinstance(other, Cyclo):
             q = _rat(other)
             return _cyclo(self.order, [a * q.numerator for a in self.num], self.den * q.denominator)
@@ -342,7 +342,7 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
 # polynomial coefficients
 # --------------------------------------------------------------------------
 
-Coeff = Union[int, Fraction, Cyclo]  # a coefficient of an LPoly
+Coeff = int | Fraction | Cyclo  # a coefficient of an LPoly
 
 
 def coeff(order: int, x) -> Coeff:
@@ -486,7 +486,7 @@ class Sparse:
 # sparse Laurent polynomials in u, v, g
 # --------------------------------------------------------------------------
 
-Scalar = Union[Cyclo, Rat, int]
+Scalar = Cyclo | Rat | int
 
 
 class LPoly(Sparse):

@@ -35,8 +35,8 @@ subgroup.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping
 
 from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import Composition, Perm, block_split, identity, reduced_word

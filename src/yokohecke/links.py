@@ -83,7 +83,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import Cyclo, LPoly, add_all
 from .hecke import HeckeElem, markov_tau
@@ -123,8 +123,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class FramedBraidWord:
+class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
     """A word in the framed braid group on ``n`` strands.
 
     ``tokens`` is a tuple of ``("sigma", i, sign)`` and
@@ -133,19 +132,20 @@ class FramedBraidWord:
     framing exponents are stored as given (callers that know ``d`` should
     reduce them, as :func:`parse_word` does).
 
+    An immutable named tuple of ``(n, tokens)``, like `permcomp.Composition`.
+
     >>> FramedBraidWord(2, (("sigma", 1, 1), ("sigma", 1, 1), ("sigma", 1, 1))).n
     2
     """
 
-    n: int
-    tokens: tuple[Token, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.n):
-            raise ValueError(f"strand count must be an integer, got {self.n!r}")
-        if self.n < 1:
+    def __new__(cls, n: int, tokens: tuple[Token, ...]):
+        if not _is_int(n):
+            raise ValueError(f"strand count must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("strand count must be at least 1")
-        for tok in self.tokens:
+        for tok in tokens:
             shaped = isinstance(tok, tuple) and len(tok) == 3 and tok[0] in ("sigma", "frame")
             if not (shaped and _is_int(tok[1]) and _is_int(tok[2])):
                 raise ValueError(f"malformed token {tok!r}")
@@ -153,14 +153,11 @@ class FramedBraidWord:
             if kind == "sigma":
                 if k not in (1, -1):
                     raise ValueError(f"malformed token {tok!r}")
-                if not 1 <= i <= self.n - 1:
-                    raise ValueError(
-                        f"crossing index {i} out of range for {self.n} strands"
-                    )
-            elif not 1 <= i <= self.n:
-                raise ValueError(
-                    f"framing index {i} out of range for {self.n} strands"
-                )
+                if not 1 <= i <= n - 1:
+                    raise ValueError(f"crossing index {i} out of range for {n} strands")
+            elif not 1 <= i <= n:
+                raise ValueError(f"framing index {i} out of range for {n} strands")
+        return super().__new__(cls, n, tokens)
 
     @property
     def is_framed(self) -> bool:

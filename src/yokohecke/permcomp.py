@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -155,15 +155,20 @@ def cycles(w: Perm) -> list[tuple[int, ...]]:
 # compositions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Composition:
-    """A d-tuple of non-negative integers summing to n (parts may be zero)."""
+class Composition(namedtuple("Composition", "parts")):
+    """A d-tuple of non-negative integers summing to n (parts may be zero).
 
-    parts: tuple[int, ...]
+    An immutable named tuple that equals, orders and hashes as the plain tuple
+    of its fields: ``Composition((1, 0)) == ((1, 0),)``.  Assigning a field
+    raises AttributeError; ``_make`` and ``_replace`` skip the check of ``__new__``.
+    """
 
-    def __post_init__(self):
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"negative part in {self.parts}")
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p < 0 for p in parts):
+            raise ValueError(f"negative part in {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def d(self) -> int:

@@ -33,10 +33,10 @@ Also here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Complex
-from typing import Iterable, Mapping
 
 from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
@@ -59,29 +59,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(namedtuple("TraceSpec", "d alphas")):
     """Coefficients of a Markov trace on the basic-trace basis.
 
     `alphas` maps compositions with parts in {0,1} (the supports) to LPoly
-    weights; missing keys mean weight zero.
+    weights; missing keys mean weight zero, and zero weights are dropped.
+
+    An immutable named tuple of ``(d, alphas)``, like `permcomp.Composition`,
+    but hashing raises TypeError, since `alphas` is a dict.
     """
 
-    d: int
-    alphas: Mapping[Composition, LPoly]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, d: int, alphas: Mapping[Composition, LPoly]):
         clean = {}
-        for mu0, a in self.alphas.items():
-            if mu0.d != self.d:
-                raise ValueError(f"support {mu0} has {mu0.d} parts, expected {self.d}")
+        for mu0, a in alphas.items():
+            if mu0.d != d:
+                raise ValueError(f"support {mu0} has {mu0.d} parts, expected {d}")
             if any(p not in (0, 1) for p in mu0.parts) or mu0.n == 0:
                 raise ValueError(f"{mu0} is not a nonzero 0/1 composition")
-            if a.order != self.d:
+            if a.order != d:
                 raise ValueError("alpha coefficients must live at cyclotomic order d")
             if not a.is_zero():
                 clean[mu0] = a
-        object.__setattr__(self, "alphas", clean)
+        return super().__new__(cls, d, clean)
 
     def weigh(self, per_block: Mapping[Composition, LPoly]) -> dict[Composition, LPoly]:
         """The nonzero alpha_{base(mu)} * value of each block mu of `per_block`
@@ -219,7 +220,4 @@ def semisimple_at(n: int, q=None) -> bool:
 def format_trace_spec(spec: TraceSpec) -> str:
     """Serialize as one line per stored support:
     `mu0 = (b_1,...,b_d) ; alpha = <polynomial>`."""
-    lines = []
-    for mu0 in sorted(spec.alphas, key=lambda c: c.parts):
-        lines.append(f"mu0 = {mu0} ; alpha = {spec.alphas[mu0].text()}")
-    return "\n".join(lines)
+    return "\n".join(f"mu0 = {mu0} ; alpha = {a.text()}" for mu0, a in sorted(spec.alphas.items()))

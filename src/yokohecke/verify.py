@@ -26,7 +26,7 @@ import cmath
 import itertools
 import math
 import random
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._golden import golden_checks
 from .exactnum import LPoly, add_to

@@ -36,8 +36,8 @@ over the cycles of w instead of its strands.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .exactnum import Cyclo, LPoly, Sparse, add_all, add_to, root_power
 from .permcomp import (

@@ -105,6 +105,23 @@ def test_jl_numeric_unknot(capsys):
     assert out == "1+0j\n"
 
 
+@pytest.mark.parametrize(
+    "branch, text",
+    [("1", "5.88771379522+3.60071850252j"), ("-1", "-5.88771379522-3.60071850252j")],
+    ids=["branch+1", "branch-1"],
+)
+def test_jl_numeric_hopf_link(capsys, branch, text):
+    # The Hopf link has two components, so the branch flips the sign.  Both
+    # texts are .12g of the value computed in mpmath at 60 digits.
+    code, out, err = run_main(
+        capsys,
+        "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1 1",
+        "--q", "0.3+0.4j", "--z", "0.2-0.1j", "--branch", branch,
+    )
+    assert (code, err) == (0, "")
+    assert out == text + "\n"
+
+
 def test_list_traces_golden(capsys):
     code, out, err = run_main(capsys, "list-traces", "--d", "2")
     assert code == 0
@@ -161,6 +178,8 @@ def test_usage_errors_exit_2(capsys):
         ("invariant", "--d", "2", "--n", "2", "--mu0", "1,1", "--all-basic",
          "--word", "1"),  # mutually exclusive
         ("jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1", "--q", "1.5"),
+        ("jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "0", "--q", "0.3"),
+        ("jl", "--d", "2", "--S", "x", "--n", "2", "--word", "1", "--q", "0.3"),
         ("verify", "--suite", "nope", "--d", "2", "--n", "2"),
         ("verify", "--suite", "markov", "--d", "9", "--n", "2"),
         ("list-traces", "--d", "0"),
@@ -272,6 +291,32 @@ def test_entry_point_usage_exit():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert len(proc.stderr.decode().splitlines()) == 1
+
+
+def test_commands_import_no_dataclasses_inspect_or_typing():
+    # Listed from the child's first statement on, so that whatever the
+    # interpreter loads at start-up is not counted.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from yokohecke import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert cli.main(argv.split('|')) == 0, argv\n"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    commands = [
+        "invariant|--d|3|--n|3|--all-basic|--word|1 t2^1 -2 1",
+        "jl|--d|2|--S|1,2|--n|2|--word|1 1",
+        "jl|--d|2|--S|1,2|--n|2|--word|1 1|--q|0.3+0.4j|--z|0.2-0.1j",
+        "homflypt|--n|3|--word|1 -2 1 -2",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *commands], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert {"yokohecke.cli", "yokohecke.links"} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"}), sorted(loaded)
 
 
 def test_large_order_runs_in_small_memory():

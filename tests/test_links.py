@@ -20,7 +20,7 @@ from yokohecke.links import (
     underlying_perm,
 )
 from yokohecke.permcomp import Composition
-from yokohecke.traces import basic_spec, jl_spec
+from yokohecke.traces import TraceSpec, basic_spec, jl_spec
 from yokohecke.yokonuma import YElem, y_mul
 
 TREFOIL = "1 1 1"
@@ -113,6 +113,32 @@ def test_framed_braid_word_rejects_malformed_tokens(token):
 def test_framed_braid_word_rejects_a_non_int_strand_count(n):
     with pytest.raises(ValueError, match="strand count must be an integer"):
         FramedBraidWord(n, ())
+
+
+def test_value_types_keep_repr_equality_hash_and_immutability():
+    def make():
+        return (
+            Composition((1, 0, 1)),
+            FramedBraidWord(2, (("sigma", 1, 1),)),
+            TraceSpec(2, {Composition((1, 0)): LPoly.one(2)}),
+        )
+
+    mu, word, spec = make()
+    assert repr(mu) == "Composition(parts=(1, 0, 1))"
+    assert repr(word) == "FramedBraidWord(n=2, tokens=(('sigma', 1, 1),))"
+    assert repr(spec) == "TraceSpec(d=2, alphas={Composition(parts=(1, 0)): <LPoly d=2: 1>})"
+    twins = make()
+    for value, twin in zip((mu, word, spec), twins):
+        assert value == twin and value is not twin
+    assert (hash(mu), hash(word)) == (hash(twins[0]), hash(twins[1]))
+    assert mu != Composition((1, 1, 0))
+    assert word != FramedBraidWord(3, (("sigma", 1, 1),))
+    assert spec != TraceSpec(2, {Composition((0, 1)): LPoly.one(2)})
+    for value, field in ((mu, "parts"), (word, "n"), (word, "tokens"), (spec, "alphas")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(TypeError):
+        hash(spec)  # its weights are a dict
 
 
 def test_empty_word_is_identity_braid():

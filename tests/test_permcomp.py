@@ -3,6 +3,7 @@
 import itertools
 from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,8 @@ def test_composition_base_and_multiplicity():
     # multiplicity: n! / prod(parts!)
     assert mu.multiplicity() == factorial(4) // (factorial(3) * factorial(1))
     assert Composition((2, 2)).multiplicity() == 6
+    with pytest.raises(ValueError, match=r"negative part in \(1, -1\)"):
+        Composition((1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_trace_spec_validation():
         TraceSpec(2, {Composition((2, 0)): LPoly.one(2)})  # parts must be 0/1
     with pytest.raises(ValueError):
         TraceSpec(2, {Composition((0, 0)): LPoly.one(2)})  # empty support
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"support \(1\) has 1 parts, expected 2"):
         TraceSpec(2, {Composition((1,)): LPoly.one(1)})  # wrong d
+    with pytest.raises(ValueError, match="cyclotomic order d"):
+        TraceSpec(2, {Composition((1, 0)): LPoly.one(3)})  # weight at the wrong order
     # zero weights are pruned
     spec = TraceSpec(
         2,
