@@ -16,11 +16,11 @@ three layers of that ring:
   1, zeta, ..., zeta^{phi(d)-1}, reduced modulo the minimal polynomial Phi_d
   (*not* modulo x^d - 1, so equality of field elements is equality of
   coordinates).  The reduction is one long division by the monic Phi_d,
-  the same division that builds Phi_d, so no table of x^m mod Phi_d is
-  kept.  The coordinates are stored as integer numerators over one
-  shared denominator, so the 1/d of the idempotents costs a gcd per
-  operation instead of a `Fraction` per coordinate; they read back as the
-  rationals above;
+  so no table of x^m mod Phi_d is kept; Phi_d itself is a Moebius product
+  of sparse binomials x^e - 1.  The coordinates are stored as integer
+  numerators over one shared denominator, so the 1/d of the idempotents
+  costs a gcd per operation instead of a `Fraction` per coordinate; they
+  read back as the rationals above;
 * `LPoly`: sparse Laurent polynomials in the three variables u, v, g keyed
   by integer exponent triples.  The coefficient kind follows from the
   order d alone: at d = 1, where Q(zeta_1) = Q, a coefficient is the
@@ -53,10 +53,11 @@ True
 from __future__ import annotations
 
 import cmath
+import itertools
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 __all__ = [
     "Coeff",
@@ -102,7 +103,12 @@ def _rat(x) -> int | Fraction:
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_d, ascending degree, monic.
 
-    Computed by exact division: Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
+    Computed as the Moebius product Phi_d = prod_{e | d} (x^e - 1)^{mu(d/e)}.
+    Only the squarefree t = d/e count, one per set of prime factors of d.
+    For d > 1 there are as many factors with mu = 1 as with mu = -1, so the
+    product is the same with every x^e - 1 written as 1 - x^e.  Each factor
+    is sparse: multiplying or dividing by it is one pass over the power
+    series mod x^{phi(d)+1}, which holds all of Phi_d.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -113,13 +119,33 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
-    num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(e))
-            if any(rem):  # pragma: no cover - Phi_e divides x^d - 1 for e | d
-                raise ArithmeticError("non-exact polynomial division")
-    return tuple(num)
+    if d == 1:
+        return (-1, 1)
+    primes = []
+    rest, p = d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    size = d
+    for p in primes:
+        size = size // p * (p - 1)
+    size += 1
+    series = [1] + [0] * (size - 1)
+    for chosen in itertools.product((False, True), repeat=len(primes)):
+        t = prod(p for p, c in zip(primes, chosen) if c)
+        e = d // t
+        if sum(chosen) % 2 == 0:  # mu(t) = 1: times 1 - x^e
+            for k in range(size - 1, e - 1, -1):
+                series[k] -= series[k - e]
+        else:  # mu(t) = -1: divided by 1 - x^e
+            for k in range(e, size):
+                series[k] += series[k - e]
+    return tuple(series)
 
 
 def _poly_divmod(num: list[int], mono: tuple[int, ...]) -> tuple[list[int], list[int]]:

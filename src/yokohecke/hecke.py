@@ -31,11 +31,19 @@ and the trace property followed by the Markov property gives
 
 `tau_parabolic` extends it multiplicatively over the blocks of a Young
 subgroup.
+
+`tau_word` is tau_n of the image of a braid word, T_{i_1}^{+-1} ... T_{i_k}^{+-1},
+at order 1: the 2-variable invariant that `links.homflypt` returns.  It runs
+the same reduction on packed Python ints instead of `HeckeElem`s and
+`LPoly`s, so the value equals `markov_tau` of the product, but no
+`HeckeElem` is built on the way.  `HeckeElem` and `markov_tau` stay as the
+reference it is tested against, and as the trace of `tau_parabolic`, which
+the oracle runs at every order d.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 from .exactnum import LPoly, Sparse, add_all, add_to
@@ -47,6 +55,7 @@ __all__ = [
     "loop_factor",
     "markov_tau",
     "tau_parabolic",
+    "tau_word",
 ]
 
 
@@ -193,6 +202,113 @@ def markov_tau(x: HeckeElem) -> LPoly:
             add_all(nxt, z.terms)
         n, terms = n - 1, nxt
     return terms.get(identity(n), LPoly.zero(x.order))
+
+
+# --------------------------------------------------------------------------
+# the packed-integer kernel: tau_n of the image of a braid word
+# --------------------------------------------------------------------------
+
+def _mul_packed(terms: dict, i: int, shift: int, minus_v: bool) -> dict:
+    """Right multiplication of packed terms by T_i, or by T_i - v if
+    `minus_v`.  A key is the one-line form of w followed by the class j
+    (see `tau_word`); `shift` is the slot width B, and c << B is U c.
+
+        ascent:   T_w T_i = T_{ws},        T_w (T_i - v) = T_{ws} - v T_w,
+        descent:  T_w T_i = U T_{ws} + v T_w,    T_w (T_i - v) = U T_{ws}.
+
+    v T_w keeps c as it is: the grading puts v on the coefficient.
+    """
+    out: dict = {}
+    get = out.get
+    for w, c in terms.items():
+        if not c:
+            continue
+        ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+        if w[i - 1] < w[i]:
+            out[ws] = get(ws, 0) + c
+            if minus_v:
+                out[w] = get(w, 0) - c
+        else:
+            out[ws] = get(ws, 0) + (c << shift)
+            if not minus_v:
+                out[w] = get(w, 0) + c
+    return out
+
+
+def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
+    """tau_n of the image T_{i_1}^{s_1} ... T_{i_k}^{s_k} in H_n of the word
+    of `crossings` ((i, s) pairs, s = 1 or -1), at order 1.
+
+    Equal to `markov_tau` of the product, computed on Python ints instead
+    of `LPoly`s.  With T_i^{-1} = u^{-2}(T_i - v) the factor u^{-2m}, m the
+    number of negative crossings, comes out in front, and what is left is
+    homogeneous of degree k = len(crossings) when deg T_w = len(w) and
+    deg u = deg v = 1.  So the coefficient of T_w is
+    sum_a c_a U^a v^{k - len(w) - 2a} with U = u^2, stored as the one int
+    sum_a c_a 2^{Ba} (a Kronecker substitution); the ring operations
+    become adds and shifts (`_mul_packed`).
+
+    The trace runs the reduction of `markov_tau` on these ints.  The loop
+    factor v^{-1} - U v^{-1} moves its second half up the grading by 2, so
+    a term is keyed by (w, j), j counting the U v^{-1} halves taken; the
+    degree of class j at the end is k - (n - 1) + 2j.
+
+    Every step at most doubles the l1 norm of all coefficients: k word
+    steps and at most n(n-1)/2 trace steps.  So every digit c_a has
+    |c_a| <= 2^{k + n(n-1)/2} < 2^{B-1} with B = k + n(n-1)/2 + 2, and
+    balanced digits decode the ints exactly.
+
+    >>> print(tau_word(2, [(1, 1)] * 3).text())
+    -1 * u^4 + 2 * u^2 + 1 * v^2
+    >>> tau_word(3, []) == markov_tau(HeckeElem.one(3))
+    True
+    """
+    k = len(crossings)
+    width = k + n * (n - 1) // 2 + 2
+    terms: dict = {identity(n) + (0,): 1}
+    for i, sign in crossings:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        terms = _mul_packed(terms, i, width, sign == -1)
+    top = n
+    while top > 1:
+        groups: dict[int, dict] = {}
+        for w, c in terms.items():
+            if c:
+                p = w.index(top) + 1
+                groups.setdefault(p, {})[w[: p - 1] + w[p:]] = c
+        nxt: dict = {}
+        get = nxt.get
+        for p, group in groups.items():
+            if p == top:
+                for a, c in group.items():
+                    up = a[:-1] + (a[-1] + 1,)
+                    nxt[a] = get(a, 0) + c
+                    nxt[up] = get(up, 0) - (c << width)
+                continue
+            for i in range(top - 2, p - 1, -1):
+                group = _mul_packed(group, i, width, False)
+            for a, c in group.items():
+                nxt[a] = get(a, 0) + c
+        top, terms = top - 1, nxt
+
+    m = sum(1 for _, sign in crossings if sign == -1)
+    full, half = 1 << width, 1 << (width - 1)
+    out: dict = {}
+    for (_, j), c in terms.items():  # the keys are (1, j) now
+        degree = k - (n - 1) + 2 * j
+        a = 0
+        while c:
+            digit = c & (full - 1)
+            if digit >= half:  # balanced: c_a in [-2^{B-1}, 2^{B-1})
+                digit -= full
+            if digit:
+                out[(2 * a - 2 * m, degree - 2 * a, 0)] = digit
+            c = (c - digit) >> width
+            a += 1
+    return LPoly(1, out)
 
 
 @lru_cache(maxsize=4096)

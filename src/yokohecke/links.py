@@ -5,8 +5,11 @@ A braid word on ``n`` strands is a sequence of tokens: crossings
 generators ``t_j^k`` (1 <= j <= n, k taken mod d).  The closure of the
 braid is the (framed) link whose invariants are computed here:
 
-* ``homflypt`` sends ``sigma_i -> T_i`` into the Iwahori-Hecke algebra
-  and applies the Markov trace ``markov_tau``.
+* ``homflypt`` is the Markov trace of the image of the word under
+  ``sigma_i -> T_i`` in the Iwahori-Hecke algebra: ``markov_tau o
+  delta_H`` as an identity.  It is computed by the packed-integer kernel
+  ``hecke.tau_word``, which builds no Hecke element; ``delta_H`` and
+  ``markov_tau`` are the reference the tests hold it to.
 * ``invariant_gamma`` is the Markov trace ``rho`` of a
   :class:`~yokohecke.traces.TraceSpec` applied to the image
   ``delta_gamma`` of the word in the Yokonuma-Hecke algebra, where
@@ -68,8 +71,9 @@ where ``c`` runs over the colourings of the components, ``mu0(c)`` is
 its letter set, ``e_c`` the signed count of crossings between strands of
 different colours, ``beta|_a`` the sub-braid of the crossings among the
 colour-``a`` strands (renumbered by rank) and ``P = markov_tau o
-delta_H`` the 2-variable invariant; ``c(j)`` is the colour of the strand
-at position ``j`` when the framing token occurs.  The colourings with
+delta_H`` the 2-variable invariant (computed by ``homflypt``);
+``c(j)`` is the colour of the strand at position ``j`` when the framing
+token occurs.  The colourings with
 ``mu_a`` strands of letter ``a`` make up the ``mu``-block contribution of
 ``invariant_contributions``.  Only colourings onto a support with nonzero
 ``alpha`` are evaluated: a support with more letters than the closure
@@ -86,7 +90,7 @@ import re
 from collections import namedtuple
 
 from .exactnum import Cyclo, LPoly, add_all
-from .hecke import HeckeElem, markov_tau
+from .hecke import HeckeElem, tau_word
 from .permcomp import (
     Composition,
     Perm,
@@ -241,6 +245,16 @@ def component_count(w: FramedBraidWord) -> int:
     return len(cycles(underlying_perm(w)))
 
 
+def _crossings(w: FramedBraidWord) -> list[tuple[int, int]]:
+    """The ``(i, sign)`` pairs of an unframed word, in word order.
+
+    Raises ``ValueError`` if the word carries framings.
+    """
+    if w.is_framed:
+        raise ValueError("framed word has no classical Hecke image")
+    return [tok[1:] for tok in w.tokens]
+
+
 def delta_H(w: FramedBraidWord) -> HeckeElem:
     """Image of an unframed braid word in the Iwahori-Hecke algebra.
 
@@ -250,11 +264,9 @@ def delta_H(w: FramedBraidWord) -> HeckeElem:
     >>> delta_H(parse_word("1 -1", 2, 1)) == HeckeElem.one(2)
     True
     """
-    if w.is_framed:
-        raise ValueError("framed word has no classical Hecke image")
     x = HeckeElem.one(w.n)
-    for tok in w.tokens:
-        x = x.mul_gen(tok[1], tok[2])
+    for i, sign in _crossings(w):
+        x = x.mul_gen(i, sign)
     return x
 
 
@@ -285,14 +297,17 @@ def delta_gamma(w: FramedBraidWord, d: int) -> YElem:
 def homflypt(w: FramedBraidWord) -> LPoly:
     """The 2-variable invariant of the closure of an unframed word.
 
-    Composes ``delta_H`` with the Markov trace of the Hecke algebra.
+    Equal to ``markov_tau(delta_H(w))``, the Markov trace of the image of
+    the word in the Hecke algebra, and computed by the packed-integer
+    kernel ``hecke.tau_word``; ``delta_H`` and ``markov_tau`` are its
+    reference.  Raises ``ValueError`` if the word carries framings.
 
     >>> print(homflypt(parse_word("1", 2, 1)).text())
     1
     >>> print(homflypt(parse_word("1 1 1", 2, 1)).text())
     -1 * u^4 + 2 * u^2 + 1 * v^2
     """
-    return markov_tau(delta_H(w))
+    return tau_word(w.n, _crossings(w))
 
 
 def _sublink_sums(

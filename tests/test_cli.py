@@ -2,12 +2,14 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from yokohecke.cli import main
 from yokohecke.verify import run_suite
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"
 PAIR_A_POLY = (
     "2 * u^4 * g^-4 - 8 * u^2 * g^-4 - 4 * v^2 * g^-4 + 8 * g^-4"
@@ -284,6 +286,14 @@ def test_entry_point_byte_determinism():
     assert first.stdout == second.stdout
     assert first.stdout.decode() == PAIR_A_POLY + "\n"
     assert first.stderr == b""
+
+
+def test_entry_point_homflypt_torus_golden():
+    # the same command and golden as the installed-package step of CI
+    word = " ".join(["1 2 3 4 5 6"] * 8)
+    proc = run_subprocess("homflypt", "--machine", "--n", "7", "--word", word)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "homflypt_torus_7_8.txt").read_bytes()
 
 
 def test_entry_point_usage_exit():

@@ -46,6 +46,13 @@ def _ascending(poly, length):
     return coeffs + [0] * (length - len(coeffs))
 
 
+def test_cyclotomic_polynomial_against_sympy():
+    # the Moebius product for every d <= 300, and at d = 12000, whose phi is 3200
+    for d in [*range(1, 301), 12000]:
+        expected = sympy.cyclotomic_poly(d, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(d) == tuple(int(c) for c in expected), d
+
+
 def test_reduction_modulo_phi_against_sympy():
     # Phi_d, zeta^s and products of random elements against sympy's
     # remainders; s always includes phi(d), the first power that divides

@@ -16,6 +16,7 @@ from yokohecke.hecke import (
     loop_factor,
     markov_tau,
     tau_parabolic,
+    tau_word,
 )
 from yokohecke.permcomp import Composition, all_compositions, block_split, length
 
@@ -218,6 +219,13 @@ def test_tau_key_product_identity():
     lhs = markov_tau(word)
     rhs = markov_tau(t_from_word(2, (1, 1, 1)))
     assert lhs == rhs * rhs
+
+
+def test_tau_word_rejects_bad_letters():
+    with pytest.raises(ValueError, match="generator index 3 out of range 1..2"):
+        tau_word(3, [(3, 1)])
+    with pytest.raises(ValueError, match="sign must be 1 or -1, got 2"):
+        tau_word(3, [(1, 2)])
 
 
 # ---------------------------------------------------------------------------

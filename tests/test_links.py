@@ -1,6 +1,7 @@
 """Braid words, closures, and the link invariants."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from yokohecke.permcomp import Composition
 from yokohecke.traces import TraceSpec, basic_spec, jl_spec
 from yokohecke.yokonuma import YElem, y_mul
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 TREFOIL = "1 1 1"
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"  # closes to L10a46
 PAIR_B = "-1 2 2 2 -1 -3 2 2 2 -3"  # closes to L10a110
@@ -230,6 +232,55 @@ def test_homflypt_small_closures():
     assert homflypt(parse_word(TREFOIL, 2, None)).text() == (
         "-1 * u^4 + 2 * u^2 + 1 * v^2"
     )
+
+
+def kernel_and_reference(text, n):
+    """homflypt (the packed-integer kernel) and markov_tau o delta_H."""
+    w = parse_word(text, n, None)
+    return homflypt(w), markov_tau(delta_H(w))
+
+
+def kernel_words():
+    """60 seeded words on 1-6 strands, with the edge cases spelled out."""
+    rng = random.Random(17)
+    words = [("", 1), ("", 2), ("", 5), ("-1 -1 -1", 2), ("-2 -1 -3 -2 -2 -3 -1", 4),
+             ("1 3 -5 3 1", 6), ("2 2 -4 2", 5), ("-3", 4)]
+    while len(words) < 60:
+        n = rng.randint(2, 6)
+        words.append((random_word(rng, n, rng.randrange(0, 15)), n))
+    return words
+
+
+def test_homflypt_kernel_matches_markov_tau_of_delta_H():
+    # n = 1, empty words, all-negative words and words that skip generators
+    # lead the list
+    for text, n in kernel_words():
+        kernel, reference = kernel_and_reference(text, n)
+        assert kernel == reference, (text, n)
+        assert kernel.text() == reference.text()
+
+
+@pytest.mark.parametrize(
+    "text, golden, widest",
+    [
+        (" ".join(["1 -2 3 -4 5 -6"] * 6), "homflypt_alternating_7.txt", 12),
+        (" ".join(["1 2 3 4 5 6"] * 8), "homflypt_torus_7_8.txt", 28),
+    ],
+    ids=["alternating-7", "torus-7-8"],
+)
+def test_homflypt_kernel_matches_markov_tau_on_7_strands(text, golden, widest):
+    # the goldens are markov_tau(delta_H(w)).machine_lines(), written once:
+    # that route takes about a second per word at 7 strands
+    kernel = homflypt(parse_word(text, 7, None))
+    assert kernel.machine_lines() == (GOLDEN / golden).read_text().splitlines()
+    assert max(abs(c) for c in kernel.terms.values()).bit_length() == widest
+
+
+def test_homflypt_rejects_framed_words_like_delta_H():
+    w = parse_word("t1^1 1", 2, None)
+    for route in (homflypt, delta_H):
+        with pytest.raises(ValueError, match="^framed word has no classical Hecke image$"):
+            route(w)
 
 
 def test_homflypt_markov_moves():
