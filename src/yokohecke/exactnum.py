@@ -148,19 +148,17 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(series)
 
 
-def _poly_divmod(num: list[int], mono: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (ascending coefficients)
-    by the monic `mono`; the remainder has exactly deg(mono) coefficients."""
+def _poly_rem(num: list[int], mono: tuple[int, ...]) -> list[int]:
+    """Remainder of an integer polynomial (ascending coefficients) by the
+    monic `mono`, with exactly deg(mono) coefficients."""
     top = len(mono) - 1
     rem = list(num) + [0] * (top - len(num))
-    quot = [0] * (len(rem) - top)
-    for k in range(len(quot) - 1, -1, -1):
+    for k in range(len(rem) - top - 1, -1, -1):
         q = rem[k + top]
         if q:
-            quot[k] = q
             for j in range(top):
                 rem[k + j] -= q * mono[j]
-    return quot, rem[:top]
+    return rem[:top]
 
 
 def euler_phi(d: int) -> int:
@@ -346,7 +344,7 @@ def _zeta_pow(order: int, s: int) -> Cyclo:
 def _reduce(order: int, num: list[int], den: int) -> Cyclo:
     """The element (sum_m num[m] zeta^m) / den, reduced mod Phi_order onto
     the power basis."""
-    return _cyclo(order, _poly_divmod(num, cyclotomic_polynomial(order))[1], den)
+    return _cyclo(order, _poly_rem(num, cyclotomic_polynomial(order)), den)
 
 
 def root_power(d: int, a: int, s: int) -> Cyclo:

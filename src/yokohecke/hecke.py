@@ -36,9 +36,10 @@ subgroup.
 at order 1: the 2-variable invariant that `links.homflypt` returns.  It runs
 the same reduction on packed Python ints instead of `HeckeElem`s and
 `LPoly`s, so the value equals `markov_tau` of the product, but no
-`HeckeElem` is built on the way.  `HeckeElem` and `markov_tau` stay as the
-reference it is tested against, and as the trace of `tau_parabolic`, which
-the oracle runs at every order d.
+`HeckeElem` is built on the way.  An int packs only the powers of U = u^2
+that descents bring; class j of a term adds U^j.  `HeckeElem` and
+`markov_tau` stay as the reference it is tested against, and as the trace
+of `tau_parabolic`, which the oracle runs at every order d.
 """
 
 from __future__ import annotations
@@ -248,10 +249,11 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     sum_a c_a 2^{Ba} (a Kronecker substitution); the ring operations
     become adds and shifts (`_mul_packed`).
 
-    The trace runs the reduction of `markov_tau` on these ints.  The loop
-    factor v^{-1} - U v^{-1} moves its second half up the grading by 2, so
-    a term is keyed by (w, j), j counting the U v^{-1} halves taken; the
-    degree of class j at the end is k - (n - 1) + 2j.
+    The trace runs the reduction of `markov_tau` on these ints.  A term is
+    keyed by (w, j), j counting the U v^{-1} halves of the loop factor
+    v^{-1} - U v^{-1} taken; that U^j is kept in j alone, so the int holds
+    only the U powers of descents, and digit a of class j at the end is
+    the coefficient of U^{a+j} v^{k - (n - 1) - 2a}.
 
     Every step at most doubles the l1 norm of all coefficients: k word
     steps and at most n(n-1)/2 trace steps.  So every digit c_a has
@@ -286,7 +288,7 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
                 for a, c in group.items():
                     up = a[:-1] + (a[-1] + 1,)
                     nxt[a] = get(a, 0) + c
-                    nxt[up] = get(up, 0) - (c << width)
+                    nxt[up] = get(up, 0) - c
                 continue
             for i in range(top - 2, p - 1, -1):
                 group = _mul_packed(group, i, width, False)
@@ -298,14 +300,13 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     full, half = 1 << width, 1 << (width - 1)
     out: dict = {}
     for (_, j), c in terms.items():  # the keys are (1, j) now
-        degree = k - (n - 1) + 2 * j
         a = 0
         while c:
             digit = c & (full - 1)
             if digit >= half:  # balanced: c_a in [-2^{B-1}, 2^{B-1})
                 digit -= full
             if digit:
-                out[(2 * a - 2 * m, degree - 2 * a, 0)] = digit
+                out[(2 * (a + j) - 2 * m, k - (n - 1) - 2 * a, 0)] = digit
             c = (c - digit) >> width
             a += 1
     return LPoly(1, out)

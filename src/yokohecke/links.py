@@ -71,7 +71,8 @@ where ``c`` runs over the colourings of the components, ``mu0(c)`` is
 its letter set, ``e_c`` the signed count of crossings between strands of
 different colours, ``beta|_a`` the sub-braid of the crossings among the
 colour-``a`` strands (renumbered by rank) and ``P = markov_tau o
-delta_H`` the 2-variable invariant (computed by ``homflypt``);
+delta_H`` the 2-variable invariant, computed by ``hecke.tau_word``
+straight from the sub-braid's crossings;
 ``c(j)`` is the colour of the strand at position ``j`` when the framing
 token occurs.  The colourings with
 ``mu_a`` strands of letter ``a`` make up the ``mu``-block contribution of
@@ -319,7 +320,8 @@ def _sublink_sums(
     set is one of ``supports`` (0/1 compositions) and adds
     ``(u g)^{e_c} * prod_a P(beta|_a) * prod xi_{c(strand)}^k`` to the
     composition ``mu`` counting the strands of each letter; see the module
-    docstring.  ``P`` is computed once per sub-braid, at order 1.
+    docstring.  ``P`` is computed once per sub-braid, at order 1, by
+    ``tau_word`` on the sub-braid's ``(rank, sign)`` crossings.
     """
     n = w.n
     comps = cycles(underlying_perm(w))
@@ -360,11 +362,10 @@ def _sublink_sums(
             if a != b:
                 e += sign
             else:
-                rank = col[: i - 1].count(a) + 1
-                sub[a].append(("sigma", rank, sign))
+                sub[a].append((col[: i - 1].count(a) + 1, sign))
             col[i - 1], col[i] = b, a
         root = sum((a - 1) * k for a, k in zip(colours, framing)) % d
-        braids = tuple(sorted((counts[a - 1], tuple(toks)) for a, toks in sub.items()))
+        braids = tuple(sorted((counts[a - 1], tuple(pairs)) for a, pairs in sub.items()))
         key = (tuple(counts), root, e, braids)
         seen[key] = seen.get(key, 0) + 1
 
@@ -375,7 +376,7 @@ def _sublink_sums(
         for braid in braids:
             p = memo.get(braid)
             if p is None:
-                p = memo[braid] = homflypt(FramedBraidWord(*braid))
+                p = memo[braid] = tau_word(*braid)
             val = val * p
         add_all(acc.setdefault((parts, root), {}), val.shift(eu=e, eg=e).terms)
 

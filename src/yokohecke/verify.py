@@ -49,6 +49,7 @@ __all__ = ["SuiteConfigError", "run_suite", "suite_names"]
 _DEFAULT_SEED = 20240801
 _MARKOV_ROUNDS = 10  # random elements per Markov condition and trace
 _JL_QZ_SAMPLES = 5  # random (q, z) points per numeric unknot check
+_JL_QZ_DRAWS = 20  # draws per point before an undefined unknot fails the check
 
 class SuiteConfigError(ValueError):
     """Raised for unknown suites or out-of-range (d, n)."""
@@ -197,8 +198,9 @@ def suite_jl(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
         return None if got == want else f"moment b={b}: {got.text()} != {want.text()}"
 
     def unknot_failure(subset) -> str | None:
-        """The numeric unknot at one random (q, z), redrawn until it is defined."""
-        while True:
+        """The numeric unknot at one random (q, z), redrawn while it is
+        undefined, at most `_JL_QZ_DRAWS` draws in all."""
+        for _ in range(_JL_QZ_DRAWS):
             q = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
             z = cmath.exp(2j * math.pi * rng.random()) * (0.6 + 0.8 * rng.random())
             try:
@@ -208,6 +210,7 @@ def suite_jl(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
             if abs(value - 1) > 1e-9:
                 return f"unknot value {value!r} at q={q!r}, z={z!r}"
             return None
+        return f"unknot undefined at {_JL_QZ_DRAWS} random (q, z) draws"
 
     results: list[Check] = []
     for subset in _subsets(d):

@@ -2,11 +2,14 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from yokohecke import verify
 from yokohecke.cli import main
+from yokohecke.hecke import loop_factor
 from yokohecke.verify import run_suite
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -161,6 +164,24 @@ def test_verify_jl_prints_only_pass_lines(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS jl-") for line in lines)
+
+
+def test_verify_jl_fails_when_the_unknot_is_never_defined(capsys, monkeypatch):
+    # an undefined value is redrawn a bounded number of times, then fails
+    calls = []
+
+    def undefined(*args):
+        calls.append(args)
+        raise ValueError("undefined")
+
+    monkeypatch.setattr(verify, "jl_numeric", undefined)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "verify", "--suite", "jl", "--d", "2", "--n", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and err == ""
+    failed = sorted(line.split(" : ")[0] for line in out.splitlines() if line.startswith("FAIL "))
+    assert failed == ["FAIL jl-unknot-S={1,2}", "FAIL jl-unknot-S={1}", "FAIL jl-unknot-S={2}"]
+    assert len(calls) == 3 * verify._JL_QZ_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +353,9 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
 def test_large_order_runs_in_small_memory():
     # Q(zeta_4000) has phi = 1600.  A table of x^m mod Phi_d for m < d holds
     # d * phi = 6.4 M ints and peaks past 100 MB; long division keeps none.
+    # The empty word on 300 strands is the loop factor to the 299th power:
+    # a packed Hecke kernel that keeps the loop's U in its ints as well as in
+    # its class keys grows them as n^3 bits (8 s and 130 MB at n = 200).
     # The child reports the peak of its own address space (VmHWM, Linux):
     # its ru_maxrss would also count this process's RSS at the spawn, which
     # Linux carries across exec, and RUSAGE_CHILDREN here would keep the
@@ -345,13 +369,15 @@ def test_large_order_runs_in_small_memory():
         "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "invariant", "--d", "4000", "--n", "2",
-         "--mu0", mu0, "--word", "1"],
-        capture_output=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"1\n"
-    peak_kb = int(proc.stderr.decode().split()[-1])
-    assert peak_kb < 64 * 1024
+    runs = [
+        (["invariant", "--d", "4000", "--n", "2", "--mu0", mu0, "--word", "1"], "1", 120),
+        (["homflypt", "--n", "300", "--word", ""], (loop_factor(1) ** 299).text(), 30),
+    ]
+    for argv, text, timeout in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, timeout=timeout
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == text + "\n"
+        peak_kb = int(proc.stderr.decode().split()[-1])
+        assert peak_kb < 64 * 1024, argv[0]

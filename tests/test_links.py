@@ -241,13 +241,19 @@ def kernel_and_reference(text, n):
 
 
 def kernel_words():
-    """60 seeded words on 1-6 strands, with the edge cases spelled out."""
+    """60 seeded words on 1-6 strands, with the edge cases spelled out, and
+    20 wide, sparse ones: 20-40 strands, at most 6 crossings, so most of
+    the trace is loop factors."""
     rng = random.Random(17)
     words = [("", 1), ("", 2), ("", 5), ("-1 -1 -1", 2), ("-2 -1 -3 -2 -2 -3 -1", 4),
              ("1 3 -5 3 1", 6), ("2 2 -4 2", 5), ("-3", 4)]
     while len(words) < 60:
         n = rng.randint(2, 6)
         words.append((random_word(rng, n, rng.randrange(0, 15)), n))
+    wide = random.Random(18)
+    while len(words) < 80:
+        n = wide.randint(20, 40)
+        words.append((random_word(wide, n, wide.randrange(0, 7)), n))
     return words
 
 
