@@ -37,15 +37,18 @@ at order 1: the 2-variable invariant that `links.homflypt` returns.  It runs
 the same reduction on packed Python ints instead of `HeckeElem`s and
 `LPoly`s, so the value equals `markov_tau` of the product, but no
 `HeckeElem` is built on the way.  An int packs only the powers of U = u^2
-that descents bring; class j of a term adds U^j.  `HeckeElem` and
-`markov_tau` stay as the reference it is tested against, and as the trace
-of `tau_parabolic`, which the oracle runs at every order d.
+that descents bring; a term counts the free loops it passes in its key,
+and their factor (v^{-1}(1 - U))^loops is applied once, at the end.
+`HeckeElem` and `markov_tau` stay as the reference it is tested against,
+and as the trace of `tau_parabolic`, which the oracle runs at every
+order d.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from math import comb
 
 from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
@@ -58,6 +61,11 @@ __all__ = [
     "tau_parabolic",
     "tau_word",
 ]
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool, as every count, index and exponent is."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=16)
@@ -211,7 +219,7 @@ def markov_tau(x: HeckeElem) -> LPoly:
 
 def _mul_packed(terms: dict, i: int, shift: int, minus_v: bool) -> dict:
     """Right multiplication of packed terms by T_i, or by T_i - v if
-    `minus_v`.  A key is the one-line form of w followed by the class j
+    `minus_v`.  A key is the one-line form of w followed by its loop count
     (see `tau_word`); `shift` is the slot width B, and c << B is U c.
 
         ascent:   T_w T_i = T_{ws},        T_w (T_i - v) = T_{ws} - v T_w,
@@ -250,13 +258,17 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     become adds and shifts (`_mul_packed`).
 
     The trace runs the reduction of `markov_tau` on these ints.  A term is
-    keyed by (w, j), j counting the U v^{-1} halves of the loop factor
-    v^{-1} - U v^{-1} taken; that U^j is kept in j alone, so the int holds
-    only the U powers of descents, and digit a of class j at the end is
-    the coefficient of U^{a+j} v^{k - (n - 1) - 2a}.
+    keyed by (w, loops), loops counting the free loops it has passed: a
+    level at which w fixes the top strand only adds one to the count, so
+    the int holds only the U powers of descents.  The loop factors are
+    applied at the end, (1 - U)^loops at once (each v^{-1} is in the v
+    exponent already, which every level lowers by one): digit c_a of a
+    term with `loops` loops adds (-1)^i C(loops, i) c_a to the coefficient
+    of U^{a+i} v^{k - (n - 1) - 2a}, for i = 0..loops.
 
-    Every step at most doubles the l1 norm of all coefficients: k word
-    steps and at most n(n-1)/2 trace steps.  So every digit c_a has
+    A word step or a descent step at most doubles the l1 norm of all
+    coefficients and a loop step keeps it: k word steps and at most
+    n(n-1)/2 trace steps.  So every digit c_a has
     |c_a| <= 2^{k + n(n-1)/2} < 2^{B-1} with B = k + n(n-1)/2 + 2, and
     balanced digits decode the ints exactly.
 
@@ -265,31 +277,35 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     >>> tau_word(3, []) == markov_tau(HeckeElem.one(3))
     True
     """
+    if not _is_int(n):
+        raise ValueError(f"strand count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
+    for i, sign in crossings:
+        if not _is_int(i):
+            raise ValueError(f"generator index must be an integer, got {i!r}")
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+        if not (_is_int(sign) and sign in (1, -1)):
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     k = len(crossings)
     width = k + n * (n - 1) // 2 + 2
     terms: dict = {identity(n) + (0,): 1}
     for i, sign in crossings:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, got {sign}")
         terms = _mul_packed(terms, i, width, sign == -1)
     top = n
     while top > 1:
         groups: dict[int, dict] = {}
+        nxt: dict = {}
+        get = nxt.get
         for w, c in terms.items():
             if c:
                 p = w.index(top) + 1
-                groups.setdefault(p, {})[w[: p - 1] + w[p:]] = c
-        nxt: dict = {}
-        get = nxt.get
+                if p == top:  # a free loop: count it, apply it at the end
+                    nxt[w[: p - 1] + (w[p] + 1,)] = c
+                else:
+                    groups.setdefault(p, {})[w[: p - 1] + w[p:]] = c
         for p, group in groups.items():
-            if p == top:
-                for a, c in group.items():
-                    up = a[:-1] + (a[-1] + 1,)
-                    nxt[a] = get(a, 0) + c
-                    nxt[up] = get(up, 0) - c
-                continue
             for i in range(top - 2, p - 1, -1):
                 group = _mul_packed(group, i, width, False)
             for a, c in group.items():
@@ -299,14 +315,16 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     m = sum(1 for _, sign in crossings if sign == -1)
     full, half = 1 << width, 1 << (width - 1)
     out: dict = {}
-    for (_, j), c in terms.items():  # the keys are (1, j) now
+    for (_, loops), c in terms.items():  # the keys are (1, loops) now
+        binomial = [(-1) ** i * comb(loops, i) for i in range(loops + 1)]
         a = 0
         while c:
             digit = c & (full - 1)
             if digit >= half:  # balanced: c_a in [-2^{B-1}, 2^{B-1})
                 digit -= full
-            if digit:
-                out[(2 * (a + j) - 2 * m, k - (n - 1) - 2 * a, 0)] = digit
+            for i, b in enumerate(binomial):  # times (1 - U)^loops
+                key = (2 * (a + i) - 2 * m, k - (n - 1) - 2 * a, 0)
+                out[key] = out.get(key, 0) + b * digit
             c = (c - digit) >> width
             a += 1
     return LPoly(1, out)

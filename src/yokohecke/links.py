@@ -91,7 +91,7 @@ import re
 from collections import namedtuple
 
 from .exactnum import Cyclo, LPoly, add_all
-from .hecke import HeckeElem, tau_word
+from .hecke import HeckeElem, _is_int, tau_word
 from .permcomp import (
     Composition,
     Perm,
@@ -121,11 +121,6 @@ __all__ = [
 
 # Tokens are ("sigma", i, sign) with sign in {1, -1}, or ("frame", j, k).
 Token = tuple
-
-
-def _is_int(x) -> bool:
-    """An int that is not a bool, as every count, index and exponent is."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
@@ -480,7 +475,7 @@ def jl_numeric(
     branch-independent.  Raises
     ``ValueError`` on an empty ``S`` (the check of ``jl_spec``), on
     vanishing denominators (``q * z`` included, when it underflows), on
-    non-finite ``q`` or ``z`` and on a non-finite result
+    non-finite ``q``, ``z`` or ``q * z`` and on a non-finite result
     (an overflow, or a power of ``v = 0`` below zero at ``q = 1``).
 
     >>> jl_numeric(parse_word("1", 2, 2), 2, {1}, float("nan"), 0.2)
@@ -499,6 +494,8 @@ def jl_numeric(
     qz = q * z
     if qz == 0:
         raise ValueError(f"q*z underflows to 0 at q={q}, z={z}")
+    if not cmath.isfinite(qz):
+        raise ValueError(f"q*z overflows at q={q}, z={z}")
     poly = jl_invariant(w, d, S)  # checks S before |S| is read below
     e_s = 1.0 / len(set(S))
     lam = (z + (1 - q) * e_s) / qz

@@ -9,7 +9,8 @@ import pytest
 
 from yokohecke import verify
 from yokohecke.cli import main
-from yokohecke.hecke import loop_factor
+from yokohecke.hecke import loop_factor, markov_tau
+from yokohecke.links import delta_H, parse_word
 from yokohecke.verify import run_suite
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -279,6 +280,15 @@ def test_jl_non_finite_value_exits_1(capsys):
     assert out == ""
     assert one_error_line(err), err
     assert "q=(1e-300+0j), z=(1e-300+0j)" in err, err
+    # q*z overflows to inf, where lambda would read as 0
+    code, out, err = run_main(
+        capsys,
+        "jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1",
+        "--q", "1e308", "--z", "1e308",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: q*z overflows at q=(1e+308+0j), z=(1e+308+0j)\n", err
 
 
 def test_success_writes_nothing_to_stderr(capsys):
@@ -350,12 +360,23 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
     assert loaded.isdisjoint({"dataclasses", "inspect", "typing"}), sorted(loaded)
 
 
+def split_part(text, n):
+    """markov_tau o delta_H of one part of a split union, on its own strands."""
+    return markov_tau(delta_H(parse_word(text, n, None)))
+
+
 def test_large_order_runs_in_small_memory():
     # Q(zeta_4000) has phi = 1600.  A table of x^m mod Phi_d for m < d holds
     # d * phi = 6.4 M ints and peaks past 100 MB; long division keeps none.
-    # The empty word on 300 strands is the loop factor to the 299th power:
-    # a packed Hecke kernel that keeps the loop's U in its ints as well as in
-    # its class keys grows them as n^3 bits (8 s and 130 MB at n = 200).
+    # The empty word on 300 strands is the loop factor to the 299th power.
+    # A packed Hecke kernel must count the free loops a term passes, not
+    # expand each one on the spot: expanded, a term grows to n keys, each
+    # copied again at each of the n levels.
+    # On 1000 strands, crossings on strands 1-3 and 999-1000 close to a
+    # split union of 997 parts (two sub-braids and 995 unknots), so the
+    # trace is the product of the two sub-braid traces and loop_factor **
+    # 996, one factor per part after the first; that closed form runs no
+    # wide reduction.
     # The child reports the peak of its own address space (VmHWM, Linux):
     # its ru_maxrss would also count this process's RSS at the spawn, which
     # Linux carries across exec, and RUSAGE_CHILDREN here would keep the
@@ -372,6 +393,9 @@ def test_large_order_runs_in_small_memory():
     runs = [
         (["invariant", "--d", "4000", "--n", "2", "--mu0", mu0, "--word", "1"], "1", 120),
         (["homflypt", "--n", "300", "--word", ""], (loop_factor(1) ** 299).text(), 30),
+        (["homflypt", "--n", "1000", "--word", "1 2 1 2 1 2 -999 -999 -999"],
+         (split_part("1 2 1 2 1 2", 3) * split_part("-1 -1 -1", 2)
+          * loop_factor(1) ** 996).text(), 30),
     ]
     for argv, text, timeout in runs:
         proc = subprocess.run(

@@ -226,6 +226,15 @@ def test_tau_word_rejects_bad_letters():
         tau_word(3, [(3, 1)])
     with pytest.raises(ValueError, match="sign must be 1 or -1, got 2"):
         tau_word(3, [(1, 2)])
+    # the strand count and the indices are checked as FramedBraidWord does
+    with pytest.raises(ValueError, match="^strand count must be at least 1$"):
+        tau_word(0, [])
+    with pytest.raises(ValueError, match="^generator index must be an integer, got True$"):
+        tau_word(2, [(True, 1)])
+    with pytest.raises(ValueError, match="^strand count must be an integer, got 2.0$"):
+        tau_word(2.0, [])
+    with pytest.raises(ValueError, match="^sign must be 1 or -1, got True$"):
+        tau_word(2, [(1, True)])
 
 
 # ---------------------------------------------------------------------------

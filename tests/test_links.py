@@ -242,8 +242,8 @@ def kernel_and_reference(text, n):
 
 def kernel_words():
     """60 seeded words on 1-6 strands, with the edge cases spelled out, and
-    20 wide, sparse ones: 20-40 strands, at most 6 crossings, so most of
-    the trace is loop factors."""
+    30 wide, sparse ones: 20 on 20-40 strands and 10 on 60-120, each with
+    at most 6 crossings, so most of the trace is loop factors."""
     rng = random.Random(17)
     words = [("", 1), ("", 2), ("", 5), ("-1 -1 -1", 2), ("-2 -1 -3 -2 -2 -3 -1", 4),
              ("1 3 -5 3 1", 6), ("2 2 -4 2", 5), ("-3", 4)]
@@ -254,6 +254,10 @@ def kernel_words():
     while len(words) < 80:
         n = wide.randint(20, 40)
         words.append((random_word(wide, n, wide.randrange(0, 7)), n))
+    wider = random.Random(19)
+    while len(words) < 90:
+        n = wider.randint(60, 120)
+        words.append((random_word(wider, n, wider.randrange(0, 7)), n))
     return words
 
 
