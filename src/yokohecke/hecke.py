@@ -52,6 +52,7 @@ from math import comb
 
 from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
+from .permcomp import _check_crossing, _check_strands
 
 __all__ = [
     "HeckeElem",
@@ -63,17 +64,8 @@ __all__ = [
 ]
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool, as every count, index and exponent is."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-@lru_cache(maxsize=16)
 def loop_factor(order: int) -> LPoly:
-    """v^{-1}(1 - u^2): the trace of 1 in H_2, i.e. the value of one free loop.
-
-    Cached per order; callers share the result, which no method mutates.
-    """
+    """v^{-1}(1 - u^2): the trace of 1 in H_2, i.e. the value of one free loop."""
     return LPoly.monomial(order, 1, 0, -1, 0) - LPoly.monomial(order, 1, 2, -1, 0)
 
 
@@ -144,10 +136,7 @@ class HeckeElem(Sparse):
         >>> HeckeElem.gen(2, 1).mul_gen(1, -1) == HeckeElem.one(2)
         True
         """
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        _check_crossing(self.n, i, sign)
         out: dict[Perm, LPoly] = {}
         for w, c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
@@ -266,30 +255,25 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
     term with `loops` loops adds (-1)^i C(loops, i) c_a to the coefficient
     of U^{a+i} v^{k - (n - 1) - 2a}, for i = 0..loops.
 
-    A word step or a descent step at most doubles the l1 norm of all
-    coefficients and a loop step keeps it: k word steps and at most
-    n(n-1)/2 trace steps.  So every digit c_a has
-    |c_a| <= 2^{k + n(n-1)/2} < 2^{B-1} with B = k + n(n-1)/2 + 2, and
-    balanced digits decode the ints exactly.
+    A word step or a descent at most doubles the l1 norm of all
+    coefficients; an ascent or a loop keeps it.  A level with p < top
+    starts a group at len(a) + (top - 1 - p) = len(w) - 1 (len(a) plus the
+    generators left); an ascent keeps that sum, either branch of a descent
+    lowers it by 1 at least, and the level ends on the next key's length.
+    So a term w after the word meets at most len(w) <= min(k, n(n-1)/2)
+    descents, |c_a| <= 2^{k + min(k, n(n-1)/2)} < 2^{B-1} with
+    B = k + min(k, n(n-1)/2) + 2, and balanced digits decode the ints exactly.
 
     >>> print(tau_word(2, [(1, 1)] * 3).text())
     -1 * u^4 + 2 * u^2 + 1 * v^2
     >>> tau_word(3, []) == markov_tau(HeckeElem.one(3))
     True
     """
-    if not _is_int(n):
-        raise ValueError(f"strand count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("strand count must be at least 1")
+    _check_strands(n)
     for i, sign in crossings:
-        if not _is_int(i):
-            raise ValueError(f"generator index must be an integer, got {i!r}")
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-        if not (_is_int(sign) and sign in (1, -1)):
-            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        _check_crossing(n, i, sign)
     k = len(crossings)
-    width = k + n * (n - 1) // 2 + 2
+    width = k + min(k, n * (n - 1) // 2) + 2
     terms: dict = {identity(n) + (0,): 1}
     for i, sign in crossings:
         terms = _mul_packed(terms, i, width, sign == -1)

@@ -91,7 +91,7 @@ import re
 from collections import namedtuple
 
 from .exactnum import Cyclo, LPoly, add_all
-from .hecke import HeckeElem, _is_int, tau_word
+from .hecke import HeckeElem, tau_word
 from .permcomp import (
     Composition,
     Perm,
@@ -101,6 +101,7 @@ from .permcomp import (
     identity,
     s_perm,
 )
+from .permcomp import _check_framing, _check_strands, _is_int
 from .traces import TraceSpec, jl_spec
 from .yokonuma import YElem
 
@@ -141,22 +142,18 @@ class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
     __slots__ = ()
 
     def __new__(cls, n: int, tokens: tuple[Token, ...]):
-        if not _is_int(n):
-            raise ValueError(f"strand count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError("strand count must be at least 1")
+        _check_strands(n)
         for tok in tokens:
             shaped = isinstance(tok, tuple) and len(tok) == 3 and tok[0] in ("sigma", "frame")
             if not (shaped and _is_int(tok[1]) and _is_int(tok[2])):
                 raise ValueError(f"malformed token {tok!r}")
             kind, i, k = tok
-            if kind == "sigma":
-                if k not in (1, -1):
-                    raise ValueError(f"malformed token {tok!r}")
-                if not 1 <= i <= n - 1:
-                    raise ValueError(f"crossing index {i} out of range for {n} strands")
-            elif not 1 <= i <= n:
-                raise ValueError(f"framing index {i} out of range for {n} strands")
+            if kind == "frame":
+                _check_framing(n, i, k)
+            elif k not in (1, -1):
+                raise ValueError(f"malformed token {tok!r}")
+            elif not 1 <= i <= n - 1:
+                raise ValueError(f"crossing index {i} out of range for {n} strands")
         return super().__new__(cls, n, tokens)
 
     @property
@@ -466,7 +463,8 @@ def jl_numeric(
 ) -> complex:
     """Numeric value of the normalised 2-variable invariant at ``(q, z)``.
 
-    Evaluates :func:`jl_invariant` at ``u = sqrt(q) * sqrt(lam)``,
+    Evaluates :func:`jl_invariant` in double precision (near ``q = 1``,
+    where terms cancel, it can lose every digit) at ``u = sqrt(q) * sqrt(lam)``,
     ``v = (q - 1) * sqrt(lam)``, ``gamma = 1 / sqrt(q)`` where
     ``lam = (z + (1 - q)/|S|) / (q z)``.  ``branch`` (+1 or -1) selects
     the square root of ``lam`` used consistently in both ``u`` and

@@ -58,6 +58,39 @@ Character = tuple[int, ...]
 # permutations
 # --------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, as every count, index and exponent is.
+    The `_check_*` functions below own every check of a generator step."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_strands(n) -> None:
+    if not _is_int(n):
+        raise ValueError(f"strand count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
+
+
+def _check_generator(n: int, i) -> None:
+    if not _is_int(i):
+        raise ValueError(f"generator index must be an integer, got {i!r}")
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+
+
+def _check_crossing(n: int, i, sign) -> None:
+    _check_generator(n, i)
+    if not (_is_int(sign) and sign in (1, -1)):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+
+
+def _check_framing(n: int, j, power) -> None:
+    if not (_is_int(j) and 1 <= j <= n):
+        raise ValueError(f"framing index {j!r} out of range for {n} strands")
+    if not _is_int(power):
+        raise ValueError(f"framing power must be an integer, got {power!r}")
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -68,8 +101,7 @@ def s_perm(n: int, i: int) -> Perm:
     >>> s_perm(4, 2)
     (1, 3, 2, 4)
     """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+    _check_generator(n, i)
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
@@ -275,7 +307,6 @@ def chi_one(mu: Composition) -> Character:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def orbit(mu: Composition) -> tuple[Character, ...]:
     """All characters with letter multiplicities mu, in ascending
     lexicographic order; the block-sorted chi_one(mu) is the least of them,

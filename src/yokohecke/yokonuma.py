@@ -50,6 +50,7 @@ from .permcomp import (
     orbit,
     reduced_word,
 )
+from .permcomp import _check_crossing, _check_framing, _check_generator
 
 __all__ = [
     "YElem",
@@ -118,8 +119,7 @@ class YElem(Sparse):
 
     def mul_t(self, j: int, power: int = 1) -> "YElem":
         """Right multiply by t_j^power: t^k gt_w t_j = t^{k + power.delta_{w(j)}} gt_w."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"framing index {j} out of range 1..{self.n}")
+        _check_framing(self.n, j, power)
         return self.mul_t_vector(tuple(power if m == j else 0 for m in range(1, self.n + 1)))
 
     def mul_t_vector(self, kv: tuple[int, ...]) -> "YElem":
@@ -148,8 +148,7 @@ class YElem(Sparse):
 
     def mul_e(self, i: int) -> "YElem":
         """Right multiply by e_i = (1/d) sum_s t_i^s t_{i+1}^{-s}."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"idempotent index {i} out of range 1..{self.n - 1}")
+        _check_generator(self.n, i)
         frac = Fraction(1, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
@@ -163,10 +162,7 @@ class YElem(Sparse):
             t^k gt_w gt_i^sign = t^k gt_{w s_i}        if len(w s_i) = len(w) + sign,
                                = t^k gt_{w s_i} + sign u^{-1} v t^k gt_w e_i   otherwise.
         """
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{self.n - 1}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        _check_crossing(self.n, i, sign)
         frac = Fraction(sign, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():

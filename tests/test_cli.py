@@ -376,7 +376,9 @@ def test_large_order_runs_in_small_memory():
     # split union of 997 parts (two sub-braids and 995 unknots), so the
     # trace is the product of the two sub-braid traces and loop_factor **
     # 996, one factor per part after the first; that closed form runs no
-    # wide reduction.
+    # wide reduction.  With crossings on strands 1-4 the union has 996
+    # parts.  The slot width of the packed kernel must follow the crossing
+    # count, not n(n-1)/2: at 1000 strands the latter is half a million bits.
     # The child reports the peak of its own address space (VmHWM, Linux):
     # its ru_maxrss would also count this process's RSS at the spawn, which
     # Linux carries across exec, and RUSAGE_CHILDREN here would keep the
@@ -396,6 +398,9 @@ def test_large_order_runs_in_small_memory():
         (["homflypt", "--n", "1000", "--word", "1 2 1 2 1 2 -999 -999 -999"],
          (split_part("1 2 1 2 1 2", 3) * split_part("-1 -1 -1", 2)
           * loop_factor(1) ** 996).text(), 30),
+        (["homflypt", "--n", "1000", "--word", "1 2 3 " * 8 + "-999 -999 -999"],
+         (split_part("1 2 3 " * 8, 4) * split_part("-1 -1 -1", 2)
+          * loop_factor(1) ** 995).text(), 30),
     ]
     for argv, text, timeout in runs:
         proc = subprocess.run(

@@ -1,12 +1,14 @@
 """Permutations in one-line notation, compositions, characters, cosets."""
 
 import itertools
+import re
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yokohecke.hecke import HeckeElem, tau_word
 from yokohecke.permcomp import (
     Composition,
     act,
@@ -28,6 +30,7 @@ from yokohecke.permcomp import (
     reduced_word,
     s_perm,
 )
+from yokohecke.yokonuma import YElem
 
 
 def all_perms(n):
@@ -243,3 +246,53 @@ def test_block_split_renumbers():
     mu2 = Composition((0, 3, 1))
     w2 = (3, 1, 2, 4)
     assert block_split(w2, mu2) == [(), (3, 1, 2), (1,)]
+
+
+# ---------------------------------------------------------------------------
+# one owner per generator-step check: every step raises the same ValueError
+# ---------------------------------------------------------------------------
+
+def _step_cases():
+    """Each generator step on 2 strands with a bool index, a float index, an
+    out-of-range index and a float sign or power, and the text it must raise."""
+    gens = {
+        "s_perm": lambda i, sign: s_perm(2, i),
+        "HeckeElem.gen": lambda i, sign: HeckeElem.gen(2, i),
+        "YElem.mul_e": lambda i, sign: YElem.one(2, 2).mul_e(i),
+    }
+    signed = {
+        "HeckeElem.mul_gen": lambda i, sign: HeckeElem.one(2).mul_gen(i, sign),
+        "YElem.mul_g": lambda i, sign: YElem.one(2, 2).mul_g(i, sign),
+        "YElem.mul_gtilde": lambda i, sign: YElem.one(2, 2).mul_gtilde(i, sign),
+        "tau_word": lambda i, sign: tau_word(2, [(i, sign)]),
+    }
+    framings = {
+        "YElem.mul_t": lambda j, power: YElem.one(2, 2).mul_t(j, power),
+        "YElem.t_elem": lambda j, power: YElem.t_elem(2, 2, j, power),
+    }
+    cases = []
+    for name, step in {**gens, **signed}.items():
+        cases += [
+            (name, step, (True, 1), "generator index must be an integer, got True"),
+            (name, step, (1.5, 1), "generator index must be an integer, got 1.5"),
+            (name, step, (2, 1), "generator index 2 out of range 1..1"),
+        ]
+        if name in signed:
+            cases.append((name, step, (1, -1.0), "sign must be 1 or -1, got -1.0"))
+    for name, step in framings.items():
+        cases += [
+            (name, step, (True, 1), "framing index True out of range for 2 strands"),
+            (name, step, (1.5, 1), "framing index 1.5 out of range for 2 strands"),
+            (name, step, (3, 1), "framing index 3 out of range for 2 strands"),
+            (name, step, (1, 1.0), "framing power must be an integer, got 1.0"),
+        ]
+    return [
+        pytest.param(step, args, text, id=f"{name}({args[0]},{args[1]})")
+        for name, step, args, text in cases
+    ]
+
+
+@pytest.mark.parametrize("step, args, text", _step_cases())
+def test_generator_steps_raise_the_owner_texts(step, args, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        step(*args)
