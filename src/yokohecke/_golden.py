@@ -163,7 +163,8 @@ def _expected(per_block) -> BlockMatrix:
     for mu_parts, entries in per_block.items():
         mu, chars = Composition(mu_parts), _CHARS[mu_parts]
         for r, c, code in entries:
-            terms[mu, chars[r - 1], chars[c - 1]] = _decode(code)
+            for p, coeff in _decode(code).terms.items():
+                terms[mu, chars[r - 1], chars[c - 1], p] = coeff
     return BlockMatrix(_D, _N, terms)
 
 
@@ -180,12 +181,12 @@ def _compare(name: str, x: YElem, expected: BlockMatrix) -> tuple[str, bool, str
     if actual == expected:
         return (name, True, "")
     zero = HeckeElem.zero(_N, _D)
-    cells = sorted(actual.terms.keys() | expected.terms.keys(),
+    blocks = (actual.blocks, expected.blocks)
+    cells = sorted({key[:3] for key in actual.terms.keys() | expected.terms.keys()},
                    key=lambda cell: (_MUS.index(cell[0].parts), cell[1], cell[2]))
-    for cell in cells:
-        got, exp = actual.terms.get(cell, zero), expected.terms.get(cell, zero)
+    for mu, row, col in cells:
+        got, exp = (b.get(mu, {}).get((row, col), zero) for b in blocks)
         if got != exp:
-            mu, row, col = cell
             return (name, False, f"block {mu} row {row} col {col}: {got!r} != {exp!r}")
 
 

@@ -34,9 +34,11 @@ Z[u^{+-1}, v^{+-1}, g^{+-1}]: only the 1/d of the idempotents e_i and the
 plain integer arithmetic.
 
 `LPoly` is built on `Sparse`, the finite linear combination over a basis
-that `HeckeElem`, `YElem` and `BlockMatrix` share as well; sums and products
-accumulate into plain dicts through `add_to` / `add_all` and wrap the result
-once, and `LPoly.sum` is that loop for a sum of polynomials.
+that the algebra elements share as well, each one flat dict of LPolys:
+`HeckeElem` keyed by w, `YElem` by (framings, w) and `BlockMatrix` by
+(mu, row, col, p), whose `HeckeElem` cells are built only on demand.  Sums
+and products accumulate into plain dicts through `add_to` / `add_all` and
+wrap the result once; `LPoly.sum` is that loop for a sum of polynomials.
 
 The variable names match the algebraic setup they feed: u and v are the
 Hecke-relation parameters (T_i^2 = u^2 + v T_i) and g is the extra framing

@@ -15,6 +15,10 @@ The two directions are
 
 inverse to each other; on the T basis the normalization is
 Tt_p = u^{-len(p)} T_p, so psi scales by u^{-len(p)} and phi by u^{+len(p)}.
+A `BlockMatrix` is flat: (mu, row, col, p) -> the LPoly coefficient of T_p
+in cell (mu, row, col).  psi, phi and iota map distinct keys to distinct
+keys, so each is one pass over the keys; `blocks` and `block(mu)` build
+`HeckeElem` cells on demand.
 
 `iota` is the embedding of the level-n matrix side into level n+1 induced by
 adding an unframed strand: the block mu spreads over the blocks mu^[a]
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, add_all, add_to
+from .exactnum import LPoly, Sparse, add_to
 from .hecke import HeckeElem, h_mul
 from .permcomp import (
     Character,
@@ -40,6 +44,7 @@ from .permcomp import (
     comp_of,
     compose,
     extend,
+    identity,
     in_young,
     inverse,
     length,
@@ -60,39 +65,38 @@ __all__ = [
 ]
 
 
-Matrix = tuple[tuple[HeckeElem, ...], ...]
-# A cell of block mu: (mu, row character, column character), both of composition mu.
-Cell = tuple[Composition, Character, Character]
+# A basis key (mu, row, col, p): T_p in the cell (row, col) of block mu.
+Key = tuple[Composition, Character, Character, Perm]
 
 
 class BlockMatrix(Sparse):
     """One m_mu x m_mu matrix of H^mu elements per composition mu.
 
-    Stored sparsely as a `Sparse` combination keyed by (mu, row, col), row
-    and col being characters of composition mu, over the nonzero cells only;
-    `blocks` groups those cells by composition ({mu: {(row, col): entry}},
-    nonzero blocks only) and `block(mu)` gives the dense view in `orbit(mu)`
-    order.  Entries are
-    HeckeElem of size n whose basis permutations preserve the mu-blocks;
-    `phi` checks that on input from outside, and `tau_parabolic` on traces.
+    Stored flat, like `YElem`: a `Sparse` combination {(mu, row, col, p):
+    coefficient of T_p in cell (mu, row, col)}, with row and col characters
+    of composition mu and p in S_n, as the constructor checks for every
+    key.  `blocks` ({mu: {(row, col): entry}}, nonzero blocks only) and
+    `block(mu)` (the dense view in `orbit(mu)` order) build the HeckeElem
+    entries on demand.  That p preserves the mu-blocks is checked by `phi`
+    on input from outside, and by `tau_parabolic` on traces.
     """
 
-    __slots__ = ("d", "n", "blocks")
+    __slots__ = ("d", "n")
 
-    def __init__(self, d: int, n: int, terms: dict[Cell, HeckeElem] | None = None):
-        self.d = d
-        self.n = n
+    def __init__(self, d: int, n: int, terms: dict[Key, LPoly] | None = None):
+        self.d, self.n = d, n
         Sparse.__init__(self, terms)
-        blocks: dict[Composition, dict[tuple[Character, Character], HeckeElem]] = {}
-        for (mu, row, col), entry in self.terms.items():
-            blocks.setdefault(mu, {})[row, col] = entry
-        for mu, cells in blocks.items():
-            if mu.d != d or mu.n != n:
-                raise ValueError(f"block {mu} does not fit level ({d},{n})")
-            chars = orbit_index(mu)
-            if any(row not in chars or col not in chars for row, col in cells):
+        chars_of: dict[Composition, dict[Character, int]] = {}
+        for mu, row, col, p in self.terms:
+            chars = chars_of.get(mu)
+            if chars is None:
+                if mu.d != d or mu.n != n:
+                    raise ValueError(f"block {mu} does not fit level ({d},{n})")
+                chars = chars_of[mu] = orbit_index(mu)
+            if row not in chars or col not in chars:
                 raise ValueError(f"block {mu} has a row or column that is not a character of {mu}")
-        self.blocks = blocks
+            if len(p) != n:
+                raise ValueError(f"permutation {p} is not in S_{n}")
 
     def _parent(self) -> tuple:
         return (self.d, self.n)
@@ -101,14 +105,19 @@ class BlockMatrix(Sparse):
 
     @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
-        one = HeckeElem.one(n, d)
-        levels = all_compositions(d, n)
-        return cls(d, n, {(mu, chi, chi): one for mu in levels for chi in orbit(mu)})
+        one, e, levels = LPoly.one(d), identity(n), all_compositions(d, n)
+        return cls(d, n, {(mu, chi, chi, e): one for mu in levels for chi in orbit(mu)})
 
-    def block(self, mu: Composition) -> Matrix:
-        cells = self.blocks.get(mu, {})
-        z = HeckeElem.zero(self.n, self.d)
-        chars = orbit(mu)
+    @property
+    def blocks(self) -> dict[Composition, dict[tuple[Character, Character], HeckeElem]]:
+        cells: dict[Composition, dict[tuple[Character, Character], dict[Perm, LPoly]]] = {}
+        for (mu, row, col, p), c in self.terms.items():
+            cells.setdefault(mu, {}).setdefault((row, col), {})[p] = c
+        return {mu: {rc: HeckeElem(self.n, self.d, t) for rc, t in block.items()}
+                for mu, block in cells.items()}
+
+    def block(self, mu: Composition) -> tuple[tuple[HeckeElem, ...], ...]:
+        cells, z, chars = self.blocks.get(mu, {}), HeckeElem.zero(self.n, self.d), orbit(mu)
         return tuple(tuple(cells.get((row, col), z) for col in chars) for row in chars)
 
     # -- algebra ----------------------------------------------------------------
@@ -116,24 +125,16 @@ class BlockMatrix(Sparse):
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
         """Blockwise matrix product (absent blocks multiply to absent)."""
         self._check(other)
-        cells: dict[Cell, dict[Perm, LPoly]] = {}
+        other_blocks, terms = other.blocks, {}
         for mu, a in self.blocks.items():
-            b = other.blocks.get(mu)
-            if b is None:
-                continue
             rows: dict[Character, list[tuple[Character, HeckeElem]]] = {}
-            for (k, j), y in b.items():
+            for (k, j), y in other_blocks.get(mu, {}).items():
                 rows.setdefault(k, []).append((j, y))
             for (i, k), x in a.items():
                 for j, y in rows.get(k, ()):
-                    add_all(cells.setdefault((mu, i, j), {}), h_mul(x, y).terms)
-        return _from_cells(self.d, self.n, cells)
-
-
-def _from_cells(d: int, n: int, cells: dict[Cell, dict[Perm, LPoly]]) -> BlockMatrix:
-    """The block matrix whose cell (mu, row, col) is the Hecke element with
-    the T-basis coefficients cells[(mu, row, col)]."""
-    return BlockMatrix(d, n, {key: HeckeElem(n, d, terms) for key, terms in cells.items()})
+                    for p, c in h_mul(x, y).terms.items():
+                        add_to(terms, (mu, i, j, p), c)
+        return BlockMatrix(self.d, self.n, terms)
 
 
 def psi(x: YElem) -> BlockMatrix:
@@ -147,13 +148,13 @@ def psi(x: YElem) -> BlockMatrix:
 
 
 @lru_cache(maxsize=4096)
-def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Cell, Perm, int]:
-    """Where psi puts E_chi gt_w: the cell (comp(chi), chi, col) with
-    col = w^{-1} chi, the block permutation p = pi_chi^{-1} w pi_col and the
-    u-exponent -len(p)."""
+def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Key, int]:
+    """Where psi puts E_chi gt_w: the key (comp(chi), chi, col, p) with
+    col = w^{-1} chi and the block permutation p = pi_chi^{-1} w pi_col,
+    and the u-exponent -len(p)."""
     col = act(inverse(w), chi)
     p = compose(compose(inverse(min_coset_rep(chi, d)), w), min_coset_rep(col, d))
-    return (comp_of(chi, d), chi, col), p, -length(p)
+    return (comp_of(chi, d), chi, col, p), -length(p)
 
 
 def psi_from_e_coeffs(
@@ -162,16 +163,14 @@ def psi_from_e_coeffs(
     """psi applied to an element given directly by idempotent-basis
     coefficients, skipping the change of basis from t-exponents.
 
-    The index map (d, chi, w) -> (cell, p, -len(p)) is pure permutation
+    One pass: each key (chi, w) goes to its own flat key (mu, chi, col, p),
+    its coefficient times u^{-len(p)}.  That key map is pure permutation
     combinatorics, so `_psi_cell` memoizes it in a fixed-size cache; 4096
     entries hold every basis key of the largest `verify` level
     (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.
     """
-    cells: dict[Cell, dict[Perm, LPoly]] = {}
-    for (chi, w), c in eb.items():
-        cell, p, eu = _psi_cell(d, chi, w)
-        add_to(cells.setdefault(cell, {}), p, c.shift(eu=eu))
-    return _from_cells(d, n, cells)
+    keys = ((_psi_cell(d, chi, w), c) for (chi, w), c in eb.items())
+    return BlockMatrix(d, n, {key: c.shift(eu=eu) if eu else c for (key, eu), c in keys})
 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
@@ -192,7 +191,7 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
     wanted: dict[Composition, bool] = {}  # decided once per block
     diag: dict[Composition, dict[Perm, LPoly]] = {}
     for (chi, w), c in fixed_E_coeffs(x, letters).items():
-        (mu, _, _), p, eu = _psi_cell(x.d, chi, w)
+        (mu, _, _, p), eu = _psi_cell(x.d, chi, w)
         if mu not in wanted:
             wanted[mu] = supports is None or mu.base() in supports
         if wanted[mu]:
@@ -212,14 +211,11 @@ def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     change of basis back to t-exponents.  Raises ValueError if an entry of
     block mu leaves the Young subgroup of mu."""
     eb: dict[tuple[Character, Perm], LPoly] = {}
-    for (mu, row, col), entry in M.terms.items():
-        pi_row = min_coset_rep(row, mu.d)
-        pi_col_inv = inverse(min_coset_rep(col, mu.d))
-        for p, c in entry.terms.items():
-            if not in_young(p, mu):
-                raise ValueError(f"{p} is outside the Young subgroup of {mu}")
-            w = compose(compose(pi_row, p), pi_col_inv)
-            add_to(eb, (row, w), c.shift(eu=length(p)))
+    for (mu, row, col, p), c in M.terms.items():
+        if not in_young(p, mu):
+            raise ValueError(f"{p} is outside the Young subgroup of {mu}")
+        w = compose(compose(min_coset_rep(row, mu.d), p), inverse(min_coset_rep(col, mu.d)))
+        eb[row, w] = c.shift(eu=length(p))
     return eb
 
 
@@ -227,23 +223,24 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     """The level-(n+1) image of a level-n matrix tuple: what psi of the
     unframed-strand extension looks like, computed purely on the matrix side.
 
-    Block mu feeds each block mu^[a]; the cell (mu, row, col) moves to
-    (mu^[a], row + (a,), col + (a,)), the letter a appended to both
-    characters, and entries conjugate by the relabeling cycle of the
-    letter-a block (length-preserving, so T-coefficients carry over).
+    Block mu feeds each block mu^[a]: the key (mu, row, col, w) moves to
+    (mu^[a], row + (a,), col + (a,), cyc w cyc^{-1}), cyc the relabeling
+    cycle of the letter-a block (length-preserving, so T-coefficients carry
+    over); each conjugate is computed once per (mu, a, w).
     """
     d, n = M.d, M.n
-    cells: dict[Cell, dict[Perm, LPoly]] = {}
-    for mu, block in M.blocks.items():
-        for a in range(1, d + 1):
-            mua = mu.bump(a)
-            # relabeling cycle: position n+1 moves down to the end of the
-            # letter-a block; positions p..n shift up by one.
-            p = sum(mu.parts[:a]) + 1
-            cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
-            cyc_inv = inverse(cyc)
-            for (row, col), entry in block.items():
-                cell = cells.setdefault((mua, row + (a,), col + (a,)), {})
-                for w, c in entry.terms.items():
-                    add_to(cell, compose(compose(cyc, extend(w, n + 1)), cyc_inv), c)
-    return _from_cells(d, n + 1, cells)
+    moved: dict[tuple[Composition, Perm], list[tuple[int, Composition, Perm]]] = {}
+    terms: dict[Key, LPoly] = {}
+    for (mu, row, col, w), c in M.terms.items():
+        if (mu, w) not in moved:
+            moved[mu, w] = []
+            for a in range(1, d + 1):
+                # relabeling cycle: position n+1 moves down to the end of
+                # the letter-a block; positions p..n shift up by one.
+                p = sum(mu.parts[:a]) + 1
+                cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
+                conj = compose(compose(cyc, extend(w, n + 1)), inverse(cyc))
+                moved[mu, w].append((a, mu.bump(a), conj))
+        for a, mua, conj in moved[mu, w]:
+            terms[mua, row + (a,), col + (a,), conj] = c
+    return BlockMatrix(d, n + 1, terms)

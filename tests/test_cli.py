@@ -147,6 +147,14 @@ def test_verify_passes_and_prints_lines(capsys):
 
 
 def test_verify_iso_small(capsys):
+    code, out, err = run_main(capsys, "verify", "--suite", "iso", "--d", "2", "--n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    assert "PASS iso-embed-d2-n3" in lines
+
+
+def test_verify_schur_small(capsys):
     code, out, err = run_main(capsys, "verify", "--suite", "schur", "--d", "2", "--n", "2")
     assert code == 0
     assert all(line.startswith("PASS ") for line in out.splitlines())

@@ -91,8 +91,13 @@ def test_phi_psi_round_trip_random_elements():
 
 
 def cell_terms(M):
-    """A plain copy of every cell's T-basis coefficients."""
-    return {key: dict(entry.terms) for key, entry in M.terms.items()}
+    """A plain copy of every key's coefficient terms."""
+    return {key: dict(c.terms) for key, c in M.terms.items()}
+
+
+def flat(mu, row, col, entry):
+    """The flat terms of a block matrix whose one cell holds `entry`."""
+    return {(mu, row, col, p): c for p, c in entry.terms.items()}
 
 
 def test_psi_cell_cache_cold_and_warm_agree():
@@ -115,13 +120,14 @@ def test_psi_cell_cache_cold_and_warm_agree():
 def test_phi_rejects_entries_outside_the_young_subgroup():
     mu = Composition((2, 2))
     one = chi_one(mu)
-    inside = BlockMatrix(2, 4, {(mu, one, one): HeckeElem.gen(4, 1, 2)})
+    inside = BlockMatrix(2, 4, flat(mu, one, one, HeckeElem.gen(4, 1, 2)))
     phi(inside)
-    # T_2 swaps strands 2 and 3 across the boundary of the (2, 2) blocks;
-    # an entry from H_3 is not in S_4 at all
-    for entry in (HeckeElem.gen(4, 2, 2), HeckeElem.gen(3, 1, 2)):
-        with pytest.raises(ValueError, match="Young subgroup"):
-            phi(BlockMatrix(2, 4, {(mu, one, one): entry}))
+    # T_2 swaps strands 2 and 3 across the boundary of the (2, 2) blocks
+    with pytest.raises(ValueError, match="Young subgroup"):
+        phi(BlockMatrix(2, 4, flat(mu, one, one, HeckeElem.gen(4, 2, 2))))
+    # an entry from H_3 is not in S_4 at all: the constructor rejects its key
+    with pytest.raises(ValueError, match="not in S_4"):
+        phi(BlockMatrix(2, 4, flat(mu, one, one, HeckeElem.gen(3, 1, 2))))
 
 
 def test_psi_cells_are_addressed_by_characters_of_their_block():
@@ -131,30 +137,51 @@ def test_psi_cells_are_addressed_by_characters_of_their_block():
             for _ in range(4):
                 M = psi(random_yelem(rng, d, n, terms=4))
                 assert M.terms, (d, n)
-                for mu, row, col in M.terms:
+                for mu, row, col, _ in M.terms:
                     assert comp_of(row, d) == comp_of(col, d) == mu, (d, n, mu, row, col)
+
+
+def test_iota_keys_are_characters_of_their_block():
+    rng = random.Random(29)
+    d = 3
+    for n in (2, 3):
+        for _ in range(4):
+            M = iota(psi(random_yelem(rng, d, n, terms=4)))
+            assert M.terms and M.n == n + 1, n
+            for mu, row, col, _ in M.terms:
+                assert comp_of(row, d) == comp_of(col, d) == mu, (n, mu, row, col)
 
 
 def test_block_reads_its_cells_in_orbit_order():
     rng = random.Random(23)
     d, n = 2, 3
     M = psi(random_yelem(rng, d, n, terms=6))
-    zero = HeckeElem.zero(n, d)
     for mu in all_compositions(d, n):
         chars = orbit(mu)
         for k, row in enumerate(M.block(mu)):
             for j, entry in enumerate(row):
-                assert entry == M.terms.get((mu, chars[k], chars[j]), zero), (mu, k, j)
+                cell = (mu, chars[k], chars[j])
+                terms = {key[3]: c for key, c in M.terms.items() if key[:3] == cell}
+                assert entry == HeckeElem(n, d, terms), (mu, k, j)
 
 
 def test_block_matrix_rejects_a_character_of_another_composition():
     mu = Composition((2, 1))
     one, entry = chi_one(mu), HeckeElem.one(3, 2)
-    BlockMatrix(2, 3, {(mu, one, (1, 2, 1)): entry})
+    BlockMatrix(2, 3, flat(mu, one, (1, 2, 1), entry))
     # (1, 2, 2) has composition (1, 2); (1, 1, 3) has a letter beyond d = 2
     for cell in ((mu, one, (1, 2, 2)), (mu, (1, 2, 2), one), (mu, one, (1, 1, 3))):
         with pytest.raises(ValueError, match="not a character of"):
-            BlockMatrix(2, 3, {cell: entry})
+            BlockMatrix(2, 3, flat(*cell, entry))
+
+
+def test_block_matrix_rejects_a_permutation_outside_s_n():
+    mu = Composition((2, 1))
+    one, c = chi_one(mu), LPoly.one(2)
+    BlockMatrix(2, 3, {(mu, one, one, (2, 1, 3)): c})
+    for p in ((1, 2), (2, 1), (1, 2, 3, 4), ()):
+        with pytest.raises(ValueError, match="not in S_3"):
+            BlockMatrix(2, 3, {(mu, one, one, p): c})
 
 
 def test_psi_is_linear():
