@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -176,14 +177,18 @@ def euler_phi(d: int) -> int:
 # cyclotomic field elements
 # --------------------------------------------------------------------------
 
-class Cyclo:
+class Cyclo(namedtuple("Cyclo", "order num den")):
     """An element of Q(zeta_d) on the power basis 1, zeta, ..., zeta^{phi(d)-1}.
 
     Stored as integer numerators `num` over one positive shared denominator
     `den`, in lowest terms, so that arithmetic runs on ints and equality is
     equality of (num, den).  `coeffs` reads the coordinates as rationals: an
-    int where a coordinate is integral, a Fraction otherwise.  Instances are
-    immutable; arithmetic never mixes orders.
+    int where a coordinate is integral, a Fraction otherwise.  Arithmetic
+    never mixes orders.
+
+    An immutable named tuple of ``(order, num, den)``, like
+    `permcomp.Composition`: it compares, orders and hashes as the plain
+    tuple of its fields, and copies and pickles through its constructor.
 
     >>> a = Cyclo.zeta(3)
     >>> a * a + a + Cyclo.from_rat(3, 1)   # 1 + zeta + zeta^2 = 0
@@ -193,9 +198,9 @@ class Cyclo:
     (Cyclo(3, (2, Fraction(1, 2))), (4, 1), 2)
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ()
 
-    def __init__(self, order: int, coeffs: Iterable[Rat | int]):
+    def __new__(cls, order: int, coeffs: Iterable[Rat | int]):
         coeffs = [_rat(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError(
@@ -203,9 +208,11 @@ class Cyclo:
             )
         # over the lcm of reduced denominators the numerators share no factor
         den = lcm(*[c.denominator for c in coeffs])
-        self.order = order
-        self.num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
-        self.den = den
+        num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+        return super().__new__(cls, order, num, den)
+
+    def __getnewargs__(self) -> tuple:
+        return (self.order, self.coeffs)
 
     @property
     def coeffs(self) -> tuple:
@@ -246,12 +253,9 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def rational_part(self) -> Rat | int:
         """The value as a rational; error if the element is irrational."""
-        if not self.is_rational():
+        if any(self.num[1:]):
             raise ValueError(f"not a rational element: {self!r}")
         return self.coeffs[0]
 
@@ -291,30 +295,11 @@ class Cyclo:
 
     # -- misc ----------------------------------------------------------------
 
-    def eval_complex(self) -> complex:
-        return _eval_coords(self.order, self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Cyclo)
-            and self.order == other.order
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.num, self.den))
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __repr__(self) -> str:
         return f"Cyclo({self.order}, {self.coeffs})"
-
-    def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        return "(" + format_cyclo(self) + ")"
 
 
 def _cyclo(order: int, num: list[int], den: int) -> Cyclo:
@@ -325,17 +310,7 @@ def _cyclo(order: int, num: list[int], den: int) -> Cyclo:
         if g != 1:
             num = [a // g for a in num]
             den //= g
-    c = object.__new__(Cyclo)
-    c.order = order
-    c.num = tuple(num)
-    c.den = den
-    return c
-
-
-def _eval_coords(order: int, coords) -> complex:
-    """sum_k coords[k] zeta_order^k as a complex number."""
-    z = cmath.exp(2j * cmath.pi / order)
-    return sum(float(c) * z**k for k, c in enumerate(coords))
+    return tuple.__new__(Cyclo, (order, tuple(num), den))
 
 
 @lru_cache(maxsize=None)
@@ -631,9 +606,11 @@ class LPoly(Sparse):
         return LPoly(order, {k: coeff(order, c) for k, c in self.terms.items()})
 
     def eval_complex(self, u0: complex, v0: complex, g0: complex) -> complex:
+        z = cmath.exp(2j * cmath.pi / self.order)
         total = 0j
         for (a, b, c), x in self.terms.items():
-            total += _eval_coords(self.order, _coords(x)) * u0**a * v0**b * g0**c
+            value = sum(float(r) * z**k for k, r in enumerate(_coords(x)))
+            total += value * u0**a * v0**b * g0**c
         return total
 
     # -- hashing and text -----------------------------------------------------

@@ -96,10 +96,7 @@ from .permcomp import (
     Composition,
     Perm,
     all_comp0,
-    compose,
     cycles,
-    identity,
-    s_perm,
 )
 from .permcomp import _check_framing, _check_strands, _is_int
 from .traces import TraceSpec, jl_spec
@@ -220,11 +217,11 @@ def underlying_perm(w: FramedBraidWord) -> Perm:
     >>> [c for c in cycles(underlying_perm(beta1)) if len(c) > 1]
     [(1, 2, 4)]
     """
-    p = identity(w.n)
-    for tok in w.tokens:
-        if tok[0] == "sigma":
-            p = compose(p, s_perm(w.n, tok[1]))
-    return p
+    p = list(range(1, w.n + 1))
+    for kind, i, _ in w.tokens:
+        if kind == "sigma":
+            p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
 
 
 def component_count(w: FramedBraidWord) -> int:

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from yokohecke import verify
+from yokohecke import cli, permcomp, verify
 from yokohecke.cli import main
-from yokohecke.hecke import loop_factor, markov_tau
+from yokohecke.exactnum import Cyclo, LPoly, cyclotomic_polynomial, root_power
+from yokohecke.hecke import HeckeElem, loop_factor, markov_tau
+from yokohecke.isomap import BlockMatrix
 from yokohecke.links import delta_H, parse_word
-from yokohecke.verify import run_suite
+from yokohecke.permcomp import Composition
+from yokohecke.traces import semisimple_at
+from yokohecke.verify import SuiteConfigError, run_suite
+from yokohecke.yokonuma import YElem, e_basis_mul_basis
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAIR_A = "1 1 -2 -3 -2 1 1 1 -2 3 -2 1"
@@ -152,6 +157,23 @@ def test_verify_iso_small(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS ") for line in lines)
     assert "PASS iso-embed-d2-n3" in lines
+
+
+def test_verify_iso_product_compares_nonzero_products(monkeypatch):
+    # a product E_chi gt_w * E_chi2 gt_w2 is zero unless chi = w . chi2;
+    # half the pairs draw chi2 so, and the check compares real matrices there
+    products = []
+
+    def recorded(*args):
+        out = e_basis_mul_basis(*args)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "e_basis_mul_basis", recorded)
+    results = verify.suite_iso(2, 3, pairs=50)
+    assert all(ok for _, ok, _ in results)
+    assert len(products) == 50
+    assert sum(1 for out in products if out) >= 25
 
 
 def test_verify_schur_small(capsys):
@@ -297,6 +319,51 @@ def test_jl_non_finite_value_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: q*z overflows at q=(1e+308+0j), z=(1e+308+0j)\n", err
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(word):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "homflypt", exhausted)
+    code, out, err = run_main(capsys, "homflypt", "--n", "2", "--word", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "call,exc,text",
+    [
+        (lambda: cyclotomic_polynomial(0), ValueError, "order must be >= 1, got 0"),
+        (lambda: Cyclo(3, (1,)), ValueError, "need 2 coefficients for order 3, got 1"),
+        (lambda: Cyclo.one(3) + Cyclo.one(4), ValueError, "mixed cyclotomic orders 3 and 4"),
+        (lambda: root_power(3, 4, 1), ValueError, "letter 4 out of range 1..3"),
+        (lambda: LPoly.one(1) + HeckeElem.one(2), ValueError, "cannot combine LPoly with HeckeElem"),
+        (lambda: HeckeElem(3, 1, {(1, 2): LPoly.one(1)}), ValueError, "permutation (1, 2) is not in S_3"),
+        (
+            lambda: BlockMatrix(2, 2, {(Composition((3, 0)), (1, 1, 1), (1, 1, 1), (1, 2, 3)): LPoly.one(2)}),
+            ValueError,
+            "block (3,0) does not fit level (2,2)",
+        ),
+        (lambda: permcomp.extend((1, 2), 1), ValueError, "cannot extend to a smaller size"),
+        (lambda: permcomp.comp_of((1, 3), 2), ValueError, "letter 3 out of range 1..2"),
+        (lambda: semisimple_at(3, "q"), TypeError, "unsupported parameter type str"),
+        (
+            lambda: YElem(2, 2, {((0,), (1, 2)): LPoly.one(2)}),
+            ValueError,
+            "key ((0,), (1, 2)) does not fit Y_{2,2}",
+        ),
+        (lambda: YElem.one(2, 3).extend(2), ValueError, "cannot extend to a smaller strand count"),
+        (lambda: run_suite("nope", 2, 2), SuiteConfigError, "unknown suite 'nope'"),
+        (lambda: run_suite("iso", 2, 9), SuiteConfigError, "suite iso supports 1 <= n <= 4, got 9"),
+    ],
+)
+def test_library_error_texts(call, exc, text):
+    # the raises no other in-process test reaches, each with its one text
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == text
 
 
 def test_success_writes_nothing_to_stderr(capsys):

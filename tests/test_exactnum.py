@@ -1,7 +1,9 @@
 """Exact cyclotomic scalars and three-variable Laurent polynomials."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -152,10 +154,24 @@ def test_order_one_coefficients_are_rationals():
     assert LPoly.var(3, "u").coefficient(1, 0, 0) == Cyclo.one(3)
 
 
+def _value(c):
+    """The complex value of a field element, as the constant LPoly at u = v = g = 1."""
+    return LPoly.const(c.order, c).eval_complex(1, 1, 1)
+
+
 def test_cyclo_eval_complex_is_primitive_root():
     for d in range(1, 13):
-        z = Cyclo.zeta(d).eval_complex()
+        z = _value(Cyclo.zeta(d))
         assert abs(z - cmath.exp(2j * cmath.pi / d)) < 1e-9
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+def test_cyclo_copies_and_pickles(copier):
+    c = Cyclo(3, (Fraction(1, 2), -2))
+    out = copier(c)
+    assert type(out) is Cyclo
+    assert out == c and hash(out) == hash(c)
+    assert (out.order, out.num, out.den) == (3, (1, -4), 2)
 
 
 rationals = st.fractions(
@@ -210,9 +226,9 @@ def test_cyclo_linear_ops_match_fraction_coordinates(ab, q):
 @settings(max_examples=40, deadline=None)
 def test_cyclo_eval_complex_is_ring_map(ab):
     a, b = ab
-    za, zb = a.eval_complex(), b.eval_complex()
-    assert abs((a + b).eval_complex() - (za + zb)) < 1e-9
-    assert abs((a * b).eval_complex() - za * zb) < 1e-9
+    za, zb = _value(a), _value(b)
+    assert abs(_value(a + b) - (za + zb)) < 1e-9
+    assert abs(_value(a * b) - za * zb) < 1e-9
 
 
 # ---------------------------------------------------------------------------
