@@ -167,10 +167,21 @@ def psi_from_e_coeffs(
     its coefficient times u^{-len(p)}.  That key map is pure permutation
     combinatorics, so `_psi_cell` memoizes it in a fixed-size cache; 4096
     entries hold every basis key of the largest `verify` level
-    (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.
+    (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.  The change
+    of basis gives many keys one coefficient object, so each is shifted
+    once per exponent, through a memo keyed by its identity that holds it.
     """
-    keys = ((_psi_cell(d, chi, w), c) for (chi, w), c in eb.items())
-    return BlockMatrix(d, n, {key: c.shift(eu=eu) if eu else c for (key, eu), c in keys})
+    shifted: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
+    terms: dict[Key, LPoly] = {}
+    for (chi, w), c in eb.items():
+        key, eu = _psi_cell(d, chi, w)
+        if eu:
+            hit = shifted.get((id(c), eu))
+            if hit is None:
+                hit = shifted[id(c), eu] = (c, c.shift(eu=eu))
+            c = hit[1]
+        terms[key] = c
+    return BlockMatrix(d, n, terms)
 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
@@ -219,6 +230,20 @@ def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     return eb
 
 
+@lru_cache(maxsize=1024)
+def _iota_moves(mu: Composition, w: Perm) -> tuple[tuple[int, Composition, Perm], ...]:
+    """Where iota sends the entries T_w of block mu: (a, mu^[a], cyc w cyc^{-1})
+    for each letter a, cyc the relabeling cycle that moves position n+1 down
+    to the end of the letter-a block (positions p..n shift up by one)."""
+    n = mu.n
+    moves = []
+    for a in range(1, mu.d + 1):
+        p = sum(mu.parts[:a]) + 1
+        cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
+        moves.append((a, mu.bump(a), compose(compose(cyc, extend(w, n + 1)), inverse(cyc))))
+    return tuple(moves)
+
+
 def iota(M: BlockMatrix) -> BlockMatrix:
     """The level-(n+1) image of a level-n matrix tuple: what psi of the
     unframed-strand extension looks like, computed purely on the matrix side.
@@ -226,21 +251,14 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     Block mu feeds each block mu^[a]: the key (mu, row, col, w) moves to
     (mu^[a], row + (a,), col + (a,), cyc w cyc^{-1}), cyc the relabeling
     cycle of the letter-a block (length-preserving, so T-coefficients carry
-    over); each conjugate is computed once per (mu, a, w).
+    over).  The moves of (mu, w) are pure permutation combinatorics, so
+    `_iota_moves` memoizes them in a fixed-size cache, like `_psi_cell`;
+    1024 entries hold every (mu, w) of level (3, 4) (15 compositions
+    times 4! = 360), above the largest level `verify` embeds from (3, 3),
+    and the cache cannot grow with d^n n!.
     """
-    d, n = M.d, M.n
-    moved: dict[tuple[Composition, Perm], list[tuple[int, Composition, Perm]]] = {}
     terms: dict[Key, LPoly] = {}
     for (mu, row, col, w), c in M.terms.items():
-        if (mu, w) not in moved:
-            moved[mu, w] = []
-            for a in range(1, d + 1):
-                # relabeling cycle: position n+1 moves down to the end of
-                # the letter-a block; positions p..n shift up by one.
-                p = sum(mu.parts[:a]) + 1
-                cyc = tuple(range(1, p)) + tuple(range(p + 1, n + 2)) + (p,)
-                conj = compose(compose(cyc, extend(w, n + 1)), inverse(cyc))
-                moved[mu, w].append((a, mu.bump(a), conj))
-        for a, mua, conj in moved[mu, w]:
+        for a, mua, conj in _iota_moves(mu, w):
             terms[mua, row + (a,), col + (a,), conj] = c
-    return BlockMatrix(d, n + 1, terms)
+    return BlockMatrix(M.d, M.n + 1, terms)

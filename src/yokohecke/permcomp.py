@@ -109,7 +109,7 @@ def s_perm(n: int, i: int) -> Perm:
 
 def compose(v: Perm, w: Perm) -> Perm:
     """(v * w)(i) = v(w(i)): w acts first."""
-    return tuple(v[x - 1] for x in w)
+    return tuple([v[x - 1] for x in w])
 
 
 def inverse(w: Perm) -> Perm:
@@ -126,7 +126,7 @@ def length(w: Perm) -> int:
     (0, 3)
     """
     n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum([1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]])
 
 
 def reduced_word(w: Perm) -> tuple[int, ...]:
@@ -293,10 +293,12 @@ def comp_of(chi: Character, d: int) -> Composition:
 # characters and their orbit combinatorics
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def chi_one(mu: Composition) -> Character:
     """The block-sorted character: mu_1 ones, then mu_2 twos, etc.
 
-    Its stabilizer in S_n is exactly the Young subgroup of mu.
+    Its stabilizer in S_n is exactly the Young subgroup of mu.  Memoized in
+    a fixed-size cache, which cannot grow with the compositions.
 
     >>> chi_one(Composition((3, 1)))
     (1, 1, 1, 2)

@@ -23,10 +23,15 @@ xi_{chi_j}) the primitive idempotent is
     E_chi = prod_j ( (1/d) sum_s xi_{chi_j}^s t_j^{-s} ),
 
 and conversion in either direction factorizes strand by strand
-(`to_E_basis` / `from_E_basis`), which keeps the cost at n * d^{n+1} scalar
-operations per permutation instead of d^{2n}.  Factors equal to 1 cost no
-multiplication: in `to_E_basis` these are xi_1^k = 1 and xi_a^0 = 1, so
-the letter 1 and every framing 0 only add.
+(`to_E_basis` / `from_E_basis`): n passes per permutation instead of a sum
+of d^{2n} terms.  Every factor is a d-th root of unity,
+xi_a^e = zeta^{(a-1)e}, so a pass carries the power of zeta each
+coefficient still owes as an int exponent, and moving a key on only adds
+exponents.  A coefficient is multiplied where a second term meets its key
+(by zeta to the difference of their exponents) and once at the end (by
+zeta^s, with the (1/d)^n of `from_E_basis`), each product once per
+coefficient and factor: a single term t^k gt_w costs at most d - 1
+multiplications for its d^n idempotent-basis coefficients.
 
 A trace reads only the keys (chi, w) with w(chi) = chi, those that land on
 the diagonal of the matrix decomposition.  `fixed_E_coeffs` produces just
@@ -38,8 +43,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import Cyclo, LPoly, Sparse, add_all, add_to, root_power
+from .exactnum import Cyclo, LPoly, Sparse, add_all, add_to
 from .permcomp import (
     Character,
     Composition,
@@ -212,40 +218,75 @@ def y_mul(x: YElem, y: YElem) -> YElem:
 # the idempotent basis
 # --------------------------------------------------------------------------
 
-def _strandwise(items, table: dict[int, list[tuple[int, Cyclo]]]) -> dict:
-    """Apply one linear map to every axis of a (key, w)-indexed combination.
+def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, scalar=1) -> dict:
+    """Apply one linear map to every axis of a (key, w)-indexed combination,
+    then multiply by the rational `scalar`.
 
     `items` yields ((key, w), c) with key a tuple of axis labels, as many
     for one w as there are axes; items sharing a key add up.  `table[e]`
-    lists the (label, factor) pairs axis label e maps to.  A factor equal to
-    1 adds c itself: no multiplication.
+    lists the (label, t) pairs axis label e maps to, with the factor
+    zeta_d^t.  Every factor is a d-th root of unity, so a pass keeps, with
+    the coefficient at each partial key, the exponent s of the power of
+    zeta_d it still owes: moving a key on adds t to s as plain ints and
+    multiplies nothing.  Only where a second term meets a partial key is it
+    rotated by zeta_d^(its s - the first s) and added, so each partial key
+    holds one entry.  At the end each coefficient is multiplied by
+    scalar * zeta_d^s.  Both multiplications go through a memo keyed by
+    the coefficient's identity, which holds the coefficient so that no id
+    is reused while the memo lives; a factor equal to 1 costs nothing.
     Returns {(key, w): c} with zero coefficients dropped.
     """
-    steps = {
-        e: [(f, None if r == Cyclo.one(r.order) else r) for f, r in pairs]
-        for e, pairs in table.items()
-    }
+    # powers[s] = zeta_d^s and powers[d + s] = scalar * zeta_d^s
+    one, powers = Cyclo.one(d), _rotations(d, 1) + _rotations(d, scalar)
+    memo: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
+
+    def times(c: LPoly, i: int) -> LPoly:
+        hit = memo.get((id(c), i))
+        if hit is None:
+            f = powers[i]
+            hit = memo[id(c), i] = (c, c if f == one else c.scale(f))
+        return hit[1]
+
     by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
     for (key, w), c in items:
-        if c:
-            add_to(by_w.setdefault(w, {}), key, c)
+        add_to(by_w.setdefault(w, {}), key, c)
     out: dict[tuple[tuple[int, ...], Perm], LPoly] = {}
-    for w, cur in by_w.items():
-        for axis in range(len(next(iter(cur)))):
-            nxt: dict[tuple[int, ...], LPoly] = {}
-            for key, c in cur.items():
+    for w, start in by_w.items():
+        cur = {key: (c, 0) for key, c in start.items() if c}
+        for axis in range(len(next(iter(start)))):
+            nxt: dict[tuple[int, ...], tuple[LPoly, int]] = {}
+            met = False  # only a sum can be zero
+            for key, (c, s) in cur.items():
                 head, tail = key[:axis], key[axis + 1 :]
-                for e, r in steps[key[axis]]:
-                    add_to(nxt, head + (e,) + tail, c if r is None else c.scale(r))
-            cur = {key: c for key, c in nxt.items() if c}
-        for key, c in cur.items():
-            out[(key, w)] = c
+                for e, t in table[key[axis]]:
+                    k2, s2 = head + (e,) + tail, (s + t) % d
+                    acc = nxt.get(k2)
+                    if acc is None:
+                        nxt[k2] = (c, s2)
+                    else:
+                        a, sa = acc
+                        nxt[k2] = (a + (c if s2 == sa else times(c, (s2 - sa) % d)), sa)
+                        met = True
+            cur = {key: cs for key, cs in nxt.items() if cs[0].terms} if met else nxt
+        for key, (c, s) in cur.items():
+            out[key, w] = times(c, d + s)
     return out
 
 
-def _to_E_table(d: int, letters) -> dict[int, list[tuple[int, Cyclo]]]:
-    """Framing exponent e -> [(a, xi_a^e) for a in letters]."""
-    return {e: [(a, root_power(d, a, e)) for a in letters] for e in range(d)}
+@lru_cache(maxsize=64)
+def _rotations(d: int, scalar) -> tuple[Cyclo, ...]:
+    """scalar * zeta_d^s for s = 0..d-1."""
+    return tuple([Cyclo.zeta(d, s) * scalar for s in range(d)])
+
+
+@lru_cache(maxsize=64)
+def _to_E_table(d: int, letters: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Framing exponent e -> ((a, t) for a in letters), xi_a^e = zeta_d^t.
+    Shared by every caller, so never mutated."""
+    for a in letters:
+        if not 1 <= a <= d:
+            raise ValueError(f"letter {a} out of range 1..{d}")
+    return {e: tuple((a, (a - 1) * e % d) for a in letters) for e in range(d)}
 
 
 def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
@@ -255,7 +296,8 @@ def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
     (chi, w) is sum_k c_{k,w} prod_j xi_{chi_j}^{k_j}; the sum factorizes and
     is evaluated one strand at a time.
     """
-    return _strandwise(x.terms.items(), _to_E_table(x.d, range(1, x.d + 1)))
+    d = x.d
+    return _strandwise(x.terms.items(), _to_E_table(d, tuple(range(1, d + 1))), d)
 
 
 def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly]:
@@ -284,16 +326,16 @@ def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly
     [((2, 2), (2, 1))]
     """
     d = x.d
-    letters = range(1, d + 1) if letters is None else sorted(letters)
+    letters = tuple(range(1, d + 1)) if letters is None else tuple(sorted(letters))
     cycs: dict[Perm, list[tuple[int, ...]]] = {}
     collapsed = []
     for (k, w), c in x.terms.items():
         cyc = cycs.get(w)
         if cyc is None:
             cyc = cycs[w] = cycles(w)
-        collapsed.append(((tuple(sum(k[j - 1] for j in C) % d for C in cyc), w), c))
+        collapsed.append(((tuple([sum([k[j - 1] for j in C]) % d for C in cyc]), w), c))
     out: dict[tuple[Character, Perm], LPoly] = {}
-    for (a, w), c in _strandwise(collapsed, _to_E_table(d, letters)).items():
+    for (a, w), c in _strandwise(collapsed, _to_E_table(d, letters), d).items():
         chi = [0] * x.n
         for C, letter in zip(cycs[w], a):
             for j in C:
@@ -307,11 +349,8 @@ def from_E_basis(
 ) -> YElem:
     """Rebuild a YElem from idempotent-basis coefficients (inverse transform:
     the coefficient of t^k in E_chi is (1/d)^n prod_j xi_{chi_j}^{-k_j})."""
-    inv_d = Cyclo.from_rat(d, Fraction(1, d))
-    table = {
-        a: [(e, root_power(d, a, -e) * inv_d) for e in range(d)] for a in range(1, d + 1)
-    }
-    return YElem(d, n, _strandwise(coeffs.items(), table))
+    table = {a: tuple((e, -(a - 1) * e % d) for e in range(d)) for a in range(1, d + 1)}
+    return YElem(d, n, _strandwise(coeffs.items(), table, d, Fraction(1, d**n)))
 
 
 def idempotent_E(d: int, chi: Character) -> YElem:

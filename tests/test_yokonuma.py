@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from yokohecke.exactnum import Cyclo, LPoly, euler_phi, root_power
-from yokohecke.permcomp import act, all_compositions, identity, orbit
+from yokohecke.isomap import block_traces
+from yokohecke.permcomp import Composition, act, all_compositions, identity, orbit
 from yokohecke.yokonuma import (
     YElem,
     e_basis_mul_basis,
@@ -288,17 +290,39 @@ def defining_e_coeffs(x):
 
 def test_to_e_basis_matches_defining_sum():
     # the draws hit the unit factors: framing 0 on some strand, and the
-    # letter 1 in every character with a 1
+    # letter 1 in every character with a 1.  Up to n = 3 each draw also
+    # runs extended by one strand, whose last axis has framing 0 throughout:
+    # psi of that extension is what the iso suite's embedding check
+    # transforms.  The round trip applies (1/d)^n once, so n >= 2 at d = 4
+    # (phi(4) = 2) tells it from 1/d.
     rng = random.Random(53)
     zero_framings = 0
-    for d in (1, 2, 3, 4):
-        for n in (1, 2, 3):
-            for _ in range(4):
-                x = random_basis_combination(rng, d, n)
-                zero_framings += sum(0 in k for k, _ in x.terms)
-                assert to_E_basis(x) == defining_e_coeffs(x), (d, n, x)
-                assert from_E_basis(d, n, to_E_basis(x)) == x, (d, n, x)
+    levels = [(d, n) for d in (1, 2, 3, 4) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
+    for d, n in levels:
+        for _ in range(4):
+            x = random_basis_combination(rng, d, n)
+            zero_framings += sum(0 in k for k, _ in x.terms)
+            for y in (x, x.extend(n + 1)) if n <= 3 else (x,):
+                assert to_E_basis(y) == defining_e_coeffs(y), (d, y)
+                assert from_E_basis(d, y.n, to_E_basis(y)) == y, (d, y)
     assert zero_framings > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_letters_outside_1_to_d_are_rejected(d):
+    # the transform reads each letter as an exponent of zeta, so a letter 0
+    # or d + 1 would pass for a root of unity; both are refused by text,
+    # also when they reach fixed_E_coeffs through block_traces' supports
+    x = YElem.t_elem(d, 2, 1).mul_g(1)
+    for bad in (0, d + 1):
+        text = re.escape(f"letter {bad} out of range 1..{d}")
+        for letters in ({bad}, {1, bad}):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                fixed_E_coeffs(x, letters)
+    text = re.escape(f"letter {d + 1} out of range 1..{d}")
+    for support in (Composition((0,) * d + (1,)), Composition((1,) + (0,) * (d - 1) + (1,))):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            block_traces(x, {support})
 
 
 def random_framed_combination(rng, d, n, terms=8):
