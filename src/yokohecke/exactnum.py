@@ -17,7 +17,9 @@ three layers of that ring:
   (*not* modulo x^d - 1, so equality of field elements is equality of
   coordinates).  The reduction is one long division by the monic Phi_d,
   so no table of x^m mod Phi_d is kept; Phi_d itself is a Moebius product
-  of sparse binomials x^e - 1.  The coordinates are stored as integer
+  of sparse binomials x^e - 1.  A product with a rational needs no
+  reduction, and one with a power of zeta is an integer map on the
+  coordinates (`LPoly.rotate`).  The coordinates are stored as integer
   numerators over one shared denominator, so the 1/d of the idempotents
   costs a gcd per operation instead of a `Fraction` per coordinate; they
   read back as the rationals above;
@@ -283,12 +285,18 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
             q = _rat(other)
             return _cyclo(self.order, [a * q.numerator for a in self.num], self.den * q.denominator)
         self._check(other)
-        conv = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        conv[i + j] += a * b
+        a, b = self.num, other.num
+        # times a rational: the power basis is kept, so nothing to reduce
+        if not any(b[1:]):
+            return _cyclo(self.order, [x * b[0] for x in a], self.den * other.den)
+        if not any(a[1:]):
+            return _cyclo(self.order, [a[0] * y for y in b], self.den * other.den)
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
         return _reduce(self.order, conv, self.den * other.den)
 
     __rmul__ = __mul__
@@ -322,6 +330,21 @@ def _reduce(order: int, num: list[int], den: int) -> Cyclo:
     """The element (sum_m num[m] zeta^m) / den, reduced mod Phi_order onto
     the power basis."""
     return _cyclo(order, _poly_rem(num, cyclotomic_polynomial(order)), den)
+
+
+@lru_cache(maxsize=256)
+def _zeta_map(order: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix, as rows, of multiplication by zeta^s (0 <= s <
+    order) on the power-basis numerators: column j holds the coordinates of
+    zeta^(s + j).  zeta^s is a unit of Z[zeta], so the matrix is invertible
+    over Z: it keeps the gcd of the numerators, hence lowest terms, and
+    sends only zero to zero.
+
+    >>> _zeta_map(3, 1)   # zeta * (a + b zeta) = -b + (a - b) zeta
+    ((0, -1), (1, -1))
+    """
+    cols = [_zeta_pow(order, (s + j) % order).num for j in range(euler_phi(order))]
+    return tuple(zip(*cols))
 
 
 def root_power(d: int, a: int, s: int) -> Cyclo:
@@ -452,10 +475,22 @@ class Sparse:
             )
 
     def __add__(self, other):
+        """The sum; both operands' keys are valid and their coefficients
+        nonzero, so only the keys where two coefficients meet can give a
+        zero, and only those are tested."""
         self._check(other)
         out = dict(self.terms)
-        add_all(out, other.terms)
-        return self._new(out)
+        for k, x in other.terms.items():
+            acc = out.get(k)
+            if acc is None:
+                out[k] = x
+            else:
+                acc = acc + x
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return self._new_pruned(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -516,6 +551,21 @@ class LPoly(Sparse):
     def _parent(self) -> tuple:
         return (self.order,)
 
+    # the checks of `Sparse`, with the parent read directly
+    def _check(self, other: "LPoly") -> None:
+        if type(other) is not LPoly:
+            raise ValueError(f"cannot combine LPoly with {type(other).__name__}")
+        if other.order != self.order:
+            raise ValueError(f"mixed LPoly parents ({self.order},) and ({other.order},)")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LPoly and self.order == other.order and self.terms == other.terms
+
+    def _new_pruned(self, terms: dict) -> "LPoly":
+        out = object.__new__(LPoly)
+        out.order, out.terms = self.order, terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -563,7 +613,17 @@ class LPoly(Sparse):
     __add__ = Sparse.__add__
 
     def __mul__(self, other: "LPoly") -> "LPoly":
+        """The product.  Times a one-term polynomial it is one pass: the
+        shifted keys are distinct, and a product of nonzero field elements
+        is nonzero, so nothing is summed and nothing pruned."""
         self._check(other)
+        if len(self.terms) == 1:  # the coefficients commute
+            self, other = other, self
+        if len(other.terms) == 1:
+            ((a2, b2, c2), y), = other.terms.items()
+            return self._new_pruned(
+                {(a1 + a2, b1 + b2, c1 + c2): x * y for (a1, b1, c1), x in self.terms.items()}
+            )
         out: dict[ExpKey, Cyclo] = {}
         for (a1, b1, c1), x in self.terms.items():
             for (a2, b2, c2), y in other.terms.items():
@@ -580,10 +640,30 @@ class LPoly(Sparse):
         return LPoly(self.order, terms)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
-        """Multiply by the monomial u^eu v^ev g^eg (a shift makes no zero)."""
+        """Multiply by the monomial u^eu v^ev g^eg (a shift makes no zero;
+        a polynomial is immutable, so the zero shift is the polynomial itself)."""
+        if not (eu or ev or eg):
+            return self
         return self._new_pruned(
             {(a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()}
         )
+
+    def rotate(self, s: int) -> "LPoly":
+        """Multiply by zeta_d^s (0 <= s < d) through the integer map
+        `_zeta_map` on each coefficient's numerators: a unit keeps every
+        numerator tuple in lowest terms and nonzero, so no product, gcd or
+        zero filter runs.
+
+        >>> LPoly.monomial(3, Cyclo.zeta(3), 1).rotate(2) == LPoly.var(3, "u")
+        True
+        """
+        if not s:
+            return self
+        rows, terms = _zeta_map(self.order, s), {}
+        for k, x in self.terms.items():
+            num = tuple([sum([r * a for r, a in zip(row, x.num)]) for row in rows])
+            terms[k] = tuple.__new__(Cyclo, (x.order, num, x.den))
+        return self._new_pruned(terms)
 
     def __pow__(self, k: int) -> "LPoly":
         if k < 0:

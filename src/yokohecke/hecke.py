@@ -320,24 +320,37 @@ def _block_tau(wa: Perm, order: int) -> LPoly:
     return markov_tau(HeckeElem.basis(len(wa), wa, order))
 
 
+@lru_cache(maxsize=4096)
+def _block_product(w: Perm, mu: Composition, order: int) -> LPoly:
+    """The product over the letter blocks of mu of tau(T_wa), wa the
+    renumbered block permutations of w, memoized.  `block_split` raises
+    for w outside the Young subgroup of mu, and an lru_cache stores no
+    exception, so such a w is rejected on every call."""
+    out = LPoly.one(order)
+    for wa in block_split(w, mu):
+        if wa:
+            out = out * _block_tau(wa, order)
+    return out
+
+
 def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     """The block-product trace on H^mu: on a basis term, the product over
     letter blocks of markov_tau applied to the renumbered block permutation.
 
-    The block traces tau(T_wa) are memoized per (wa, order) in `_block_tau`,
-    a fixed-size cache: they depend on nothing else, and the cached LPoly
-    is only read (the product builds a new one).  The same few block
-    permutations recur across every term, block and call of one `rho`.
+    Each term is multiplied once, by the product of its block traces.  The
+    block traces tau(T_wa) are memoized per (wa, order) in `_block_tau`, and
+    their product per (w, mu, order) in `_block_product`, both fixed-size
+    caches: they depend on nothing else, and the cached LPolys are only
+    read (a product builds a new one).  The same few permutations recur
+    across every term, block and call of one `rho`.
 
     Raises ValueError if x is not in H^mu: a size other than |mu|, or a
-    basis permutation outside the Young subgroup of mu (`block_split`).
+    basis permutation outside the Young subgroup of mu (`block_split`, run
+    on every call, since the cache keeps no error).
     """
     if x.n != mu.n:
         raise ValueError(f"element lives in S_{x.n}, mu has size {mu.n}")
     total: dict = {}
     for w, c in x.terms.items():
-        for wa in block_split(w, mu):
-            if wa:
-                c = c * _block_tau(wa, x.order)
-        add_all(total, c.terms)
+        add_all(total, (c * _block_product(w, mu, x.order)).terms)
     return LPoly(x.order, total)

@@ -18,7 +18,11 @@ Tt_p = u^{-len(p)} T_p, so psi scales by u^{-len(p)} and phi by u^{+len(p)}.
 A `BlockMatrix` is flat: (mu, row, col, p) -> the LPoly coefficient of T_p
 in cell (mu, row, col).  psi, phi and iota map distinct keys to distinct
 keys, so each is one pass over the keys; `blocks` and `block(mu)` build
-`HeckeElem` cells on demand.
+`HeckeElem` cells on demand.  psi and iota build their results without the
+constructor's per-key checks: psi checks each distinct cell once, in its
+memo `_psi_cell`, and the level of every input key, and iota's keys are
+valid by construction; neither makes a zero coefficient, so neither needs
+the zero filter.
 
 `iota` is the embedding of the level-n matrix side into level n+1 induced by
 adding an unframed strand: the block mu spreads over the blocks mu^[a]
@@ -74,11 +78,13 @@ class BlockMatrix(Sparse):
 
     Stored flat, like `YElem`: a `Sparse` combination {(mu, row, col, p):
     coefficient of T_p in cell (mu, row, col)}, with row and col characters
-    of composition mu and p in S_n, as the constructor checks for every
-    key.  `blocks` ({mu: {(row, col): entry}}, nonzero blocks only) and
-    `block(mu)` (the dense view in `orbit(mu)` order) build the HeckeElem
-    entries on demand.  That p preserves the mu-blocks is checked by `phi`
-    on input from outside, and by `tau_parabolic` on traces.
+    of composition mu and p in S_n.  The constructor checks that for every
+    key; `psi_from_e_coeffs` and `iota` build through `_pruned` instead and
+    check it where their keys come from (see each).  `blocks` ({mu: {(row,
+    col): entry}}, nonzero blocks only) and `block(mu)` (the dense view in
+    `orbit(mu)` order) build the HeckeElem entries on demand.  That p
+    preserves the mu-blocks is checked by `phi` on input from outside, and
+    by `tau_parabolic` on traces.
     """
 
     __slots__ = ("d", "n")
@@ -102,6 +108,14 @@ class BlockMatrix(Sparse):
         return (self.d, self.n)
 
     # -- construction helpers --------------------------------------------------
+
+    @classmethod
+    def _pruned(cls, d: int, n: int, terms: dict[Key, LPoly]) -> "BlockMatrix":
+        """`_new_pruned` at level (d, n): `terms` is taken as it is, so it
+        must hold only nonzero coefficients over keys the constructor accepts."""
+        out = object.__new__(cls)
+        out.d, out.n, out.terms = d, n, terms
+        return out
 
     @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
@@ -151,10 +165,20 @@ def psi(x: YElem) -> BlockMatrix:
 def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Key, int]:
     """Where psi puts E_chi gt_w: the key (comp(chi), chi, col, p) with
     col = w^{-1} chi and the block permutation p = pi_chi^{-1} w pi_col,
-    and the u-exponent -len(p)."""
+    and the u-exponent -len(p).
+
+    Checks what the `BlockMatrix` constructor would check of that key, once
+    per distinct cell: the letters of chi lie in 1..d (`comp_of`) and w has
+    as many points as chi.  Then row and col are characters of the key's
+    composition (col is a rearrangement of chi) and p is in S_len(chi); an
+    lru_cache stores no exception, so a bad cell is rejected on every call.
+    """
+    mu = comp_of(chi, d)
+    if len(w) != len(chi):
+        raise ValueError(f"permutation {w} is not in S_{len(chi)}")
     col = act(inverse(w), chi)
     p = compose(compose(inverse(min_coset_rep(chi, d)), w), min_coset_rep(col, d))
-    return (comp_of(chi, d), chi, col, p), -length(p)
+    return (mu, chi, col, p), -length(p)
 
 
 def psi_from_e_coeffs(
@@ -170,18 +194,27 @@ def psi_from_e_coeffs(
     (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.  The change
     of basis gives many keys one coefficient object, so each is shifted
     once per exponent, through a memo keyed by its identity that holds it.
+
+    The result is built without the constructor's per-key checks:
+    `_psi_cell` checks each distinct cell, the level is checked here on
+    every key, distinct keys land on distinct cells, zero coefficients are
+    skipped and a shift makes no zero.
     """
     shifted: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
     terms: dict[Key, LPoly] = {}
     for (chi, w), c in eb.items():
         key, eu = _psi_cell(d, chi, w)
+        if len(chi) != n:
+            raise ValueError(f"block {key[0]} does not fit level ({d},{n})")
+        if not c.terms:
+            continue
         if eu:
             hit = shifted.get((id(c), eu))
             if hit is None:
                 hit = shifted[id(c), eu] = (c, c.shift(eu=eu))
             c = hit[1]
         terms[key] = c
-    return BlockMatrix(d, n, terms)
+    return BlockMatrix._pruned(d, n, terms)
 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
@@ -256,9 +289,14 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     1024 entries hold every (mu, w) of level (3, 4) (15 compositions
     times 4! = 360), above the largest level `verify` embeds from (3, 3),
     and the cache cannot grow with d^n n!.
+
+    The result is built without the constructor's per-key checks: a valid
+    key of M moves to valid keys (row + (a,) and col + (a,) are characters
+    of mu^[a], conj is in S_{n+1}), distinct keys to distinct keys, and
+    every coefficient is one of M's nonzero ones.
     """
     terms: dict[Key, LPoly] = {}
     for (mu, row, col, w), c in M.terms.items():
         for a, mua, conj in _iota_moves(mu, w):
             terms[mua, row + (a,), col + (a,), conj] = c
-    return BlockMatrix(M.d, M.n + 1, terms)
+    return BlockMatrix._pruned(M.d, M.n + 1, terms)

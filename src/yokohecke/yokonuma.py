@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Cyclo, LPoly, Sparse, add_all, add_to
+from .exactnum import LPoly, Sparse, add_all, add_to
 from .permcomp import (
     Character,
     Composition,
@@ -230,21 +230,24 @@ def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, sc
     zeta_d it still owes: moving a key on adds t to s as plain ints and
     multiplies nothing.  Only where a second term meets a partial key is it
     rotated by zeta_d^(its s - the first s) and added, so each partial key
-    holds one entry.  At the end each coefficient is multiplied by
-    scalar * zeta_d^s.  Both multiplications go through a memo keyed by
-    the coefficient's identity, which holds the coefficient so that no id
-    is reused while the memo lives; a factor equal to 1 costs nothing.
-    Returns {(key, w): c} with zero coefficients dropped.
+    holds one entry.  At the end each coefficient is rotated by zeta_d^s
+    and scaled by `scalar`.  A rotation is `LPoly.rotate`, an integer map
+    on the numerators that keeps them in lowest terms and nonzero, so it
+    needs no product, gcd or zero filter; only a sum can make a zero.  Both
+    steps go through a memo keyed by the coefficient's identity, which
+    holds the coefficient so that no id is reused while the memo lives; a
+    factor equal to 1 costs nothing.  Returns {(key, w): c} with zero
+    coefficients dropped.
     """
-    # powers[s] = zeta_d^s and powers[d + s] = scalar * zeta_d^s
-    one, powers = Cyclo.one(d), _rotations(d, 1) + _rotations(d, scalar)
+    # times(c, i): c * zeta_d^i for i < d, c * scalar * zeta_d^(i - d) for i >= d
     memo: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
+    final = 0 if scalar == 1 else d
 
     def times(c: LPoly, i: int) -> LPoly:
         hit = memo.get((id(c), i))
         if hit is None:
-            f = powers[i]
-            hit = memo[id(c), i] = (c, c if f == one else c.scale(f))
+            r = c.rotate(i % d)
+            hit = memo[id(c), i] = (c, r if i < d else r.scale(scalar))
         return hit[1]
 
     by_w: dict[Perm, dict[tuple[int, ...], LPoly]] = {}
@@ -269,14 +272,8 @@ def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, sc
                         met = True
             cur = {key: cs for key, cs in nxt.items() if cs[0].terms} if met else nxt
         for key, (c, s) in cur.items():
-            out[key, w] = times(c, d + s)
+            out[key, w] = times(c, final + s) if final or s else c
     return out
-
-
-@lru_cache(maxsize=64)
-def _rotations(d: int, scalar) -> tuple[Cyclo, ...]:
-    """scalar * zeta_d^s for s = 0..d-1."""
-    return tuple([Cyclo.zeta(d, s) * scalar for s in range(d)])
 
 
 @lru_cache(maxsize=64)

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yokohecke import exactnum
 from yokohecke.exactnum import Cyclo, LPoly, cyclotomic_polynomial, euler_phi, root_power
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,43 @@ def _value(c):
     return LPoly.const(c.order, c).eval_complex(1, 1, 1)
 
 
+def _random_cyclo(rng, d):
+    """A nonzero element of Q(zeta_d) whose numerators share a denominator > 1."""
+    while True:
+        den = rng.randrange(2, 13)
+        x = Cyclo(d, [Fraction(rng.randrange(-20, 21), den) for _ in range(euler_phi(d))])
+        if x and x.den > 1:
+            return x
+
+
+def test_rotation_map_is_multiplication_by_zeta():
+    rng = random.Random(71)
+    for d in range(1, 13):
+        for s in range(d):
+            zeta, rows = Cyclo.zeta(d, s), exactnum._zeta_map(d, s)
+            for k in range(5):
+                x = _random_cyclo(rng, d) if k else Cyclo.zero(d)
+                num = tuple(sum(r * a for r, a in zip(row, x.num)) for row in rows)
+                assert (num, x.den) == ((x * zeta).num, (x * zeta).den), (d, s, x)
+                assert math.gcd(x.den, *num) == 1  # already in lowest terms
+                assert any(num) == bool(x)  # zero exactly when the input is
+            if d > 1:
+                p = LPoly(d, {(e, -e, 2 * e): _random_cyclo(rng, d) for e in range(-2, 3)})
+                rotated = p.rotate(s)
+                assert rotated.terms == {k: c * zeta for k, c in p.terms.items()}
+                assert rotated == p.scale(zeta)
+
+
+def test_products_with_a_rational_skip_no_coordinate():
+    rng = random.Random(79)
+    for d in (2, 3, 4, 5, 12):
+        for _ in range(10):
+            x, q = _random_cyclo(rng, d), Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+            expected = Cyclo(d, [c * q for c in x.coeffs])
+            assert x * Cyclo.from_rat(d, q) == expected
+            assert Cyclo.from_rat(d, q) * x == expected
+
+
 def test_cyclo_eval_complex_is_primitive_root():
     for d in range(1, 13):
         z = _value(Cyclo.zeta(d))
@@ -281,6 +319,38 @@ def test_lpoly_shift_and_monomial_inverse():
     # no inverse, not even of a monomial: negative powers raise
     with pytest.raises(ValueError):
         LPoly.monomial(3, Fraction(2, 3), 1, -2, 5) ** -1
+
+
+def _naive_product(p, q):
+    """The product as the double loop over both term dicts, zeros dropped."""
+    out = {}
+    for (a1, b1, c1), x in p.terms.items():
+        for (a2, b2, c2), y in q.terms.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out[key] + x * y if key in out else x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _random_lpoly(rng, d, size):
+    def scalar():
+        if d == 1:
+            return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randrange(1, 4))
+        return _random_cyclo(rng, d)
+
+    keys = {tuple(rng.randrange(-3, 4) for _ in range(3)) for _ in range(size)}
+    return LPoly(d, {k: exactnum.coeff(d, scalar()) for k in keys})
+
+
+def test_one_term_product_matches_the_double_loop():
+    rng = random.Random(73)
+    for d in (1, 2, 3, 4, 6):
+        for _ in range(15):
+            mono, poly = _random_lpoly(rng, d, 1), _random_lpoly(rng, d, rng.randrange(0, 6))
+            for p, q in ((mono, poly), (poly, mono), (mono, mono)):
+                expected = _naive_product(p, q)
+                got = (p * q).terms
+                assert got == expected, (d, p, q)
+                assert [type(c) for c in got.values()] == [type(expected[k]) for k in got]
 
 
 def test_lpoly_pow_matches_repeated_product():

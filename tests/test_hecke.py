@@ -252,6 +252,11 @@ def test_tau_parabolic_full_block_is_tau():
 
 def test_tau_parabolic_rejects_outside_young():
     x = HeckeElem.gen(4, 2)  # crosses the (2,2) block boundary
+    # the block-product cache keeps no error: a repeated (w, mu) fails again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Young subgroup"):
+            tau_parabolic(Composition((2, 2)), x)
+    assert tau_parabolic(Composition((3, 1)), x) == markov_tau(HeckeElem.gen(3, 2))
     with pytest.raises(ValueError, match="Young subgroup"):
         tau_parabolic(Composition((2, 2)), x)
     # an element of H_3 against a composition of 4, nonzero or zero

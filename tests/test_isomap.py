@@ -184,6 +184,46 @@ def test_block_matrix_rejects_a_permutation_outside_s_n():
             BlockMatrix(2, 3, {(mu, one, one, p): c})
 
 
+@pytest.mark.parametrize(
+    "key,message",
+    [
+        # a permutation of another length than its character
+        (((1, 2, 1), (2, 1)), r"permutation \(2, 1\) is not in S_3"),
+        (((1, 2, 1), (1, 2, 3, 4)), r"permutation \(1, 2, 3, 4\) is not in S_3"),
+        # a character of another level, and a letter beyond d
+        (((1, 2), (2, 1)), r"block \(1,1\) does not fit level \(2,3\)"),
+        (((1, 3, 1), (1, 2, 3)), "letter 3 out of range 1..2"),
+    ],
+    ids=["short-perm", "long-perm", "level", "letter"],
+)
+def test_psi_from_e_coeffs_rejects_keys_outside_the_level(key, message):
+    for _ in range(2):  # the cell cache keeps no error
+        with pytest.raises(ValueError, match=message):
+            psi_from_e_coeffs(2, 3, {key: LPoly.one(2)})
+
+
+def checked(M):
+    """M through the checking constructor, which prunes zeros and checks every key."""
+    return BlockMatrix(M.d, M.n, M.terms)
+
+
+def test_unchecked_results_pass_the_checking_constructor():
+    # psi, psi_from_e_coeffs and iota skip the constructor's key checks and
+    # zero filter; their results must be exactly what it accepts unchanged
+    rng = random.Random(67)
+    for d in (1, 2, 3):
+        for n in (2, 3):
+            chars, perms = all_characters(d, n), all_perms(n)
+            for _ in range(4):
+                x = random_yelem(rng, d, n)
+                eb = dict(to_E_basis(x))
+                eb.setdefault((rng.choice(chars), rng.choice(perms)), LPoly.zero(d))  # skipped
+                for M in (psi(x), psi_from_e_coeffs(d, n, eb), iota(psi(x))):
+                    assert checked(M) == M, (d, n)
+                    assert all(c for c in M.terms.values())
+                assert psi_from_e_coeffs(d, n, eb) == psi(x)
+
+
 def test_psi_is_linear():
     rng = random.Random(5)
     d, n = 2, 3
