@@ -35,6 +35,9 @@ Z[u^{+-1}, v^{+-1}, g^{+-1}]: only the 1/d of the idempotents e_i and the
 1/|S| of the weighted traces ever divide, so the order-1 path runs on
 plain integer arithmetic.
 
+`root_power` checks its letter with `permcomp.comp_of`, this module's one
+import from the package; `permcomp` imports none, so there is no cycle.
+
 `LPoly` is built on `Sparse`, the finite linear combination over a basis
 that the algebra elements share as well, each one flat dict of LPolys:
 `HeckeElem` keyed by w, `YElem` by (framings, w) and `BlockMatrix` by
@@ -63,6 +66,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+
+from .permcomp import comp_of
 
 __all__ = [
     "Coeff",
@@ -350,15 +355,14 @@ def _zeta_map(order: int, s: int) -> tuple[tuple[int, ...], ...]:
 def root_power(d: int, a: int, s: int) -> Cyclo:
     """xi_a^s where xi_a = zeta_d^{a-1} is the a-th of the d roots of unity.
 
-    The letters a run through 1..d, so xi_1 = 1 always.
+    The letter a, checked by `comp_of`, runs through 1..d, so xi_1 = 1.
 
     >>> root_power(2, 2, 1)
     Cyclo(2, (-1,))
     >>> root_power(6, 3, 3) == Cyclo.one(6)
     True
     """
-    if not 1 <= a <= d:
-        raise ValueError(f"letter {a} out of range 1..{d}")
+    comp_of((a,), d)
     return _zeta_pow(d, ((a - 1) * s) % d)
 
 

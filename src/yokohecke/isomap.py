@@ -225,13 +225,13 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
 
     Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
     when w fixes chi; `fixed_E_coeffs` computes only those coefficients,
-    and only for characters over the letters of `supports`.  No other cell
-    is built, and no block outside `supports` is traced.
+    and only over the `letters()` of `supports`.  No other cell is built,
+    and no block outside `supports` is traced.
     """
     letters = None
     if supports is not None:
         supports = set(supports)
-        letters = {a for mu0 in supports for a, part in enumerate(mu0.parts, 1) if part}
+        letters = set().union(*(mu0.letters() for mu0 in supports))
     wanted: dict[Composition, bool] = {}  # decided once per block
     diag: dict[Composition, dict[Perm, LPoly]] = {}
     for (chi, w), c in fixed_E_coeffs(x, letters).items():
@@ -257,7 +257,7 @@ def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     eb: dict[tuple[Character, Perm], LPoly] = {}
     for (mu, row, col, p), c in M.terms.items():
         if not in_young(p, mu):
-            raise ValueError(f"{p} is outside the Young subgroup of {mu}")
+            raise ValueError(f"{p} is not in the Young subgroup of {mu}")
         w = compose(compose(min_coset_rep(row, mu.d), p), inverse(min_coset_rep(col, mu.d)))
         eb[row, w] = c.shift(eu=length(p))
     return eb

@@ -90,12 +90,13 @@ import itertools
 import re
 from collections import namedtuple
 
-from .exactnum import Cyclo, LPoly, add_all
+from .exactnum import LPoly, add_all
 from .hecke import HeckeElem, tau_word
 from .permcomp import (
     Composition,
     Perm,
     all_comp0,
+    comp_of,
     cycles,
 )
 from .permcomp import _check_framing, _check_strands, _is_int
@@ -329,9 +330,7 @@ def _sublink_sums(
             crossings.append((i, tok[2]))
             strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
 
-    wanted = {
-        frozenset(a for a, p in enumerate(mu0.parts, start=1) if p) for mu0 in supports
-    }
+    wanted = {mu0.letters() for mu0 in supports}
     letters = sorted(set().union(*wanted))
     # colourings with the same composition, framing root, e_c and sub-braids
     # contribute the same term: count them, then evaluate each term once
@@ -341,9 +340,7 @@ def _sublink_sums(
         if support not in wanted:
             continue
         col = [colours[component[s]] for s in range(n)]
-        counts = [0] * d
-        for a in col:
-            counts[a - 1] += 1
+        mu = comp_of(col, d)
         sub: dict[int, list] = {a: [] for a in support}
         e = 0
         for i, sign in crossings:
@@ -354,27 +351,25 @@ def _sublink_sums(
                 sub[a].append((col[: i - 1].count(a) + 1, sign))
             col[i - 1], col[i] = b, a
         root = sum((a - 1) * k for a, k in zip(colours, framing)) % d
-        braids = tuple(sorted((counts[a - 1], tuple(pairs)) for a, pairs in sub.items()))
-        key = (tuple(counts), root, e, braids)
+        braids = tuple(sorted((mu.parts[a - 1], tuple(pairs)) for a, pairs in sub.items()))
+        key = (mu, root, e, braids)
         seen[key] = seen.get(key, 0) + 1
 
     memo: dict[tuple[int, tuple], LPoly] = {}
-    acc: dict[tuple[tuple[int, ...], int], dict] = {}
-    for (parts, root, e, braids), mult in seen.items():
+    acc: dict[tuple[Composition, int], dict] = {}
+    for (mu, root, e, braids), mult in seen.items():
         val = LPoly.const(1, mult)
         for braid in braids:
             p = memo.get(braid)
             if p is None:
                 p = memo[braid] = tau_word(*braid)
             val = val * p
-        add_all(acc.setdefault((parts, root), {}), val.shift(eu=e, eg=e).terms)
+        add_all(acc.setdefault((mu, root), {}), val.shift(eu=e, eg=e).terms)
 
     sums: dict[Composition, dict] = {}
-    for (parts, root), terms in acc.items():
-        lifted = LPoly(1, terms).as_order(d)
-        if root:
-            lifted = lifted.scale(Cyclo.zeta(d, root))
-        add_all(sums.setdefault(Composition(parts), {}), lifted.terms)
+    for (mu, root), terms in acc.items():
+        lifted = LPoly(1, terms).as_order(d).rotate(root)
+        add_all(sums.setdefault(mu, {}), lifted.terms)
     return {mu: LPoly(d, terms) for mu, terms in sums.items()}
 
 

@@ -210,13 +210,23 @@ class Composition(namedtuple("Composition", "parts")):
     def n(self) -> int:
         return sum(self.parts)
 
+    @lru_cache(maxsize=1024)
     def base(self) -> "Composition":
-        """Replace every nonzero part by 1.
+        """Replace every nonzero part by 1; memoized in a fixed-size cache.
 
         >>> Composition((3, 0, 1)).base()
         Composition(parts=(1, 0, 1))
         """
         return Composition(tuple(1 if p else 0 for p in self.parts))
+
+    @lru_cache(maxsize=1024)
+    def letters(self) -> frozenset[int]:
+        """The letters with a nonzero part; memoized like `base`.
+
+        >>> Composition((3, 0, 1)).letters()
+        frozenset({1, 3})
+        """
+        return frozenset([a for a, p in enumerate(self.parts, start=1) if p])
 
     def bump(self, a: int) -> "Composition":
         """Add 1 to part a (1-indexed)."""
@@ -233,19 +243,6 @@ class Composition(namedtuple("Composition", "parts")):
         out = math.factorial(self.n)
         for p in self.parts:
             out //= math.factorial(p)
-        return out
-
-    def blocks(self) -> list[range]:
-        """Consecutive position blocks [1..mu_1], [mu_1+1..mu_1+mu_2], ...
-
-        Zero parts give empty ranges, kept so that block a always belongs to
-        letter a.
-        """
-        out = []
-        lo = 1
-        for p in self.parts:
-            out.append(range(lo, lo + p))
-            lo += p
         return out
 
     def __str__(self) -> str:
@@ -276,15 +273,16 @@ def all_comp0(d: int) -> list[Composition]:
 
 
 def comp_of(chi: Character, d: int) -> Composition:
-    """Letter multiplicities of a character.
+    """Letter multiplicities of a character; the one check of a letter,
+    which must be an int, not a bool, in 1..d.
 
     >>> comp_of((1, 2, 1, 1), 2)
     Composition(parts=(3, 1))
     """
     counts = [0] * d
     for a in chi:
-        if not 1 <= a <= d:
-            raise ValueError(f"letter {a} out of range 1..{d}")
+        if type(a) is not int or not 1 <= a <= d:
+            raise ValueError(f"letter {a!r} out of range 1..{d}")
         counts[a - 1] += 1
     return Composition(tuple(counts))
 
@@ -376,10 +374,10 @@ def block_split(w: Perm, mu: Composition) -> list[Perm]:
     """
     if not in_young(w, mu):
         raise ValueError(f"{w} is not in the Young subgroup of {mu}")
-    out = []
-    for blk in mu.blocks():
-        lo = blk.start
-        out.append(tuple(w[j - 1] - lo + 1 for j in blk))
+    out, lo = [], 0  # lo: the positions before the block
+    for p in mu.parts:
+        out.append(tuple([w[j] - lo for j in range(lo, lo + p)]))
+        lo += p
     return out
 
 

@@ -41,7 +41,7 @@ from numbers import Complex
 from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
-from .permcomp import Composition, all_comp0, identity
+from .permcomp import Composition, all_comp0, comp_of, identity
 from .yokonuma import YElem
 
 __all__ = [
@@ -143,12 +143,11 @@ def symmetrizing_tilde(x: YElem) -> LPoly:
 # --------------------------------------------------------------------------
 
 def _subset(S: Iterable[int], d: int) -> tuple[int, ...]:
-    S = tuple(sorted(set(S)))
+    """The distinct letters of S, each checked by `comp_of`, in increasing order."""
+    S = comp_of(S, d).letters()
     if not S:
         raise ValueError("S must be a nonempty subset of the letters 1..d")
-    if any(not 1 <= a <= d for a in S):
-        raise ValueError(f"S={S} is not inside 1..{d}")
-    return S
+    return tuple(sorted(S))
 
 
 def esystem_c(d: int, S: Iterable[int], b: int) -> Coeff:
@@ -185,7 +184,7 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     for size in range(1, len(S) + 1):
         w = (loop ** (size - 1)).scale(Fraction(1, len(S)))
         for support in itertools.combinations(S, size):
-            alphas[Composition(tuple(int(a in support) for a in range(1, d + 1)))] = w
+            alphas[comp_of(support, d)] = w
     return TraceSpec(d, alphas)
 
 

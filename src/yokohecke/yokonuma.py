@@ -51,6 +51,7 @@ from .permcomp import (
     Composition,
     Perm,
     act,
+    comp_of,
     cycles,
     identity,
     orbit,
@@ -279,10 +280,8 @@ def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, sc
 @lru_cache(maxsize=64)
 def _to_E_table(d: int, letters: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
     """Framing exponent e -> ((a, t) for a in letters), xi_a^e = zeta_d^t.
-    Shared by every caller, so never mutated."""
-    for a in letters:
-        if not 1 <= a <= d:
-            raise ValueError(f"letter {a} out of range 1..{d}")
+    Shared by every caller, so never mutated.  Callers check the letters
+    (`comp_of`) before this cache, in which True would find the entry of 1."""
     return {e: tuple((a, (a - 1) * e % d) for a in letters) for e in range(d)}
 
 
@@ -299,8 +298,8 @@ def to_E_basis(x: YElem) -> dict[tuple[Character, Perm], LPoly]:
 
 def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly]:
     """The coefficients of `to_E_basis(x)` on the keys (chi, w) with
-    w(chi) = chi and every letter of chi in `letters` (default: all d),
-    computed without the others.
+    w(chi) = chi and every letter of chi in `letters` (default: all d;
+    each checked by `comp_of`), computed without the others.
 
     w fixes chi exactly when chi is constant on every cycle C of w, say
     chi_j = a_C for j in C.  Then
@@ -323,7 +322,7 @@ def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly
     [((2, 2), (2, 1))]
     """
     d = x.d
-    letters = tuple(range(1, d + 1)) if letters is None else tuple(sorted(letters))
+    letters = range(1, d + 1) if letters is None else comp_of(letters, d).letters()
     cycs: dict[Perm, list[tuple[int, ...]]] = {}
     collapsed = []
     for (k, w), c in x.terms.items():
@@ -332,7 +331,7 @@ def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly
             cyc = cycs[w] = cycles(w)
         collapsed.append(((tuple([sum([k[j - 1] for j in C]) % d for C in cyc]), w), c))
     out: dict[tuple[Character, Perm], LPoly] = {}
-    for (a, w), c in _strandwise(collapsed, _to_E_table(d, letters), d).items():
+    for (a, w), c in _strandwise(collapsed, _to_E_table(d, tuple(sorted(letters))), d).items():
         chi = [0] * x.n
         for C, letter in zip(cycs[w], a):
             for j in C:
@@ -345,7 +344,9 @@ def from_E_basis(
     d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly]
 ) -> YElem:
     """Rebuild a YElem from idempotent-basis coefficients (inverse transform:
-    the coefficient of t^k in E_chi is (1/d)^n prod_j xi_{chi_j}^{-k_j})."""
+    the coefficient of t^k in E_chi is (1/d)^n prod_j xi_{chi_j}^{-k_j});
+    `comp_of` checks every letter first."""
+    comp_of((a for chi, _ in coeffs for a in chi), d)
     table = {a: tuple((e, -(a - 1) * e % d) for e in range(d)) for a in range(1, d + 1)}
     return YElem(d, n, _strandwise(coeffs.items(), table, d, Fraction(1, d**n)))
 

@@ -272,6 +272,13 @@ def test_computation_errors_exit_1(capsys):
         assert one_error_line(captured.err), (argv, captured.err)
 
 
+@pytest.mark.parametrize("subset,letter", [("0,1", 0), ("1,3", 3)])
+def test_jl_subset_outside_the_letters_names_the_letter(capsys, subset, letter):
+    code, out, err = run_main(capsys, "jl", "--d", "2", "--S", subset, "--n", "2", "--word", "1 1")
+    assert (code, out) == (1, "")
+    assert err == f"error: letter {letter} out of range 1..2\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--q", "--z"])
 def test_jl_rejects_non_finite_input(capsys, flag, value):

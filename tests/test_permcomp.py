@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yokohecke.exactnum import LPoly, root_power
 from yokohecke.hecke import HeckeElem, tau_word
+from yokohecke.isomap import psi_from_e_coeffs
+from yokohecke.links import jl_invariant, parse_word
 from yokohecke.permcomp import (
     Composition,
     act,
@@ -30,7 +33,8 @@ from yokohecke.permcomp import (
     reduced_word,
     s_perm,
 )
-from yokohecke.yokonuma import YElem
+from yokohecke.traces import esystem_c, jl_spec
+from yokohecke.yokonuma import YElem, fixed_E_coeffs, idempotent_E
 
 
 def all_perms(n):
@@ -160,6 +164,7 @@ def test_all_comp0():
 def test_composition_base_and_multiplicity():
     mu = Composition((3, 0, 1))
     assert mu.base() == Composition((1, 0, 1))
+    assert mu.letters() == frozenset({1, 3})
     # multiplicity: n! / prod(parts!)
     assert mu.multiplicity() == factorial(4) // (factorial(3) * factorial(1))
     assert Composition((2, 2)).multiplicity() == 6
@@ -246,6 +251,8 @@ def test_block_split_renumbers():
     mu2 = Composition((0, 3, 1))
     w2 = (3, 1, 2, 4)
     assert block_split(w2, mu2) == [(), (3, 1, 2), (1,)]
+    mu3 = Composition((2, 0, 0, 2))
+    assert block_split((2, 1, 3, 4), mu3) == [(2, 1), (), (), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +303,44 @@ def _step_cases():
 def test_generator_steps_raise_the_owner_texts(step, args, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         step(*args)
+
+
+# ---------------------------------------------------------------------------
+# one owner for the letter check: every entry point raises comp_of's text
+# ---------------------------------------------------------------------------
+
+def _letter_cases():
+    """Each entry point that takes letters, with a bool, a float, a str or an
+    out-of-range int, and the letter and d of the text it must raise."""
+    hopf = parse_word("1 1", 2, 2)
+    one = LPoly.one(2)
+
+    def after_one_is_cached():
+        fixed_E_coeffs(YElem.one(2, 2), {1})
+        fixed_E_coeffs(YElem.one(2, 2), {True})
+
+    cases = [
+        ("root_power-bool", lambda: root_power(3, True, 1), True, 3),
+        ("comp_of-bool", lambda: comp_of((True, 2), 2), True, 2),
+        ("jl_spec-bool", lambda: jl_spec(3, {True}), True, 3),
+        ("fixed_E_coeffs-float", lambda: fixed_E_coeffs(YElem.one(2, 2), {1.5}), 1.5, 2),
+        ("fixed_E_coeffs-bool-cached", after_one_is_cached, True, 2),
+        ("idempotent_E-float", lambda: idempotent_E(2, (1.5, 2)), 1.5, 2),
+        ("idempotent_E-range", lambda: idempotent_E(2, (3, 2)), 3, 2),
+        ("root_power-float", lambda: root_power(3, 2.0, 1), 2.0, 3),
+        ("esystem_c-float", lambda: esystem_c(3, [2.0], 1), 2.0, 3),
+        ("min_coset_rep-float", lambda: min_coset_rep((1.5, 2), 2), 1.5, 2),
+        ("psi_from_e_coeffs-float",
+         lambda: psi_from_e_coeffs(2, 2, {((1.5, 2), (1, 2)): one}), 1.5, 2),
+        ("jl_invariant-str", lambda: jl_invariant(hopf, 2, {"1"}), "1", 2),
+        ("jl_spec-float", lambda: jl_spec(3, {1.5}), 1.5, 3),
+        ("jl_invariant-range", lambda: jl_invariant(hopf, 2, {0, 1}), 0, 2),
+    ]
+    return [pytest.param(call, f"letter {a!r} out of range 1..{d}", id=name)
+            for name, call, a, d in cases]
+
+
+@pytest.mark.parametrize("call, text", _letter_cases())
+def test_letters_raise_the_owner_text(call, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()
