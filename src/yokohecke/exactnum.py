@@ -77,6 +77,7 @@ __all__ = [
     "LPoly",
     "add_all",
     "add_to",
+    "nonzero",
     "coeff",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -413,8 +414,8 @@ def add_to(out: dict, key, c) -> None:
 
 def add_all(out: dict, terms: Mapping, c=None) -> None:
     """out += terms in place, each value multiplied on the right by c when
-    c is given.  Sums that cancel stay in `out` as zeros; wrapping the dict
-    in a `Sparse` prunes them once at the end."""
+    c is given.  Sums that cancel stay in `out` as zeros; `nonzero` drops
+    them once at the end."""
     if c is None:
         for k, x in terms.items():
             acc = out.get(k)
@@ -426,45 +427,44 @@ def add_all(out: dict, terms: Mapping, c=None) -> None:
             out[k] = x if acc is None else acc + x
 
 
+def nonzero(terms: Mapping) -> dict:
+    """The terms whose coefficient is nonzero."""
+    return {k: c for k, c in terms.items() if c}
+
+
 class Sparse:
     """A finite linear combination over a basis: `terms` maps basis keys to
     nonzero coefficients (a coefficient is false exactly when it is zero).
 
     A subclass has a constructor `(*parent, terms)`, where `_parent()` is
     the tuple of data (orders, strand counts) both operands of a sum must
-    share.  The base supplies the vector-space operations and equality;
-    instances are immutable by convention (construction prunes zeros and no
-    method mutates `terms` afterwards) and unhashable unless a subclass
-    defines `__hash__`.
+    share, and a builder `_make(*parent, terms)` that `_new` calls (`LPoly`
+    has its own `_new`).  The base supplies the vector-space operations and
+    equality; instances are immutable by convention (no method mutates
+    `terms` once built) and unhashable unless a subclass defines `__hash__`.
+
+    Checked at the door, trusted inside.  The public constructors of
+    `HeckeElem`, `YElem`, `BlockMatrix` and `Composition` check every key,
+    part and coefficient; their builders, each a `_make`, check and filter
+    nothing, and every build inside the package goes through them.  Keys
+    the algebra's maps make from valid keys are valid, and a product or
+    shift of nonzero coefficients is nonzero, so only a sum that may cancel
+    passes through `nonzero`.  A function that takes other caller data
+    checks it once, at entry, before any cache: an lru_cache finds the
+    entry of an equal key, and True == 1 == 1.0.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        self.terms = nonzero(terms) if terms else {}
 
     def _parent(self) -> tuple:
         raise NotImplementedError
 
-    def _new(self, terms: Mapping):
-        """A combination with the same parent and the given terms."""
-        return type(self)(*self._parent(), terms)
-
-    def _new_pruned(self, terms: dict):
-        """`_new` for a dict that already holds only nonzero coefficients
-        over valid keys, such as a monomial shift of `self.terms`: the dict
-        is taken as it is, without the zero filter or the subclass's key
-        checks.  Copies the subclass's own slots, which hold its parent.
-
-        >>> p = LPoly.var(1, "u")
-        >>> p._new_pruned({(2, 0, 0): 3}) == LPoly.monomial(1, 3, 2)
-        True
-        """
-        out = object.__new__(type(self))
-        for attr in type(self).__slots__:
-            setattr(out, attr, getattr(self, attr))
-        out.terms = terms
-        return out
+    def _new(self, terms: dict):
+        """The combination at this parent with `terms`, taken as they are."""
+        return self._make(*self._parent(), terms)
 
     @classmethod
     def zero(cls, *parent):
@@ -479,9 +479,7 @@ class Sparse:
             )
 
     def __add__(self, other):
-        """The sum; both operands' keys are valid and their coefficients
-        nonzero, so only the keys where two coefficients meet can give a
-        zero, and only those are tested."""
+        """The sum; only the keys where two coefficients meet are zero-tested."""
         self._check(other)
         out = dict(self.terms)
         for k, x in other.terms.items():
@@ -494,7 +492,7 @@ class Sparse:
                     out[k] = acc
                 else:
                     del out[k]
-        return self._new_pruned(out)
+        return self._new(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -504,7 +502,7 @@ class Sparse:
 
     def scale(self, c):
         """Every coefficient multiplied by c (on the right)."""
-        return self._new({k: x * c for k, x in self.terms.items()})
+        return self._new(nonzero({k: x * c for k, x in self.terms.items()}))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -565,7 +563,7 @@ class LPoly(Sparse):
     def __eq__(self, other: object) -> bool:
         return type(other) is LPoly and self.order == other.order and self.terms == other.terms
 
-    def _new_pruned(self, terms: dict) -> "LPoly":
+    def _new(self, terms: dict) -> "LPoly":
         out = object.__new__(LPoly)
         out.order, out.terms = self.order, terms
         return out
@@ -617,15 +615,13 @@ class LPoly(Sparse):
     __add__ = Sparse.__add__
 
     def __mul__(self, other: "LPoly") -> "LPoly":
-        """The product.  Times a one-term polynomial it is one pass: the
-        shifted keys are distinct, and a product of nonzero field elements
-        is nonzero, so nothing is summed and nothing pruned."""
+        """The product; times a one-term polynomial it is one pass, with no sum."""
         self._check(other)
         if len(self.terms) == 1:  # the coefficients commute
             self, other = other, self
         if len(other.terms) == 1:
             ((a2, b2, c2), y), = other.terms.items()
-            return self._new_pruned(
+            return self._new(
                 {(a1 + a2, b1 + b2, c1 + c2): x * y for (a1, b1, c1), x in self.terms.items()}
             )
         out: dict[ExpKey, Cyclo] = {}
@@ -644,19 +640,16 @@ class LPoly(Sparse):
         return LPoly(self.order, terms)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
-        """Multiply by the monomial u^eu v^ev g^eg (a shift makes no zero;
-        a polynomial is immutable, so the zero shift is the polynomial itself)."""
+        """Multiply by the monomial u^eu v^ev g^eg (the zero shift is the polynomial itself)."""
         if not (eu or ev or eg):
             return self
-        return self._new_pruned(
+        return self._new(
             {(a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()}
         )
 
     def rotate(self, s: int) -> "LPoly":
         """Multiply by zeta_d^s (0 <= s < d) through the integer map
-        `_zeta_map` on each coefficient's numerators: a unit keeps every
-        numerator tuple in lowest terms and nonzero, so no product, gcd or
-        zero filter runs.
+        `_zeta_map` on each coefficient's numerators: no product or gcd runs.
 
         >>> LPoly.monomial(3, Cyclo.zeta(3), 1).rotate(2) == LPoly.var(3, "u")
         True
@@ -667,7 +660,7 @@ class LPoly(Sparse):
         for k, x in self.terms.items():
             num = tuple([sum([r * a for r, a in zip(row, x.num)]) for row in rows])
             terms[k] = tuple.__new__(Cyclo, (x.order, num, x.den))
-        return self._new_pruned(terms)
+        return self._new(terms)
 
     def __pow__(self, k: int) -> "LPoly":
         if k < 0:
@@ -716,6 +709,12 @@ class LPoly(Sparse):
             c = self.terms[key]
             lines.append(" ".join([*map(str, key), *map(str, _coords(c))]))
         return lines
+
+
+def _check_coeff(c, order: int) -> None:
+    """The door's test of a coefficient of an algebra element."""
+    if type(c) is not LPoly or c.order != order:
+        raise ValueError(f"coefficient {c!r} is not an LPoly of order {order}")
 
 
 # --------------------------------------------------------------------------

@@ -50,9 +50,9 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import comb
 
-from .exactnum import LPoly, Sparse, add_all, add_to
+from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
-from .permcomp import _check_crossing, _check_strands
+from .permcomp import _check_crossing, _check_strands, _is_perm
 
 __all__ = [
     "HeckeElem",
@@ -80,22 +80,27 @@ class HeckeElem(Sparse):
     __slots__ = ("n", "order")
 
     def __init__(self, n: int, order: int, terms: Mapping[Perm, LPoly] | None = None):
-        self.n = n
-        self.order = order
-        if terms:
-            for w in terms:
-                if len(w) != n:
-                    raise ValueError(f"permutation {w} is not in S_{n}")
+        self.n, self.order = n, order
+        for w, c in (terms or {}).items():
+            if not _is_perm(w, n):
+                raise ValueError(f"permutation {w} is not in S_{n}")
+            _check_coeff(c, order)
         Sparse.__init__(self, terms)
 
     def _parent(self) -> tuple:
         return (self.n, self.order)
 
+    @classmethod
+    def _make(cls, n: int, order: int, terms: dict) -> "HeckeElem":
+        out = object.__new__(cls)
+        out.n, out.order, out.terms = n, order, terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, n: int, order: int = 1) -> "HeckeElem":
-        return cls(n, order, {identity(n): LPoly.one(order)})
+        return cls._make(n, order, {identity(n): LPoly.one(order)})
 
     @classmethod
     def gen(cls, n: int, i: int, order: int = 1) -> "HeckeElem":
@@ -146,7 +151,7 @@ class HeckeElem(Sparse):
                 add_to(out, ws, c.shift(2 * sign))
                 cv = c.shift(sign - 1, 1)
                 add_to(out, w, cv if sign == 1 else -cv)
-        return HeckeElem(self.n, self.order, out)
+        return HeckeElem._make(self.n, self.order, nonzero(out))
 
     # -- embeddings ------------------------------------------------------------
 
@@ -165,7 +170,7 @@ def h_mul(x: HeckeElem, y: HeckeElem) -> HeckeElem:
         for i in reduced_word(w):
             z = z.mul_gen(i)
         add_all(out, z.terms, c)
-    return HeckeElem(x.n, x.order, out)
+    return HeckeElem._make(x.n, x.order, nonzero(out))
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +199,7 @@ def markov_tau(x: HeckeElem) -> LPoly:
             if p == n:
                 add_all(nxt, group, loop)
                 continue
-            z = HeckeElem(n - 1, x.order, group)
+            z = HeckeElem._make(n - 1, x.order, nonzero(group))
             for i in range(n - 2, p - 1, -1):
                 z = z.mul_gen(i)
             add_all(nxt, z.terms)
@@ -317,15 +322,14 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
 @lru_cache(maxsize=4096)
 def _block_tau(wa: Perm, order: int) -> LPoly:
     """tau(T_wa) for one renumbered block permutation, memoized."""
-    return markov_tau(HeckeElem.basis(len(wa), wa, order))
+    return markov_tau(HeckeElem._make(len(wa), order, {wa: LPoly.one(order)}))
 
 
 @lru_cache(maxsize=4096)
 def _block_product(w: Perm, mu: Composition, order: int) -> LPoly:
     """The product over the letter blocks of mu of tau(T_wa), wa the
-    renumbered block permutations of w, memoized.  `block_split` raises
-    for w outside the Young subgroup of mu, and an lru_cache stores no
-    exception, so such a w is rejected on every call."""
+    renumbered block permutations of w, memoized; `block_split` rejects
+    a w outside the Young subgroup of mu, and the cache keeps no error."""
     out = LPoly.one(order)
     for wa in block_split(w, mu):
         if wa:
@@ -345,8 +349,7 @@ def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     across every term, block and call of one `rho`.
 
     Raises ValueError if x is not in H^mu: a size other than |mu|, or a
-    basis permutation outside the Young subgroup of mu (`block_split`, run
-    on every call, since the cache keeps no error).
+    basis permutation outside the Young subgroup of mu.
     """
     if x.n != mu.n:
         raise ValueError(f"element lives in S_{x.n}, mu has size {mu.n}")

@@ -18,11 +18,7 @@ Tt_p = u^{-len(p)} T_p, so psi scales by u^{-len(p)} and phi by u^{+len(p)}.
 A `BlockMatrix` is flat: (mu, row, col, p) -> the LPoly coefficient of T_p
 in cell (mu, row, col).  psi, phi and iota map distinct keys to distinct
 keys, so each is one pass over the keys; `blocks` and `block(mu)` build
-`HeckeElem` cells on demand.  psi and iota build their results without the
-constructor's per-key checks: psi checks each distinct cell once, in its
-memo `_psi_cell`, and the level of every input key, and iota's keys are
-valid by construction; neither makes a zero coefficient, so neither needs
-the zero filter.
+`HeckeElem` cells on demand.
 
 `iota` is the embedding of the level-n matrix side into level n+1 induced by
 adding an unframed strand: the block mu spreads over the blocks mu^[a]
@@ -37,26 +33,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, add_to
+from .exactnum import LPoly, Sparse, _check_coeff, add_to, nonzero
 from .hecke import HeckeElem, h_mul
 from .permcomp import (
     Character,
     Composition,
     Perm,
+    _is_perm,
+    _min_coset_rep,
     act,
     all_compositions,
-    comp_of,
     compose,
     extend,
     identity,
     in_young,
     inverse,
     length,
-    min_coset_rep,
     orbit,
     orbit_index,
 )
-from .yokonuma import YElem, fixed_E_coeffs, from_E_basis, to_E_basis
+from .yokonuma import YElem, _check_e_coeffs, fixed_E_coeffs, from_E_basis, to_E_basis
 
 __all__ = [
     "BlockMatrix",
@@ -78,9 +74,7 @@ class BlockMatrix(Sparse):
 
     Stored flat, like `YElem`: a `Sparse` combination {(mu, row, col, p):
     coefficient of T_p in cell (mu, row, col)}, with row and col characters
-    of composition mu and p in S_n.  The constructor checks that for every
-    key; `psi_from_e_coeffs` and `iota` build through `_pruned` instead and
-    check it where their keys come from (see each).  `blocks` ({mu: {(row,
+    of composition mu and p in S_n.  `blocks` ({mu: {(row,
     col): entry}}, nonzero blocks only) and `block(mu)` (the dense view in
     `orbit(mu)` order) build the HeckeElem entries on demand.  That p
     preserves the mu-blocks is checked by `phi` on input from outside, and
@@ -91,47 +85,43 @@ class BlockMatrix(Sparse):
 
     def __init__(self, d: int, n: int, terms: dict[Key, LPoly] | None = None):
         self.d, self.n = d, n
-        Sparse.__init__(self, terms)
-        chars_of: dict[Composition, dict[Character, int]] = {}
-        for mu, row, col, p in self.terms:
-            chars = chars_of.get(mu)
-            if chars is None:
-                if mu.d != d or mu.n != n:
-                    raise ValueError(f"block {mu} does not fit level ({d},{n})")
-                chars = chars_of[mu] = orbit_index(mu)
-            if row not in chars or col not in chars:
+        for (mu, row, col, p), c in (terms or {}).items():
+            if type(mu) is not Composition or mu.d != d or mu.n != n:
+                raise ValueError(f"block {mu} does not fit level ({d},{n})")
+            chars = orbit_index(mu)
+            if not (row in chars and col in chars and all([type(a) is int for a in row + col])):
                 raise ValueError(f"block {mu} has a row or column that is not a character of {mu}")
-            if len(p) != n:
+            if not _is_perm(p, n):
                 raise ValueError(f"permutation {p} is not in S_{n}")
+            _check_coeff(c, d)
+        Sparse.__init__(self, terms)
 
     def _parent(self) -> tuple:
         return (self.d, self.n)
 
-    # -- construction helpers --------------------------------------------------
-
     @classmethod
-    def _pruned(cls, d: int, n: int, terms: dict[Key, LPoly]) -> "BlockMatrix":
-        """`_new_pruned` at level (d, n): `terms` is taken as it is, so it
-        must hold only nonzero coefficients over keys the constructor accepts."""
+    def _make(cls, d: int, n: int, terms: dict) -> "BlockMatrix":
         out = object.__new__(cls)
         out.d, out.n, out.terms = d, n, terms
         return out
 
+    # -- construction helpers --------------------------------------------------
+
     @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
         one, e, levels = LPoly.one(d), identity(n), all_compositions(d, n)
-        return cls(d, n, {(mu, chi, chi, e): one for mu in levels for chi in orbit(mu)})
+        return cls._make(d, n, {(mu, chi, chi, e): one for mu in levels for chi in orbit(mu)})
 
     @property
     def blocks(self) -> dict[Composition, dict[tuple[Character, Character], HeckeElem]]:
         cells: dict[Composition, dict[tuple[Character, Character], dict[Perm, LPoly]]] = {}
         for (mu, row, col, p), c in self.terms.items():
             cells.setdefault(mu, {}).setdefault((row, col), {})[p] = c
-        return {mu: {rc: HeckeElem(self.n, self.d, t) for rc, t in block.items()}
+        return {mu: {rc: HeckeElem._make(self.n, self.d, t) for rc, t in block.items()}
                 for mu, block in cells.items()}
 
     def block(self, mu: Composition) -> tuple[tuple[HeckeElem, ...], ...]:
-        cells, z, chars = self.blocks.get(mu, {}), HeckeElem.zero(self.n, self.d), orbit(mu)
+        cells, z, chars = self.blocks.get(mu, {}), HeckeElem._make(self.n, self.d, {}), orbit(mu)
         return tuple(tuple(cells.get((row, col), z) for col in chars) for row in chars)
 
     # -- algebra ----------------------------------------------------------------
@@ -148,7 +138,7 @@ class BlockMatrix(Sparse):
                 for j, y in rows.get(k, ()):
                     for p, c in h_mul(x, y).terms.items():
                         add_to(terms, (mu, i, j, p), c)
-        return BlockMatrix(self.d, self.n, terms)
+        return BlockMatrix._make(self.d, self.n, nonzero(terms))
 
 
 def psi(x: YElem) -> BlockMatrix:
@@ -158,63 +148,50 @@ def psi(x: YElem) -> BlockMatrix:
     c * u^{-len(p)} T_p at the cell (chi, w^{-1} chi) of the block comp(chi),
     where p = pi_chi^{-1} w pi_{w^{-1} chi}.
     """
-    return psi_from_e_coeffs(x.d, x.n, to_E_basis(x))
+    return _psi_from_e_coeffs(x.d, x.n, to_E_basis(x))
 
 
 @lru_cache(maxsize=4096)
 def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Key, int]:
     """Where psi puts E_chi gt_w: the key (comp(chi), chi, col, p) with
     col = w^{-1} chi and the block permutation p = pi_chi^{-1} w pi_col,
-    and the u-exponent -len(p).
-
-    Checks what the `BlockMatrix` constructor would check of that key, once
-    per distinct cell: the letters of chi lie in 1..d (`comp_of`) and w has
-    as many points as chi.  Then row and col are characters of the key's
-    composition (col is a rearrangement of chi) and p is in S_len(chi); an
-    lru_cache stores no exception, so a bad cell is rejected on every call.
-    """
-    mu = comp_of(chi, d)
-    if len(w) != len(chi):
-        raise ValueError(f"permutation {w} is not in S_{len(chi)}")
+    and the u-exponent -len(p)."""
+    mu = Composition._make((tuple([chi.count(a) for a in range(1, d + 1)]),))
     col = act(inverse(w), chi)
-    p = compose(compose(inverse(min_coset_rep(chi, d)), w), min_coset_rep(col, d))
+    p = compose(compose(inverse(_min_coset_rep(chi)), w), _min_coset_rep(col))
     return (mu, chi, col, p), -length(p)
 
 
-def psi_from_e_coeffs(
-    d: int, n: int, eb: dict[tuple[Character, Perm], LPoly]
-) -> BlockMatrix:
-    """psi applied to an element given directly by idempotent-basis
-    coefficients, skipping the change of basis from t-exponents.
+def psi_from_e_coeffs(d: int, n: int, eb: dict[tuple[Character, Perm], LPoly]) -> BlockMatrix:
+    """psi of idempotent-basis coefficients, checked first (`yokonuma._check_e_coeffs`),
+    skipping the change of basis from t-exponents.
 
     One pass: each key (chi, w) goes to its own flat key (mu, chi, col, p),
-    its coefficient times u^{-len(p)}.  That key map is pure permutation
-    combinatorics, so `_psi_cell` memoizes it in a fixed-size cache; 4096
-    entries hold every basis key of the largest `verify` level
-    (3^4 * 4! = 1944), and the cache cannot grow with d^n n!.  The change
-    of basis gives many keys one coefficient object, so each is shifted
-    once per exponent, through a memo keyed by its identity that holds it.
-
-    The result is built without the constructor's per-key checks:
-    `_psi_cell` checks each distinct cell, the level is checked here on
-    every key, distinct keys land on distinct cells, zero coefficients are
-    skipped and a shift makes no zero.
+    its coefficient times u^{-len(p)}.  `_psi_cell` memoizes that key map in
+    a fixed-size cache, whose 4096 entries hold every key of the largest
+    `verify` level (3^4 * 4! = 1944).  The change of basis gives many keys
+    one coefficient object, so each is shifted once per exponent, through
+    a memo keyed by its identity that holds it.
     """
+    _check_e_coeffs(d, n, eb)
+    return _psi_from_e_coeffs(d, n, eb)
+
+
+def _psi_from_e_coeffs(d: int, n: int, eb: dict[tuple[Character, Perm], LPoly]) -> BlockMatrix:
+    """`psi_from_e_coeffs` of valid coefficients."""
     shifted: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
     terms: dict[Key, LPoly] = {}
     for (chi, w), c in eb.items():
-        key, eu = _psi_cell(d, chi, w)
-        if len(chi) != n:
-            raise ValueError(f"block {key[0]} does not fit level ({d},{n})")
         if not c.terms:
             continue
+        key, eu = _psi_cell(d, chi, w)
         if eu:
             hit = shifted.get((id(c), eu))
             if hit is None:
                 hit = shifted[id(c), eu] = (c, c.shift(eu=eu))
             c = hit[1]
         terms[key] = c
-    return BlockMatrix._pruned(d, n, terms)
+    return BlockMatrix._make(d, n, terms)
 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
@@ -240,8 +217,7 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
             wanted[mu] = supports is None or mu.base() in supports
         if wanted[mu]:
             add_to(diag.setdefault(mu, {}), p, c.shift(eu=eu))
-    traces = {mu: HeckeElem(x.n, x.d, cell) for mu, cell in diag.items()}
-    return {mu: tr for mu, tr in traces.items() if tr}
+    return {mu: HeckeElem._make(x.n, x.d, t) for mu, cell in diag.items() if (t := nonzero(cell))}
 
 
 def phi(M: BlockMatrix) -> YElem:
@@ -258,7 +234,7 @@ def phi_to_e_coeffs(M: BlockMatrix) -> dict[tuple[Character, Perm], LPoly]:
     for (mu, row, col, p), c in M.terms.items():
         if not in_young(p, mu):
             raise ValueError(f"{p} is not in the Young subgroup of {mu}")
-        w = compose(compose(min_coset_rep(row, mu.d), p), inverse(min_coset_rep(col, mu.d)))
+        w = compose(compose(_min_coset_rep(row), p), inverse(_min_coset_rep(col)))
         eb[row, w] = c.shift(eu=length(p))
     return eb
 
@@ -284,19 +260,13 @@ def iota(M: BlockMatrix) -> BlockMatrix:
     Block mu feeds each block mu^[a]: the key (mu, row, col, w) moves to
     (mu^[a], row + (a,), col + (a,), cyc w cyc^{-1}), cyc the relabeling
     cycle of the letter-a block (length-preserving, so T-coefficients carry
-    over).  The moves of (mu, w) are pure permutation combinatorics, so
-    `_iota_moves` memoizes them in a fixed-size cache, like `_psi_cell`;
-    1024 entries hold every (mu, w) of level (3, 4) (15 compositions
-    times 4! = 360), above the largest level `verify` embeds from (3, 3),
-    and the cache cannot grow with d^n n!.
-
-    The result is built without the constructor's per-key checks: a valid
-    key of M moves to valid keys (row + (a,) and col + (a,) are characters
-    of mu^[a], conj is in S_{n+1}), distinct keys to distinct keys, and
-    every coefficient is one of M's nonzero ones.
+    over).  `_iota_moves` memoizes the moves of (mu, w) in a fixed-size
+    cache, whose 1024 entries hold every (mu, w) of level (3, 4) (15
+    compositions times 4! = 360), above the largest level `verify` embeds
+    from (3, 3).
     """
     terms: dict[Key, LPoly] = {}
     for (mu, row, col, w), c in M.terms.items():
         for a, mua, conj in _iota_moves(mu, w):
             terms[mua, row + (a,), col + (a,), conj] = c
-    return BlockMatrix._pruned(M.d, M.n + 1, terms)
+    return BlockMatrix._make(M.d, M.n + 1, terms)

@@ -127,9 +127,9 @@ class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
 
     ``tokens`` is a tuple of ``("sigma", i, sign)`` and
     ``("frame", j, k)`` entries.  ``n``, indices and exponents must be
-    ``int`` (not ``bool``), and index ranges are checked on construction;
-    framing exponents are stored as given (callers that know ``d`` should
-    reduce them, as :func:`parse_word` does).
+    ``int`` (not ``bool``), and index ranges are checked on construction.
+    Framing exponents are any ints, stored as given, since a word knows no
+    ``d`` (a `YElem` key holds them in 0..d-1); :func:`parse_word` reduces them mod d.
 
     An immutable named tuple of ``(n, tokens)``, like `permcomp.Composition`.
 

@@ -91,6 +91,11 @@ def _check_framing(n: int, j, power) -> None:
         raise ValueError(f"framing power must be an integer, got {power!r}")
 
 
+def _is_perm(w, n: int) -> bool:
+    """Is w a permutation: a tuple of ints, not bools, holding each of 1..n once?"""
+    return type(w) is tuple and all([type(x) is int for x in w]) and sorted(w) == [*range(1, n + 1)]
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -192,15 +197,17 @@ class Composition(namedtuple("Composition", "parts")):
 
     An immutable named tuple that equals, orders and hashes as the plain tuple
     of its fields: ``Composition((1, 0)) == ((1, 0),)``.  Assigning a field
-    raises AttributeError; ``_make`` and ``_replace`` skip the check of ``__new__``.
+    raises AttributeError; ``_make((parts,))`` builds without the checks (see `exactnum.Sparse`).
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...]):
+        if type(parts) is not tuple or not all([type(p) is int for p in parts]):
+            raise ValueError(f"parts must be a tuple of integers, got {parts!r}")
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
-        return super().__new__(cls, parts)
+        return tuple.__new__(cls, (parts,))
 
     @property
     def d(self) -> int:
@@ -217,7 +224,7 @@ class Composition(namedtuple("Composition", "parts")):
         >>> Composition((3, 0, 1)).base()
         Composition(parts=(1, 0, 1))
         """
-        return Composition(tuple(1 if p else 0 for p in self.parts))
+        return Composition._make((tuple([1 if p else 0 for p in self.parts]),))
 
     @lru_cache(maxsize=1024)
     def letters(self) -> frozenset[int]:
@@ -232,7 +239,7 @@ class Composition(namedtuple("Composition", "parts")):
         """Add 1 to part a (1-indexed)."""
         parts = list(self.parts)
         parts[a - 1] += 1
-        return Composition(tuple(parts))
+        return Composition._make((tuple(parts),))
 
     def multiplicity(self) -> int:
         """Size of the character orbit: the multinomial n! / prod(mu_a!).
@@ -259,7 +266,7 @@ def all_compositions(d: int, n: int) -> list[Composition]:
     # the cuts come in lexicographic order, and so do the parts they give
     for cuts in itertools.combinations(range(n + d - 1), d - 1):
         ext = (-1,) + cuts + (n + d - 1,)
-        out.append(Composition(tuple(ext[i + 1] - ext[i] - 1 for i in range(d))))
+        out.append(Composition._make((tuple([ext[i + 1] - ext[i] - 1 for i in range(d)]),)))
     return out
 
 
@@ -268,7 +275,7 @@ def all_comp0(d: int) -> list[Composition]:
     out = []
     for bits in itertools.product((0, 1), repeat=d):
         if any(bits):
-            out.append(Composition(bits))
+            out.append(Composition._make((bits,)))
     return out
 
 
@@ -284,7 +291,14 @@ def comp_of(chi: Character, d: int) -> Composition:
         if type(a) is not int or not 1 <= a <= d:
             raise ValueError(f"letter {a!r} out of range 1..{d}")
         counts[a - 1] += 1
-    return Composition(tuple(counts))
+    return Composition._make((tuple(counts),))
+
+
+def _check_character(chi, d: int) -> Composition:
+    """`comp_of` of a character from outside, which must be a tuple."""
+    if type(chi) is not tuple:
+        raise ValueError(f"character {chi!r} is not a tuple of letters")
+    return comp_of(chi, d)
 
 
 # --------------------------------------------------------------------------
@@ -336,20 +350,24 @@ def act(w: Perm, chi: Character) -> Character:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def min_coset_rep(chi: Character, d: int) -> Perm:
     """The shortest permutation sending chi_one(comp_of(chi)) to chi.
 
     It sends the letter blocks, in order, to the positions of each letter
     taken in increasing order (a stable sort of the positions by letter),
     which keeps every letter block order-preserved; this is the distinguished (minimal
-    length) representative of the left coset pi * Stab(chi_one).  Memoized
-    in a fixed-size cache, which cannot grow with the d^n characters.
+    length) representative of the left coset pi * Stab(chi_one).
 
     >>> min_coset_rep((1, 2, 1, 1), 2)
     (1, 3, 4, 2)
     """
-    comp_of(chi, d)  # checks every letter
+    _check_character(chi, d)
+    return _min_coset_rep(chi)
+
+
+@lru_cache(maxsize=4096)
+def _min_coset_rep(chi: Character) -> Perm:
+    """`min_coset_rep` of a valid character, memoized in a fixed-size cache."""
     return tuple(sorted(range(1, len(chi) + 1), key=lambda j: chi[j - 1]))
 
 

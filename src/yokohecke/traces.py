@@ -127,7 +127,7 @@ def symmetrizing_rho(x: YElem) -> LPoly:
     identity exactly when w is, so only the identity terms of x are
     decomposed."""
     idn = identity(x.n)
-    at_id = YElem(x.d, x.n, {key: c for key, c in x.terms.items() if key[1] == idn})
+    at_id = YElem._make(x.d, x.n, {key: c for key, c in x.terms.items() if key[1] == idn})
     return LPoly.sum(x.d, (tr.coefficient(idn) for tr in block_traces(at_id).values()))
 
 

@@ -29,8 +29,8 @@ import random
 from collections.abc import Iterable
 
 from ._golden import golden_checks
-from .exactnum import LPoly, add_to
-from .isomap import iota, phi_to_e_coeffs, psi, psi_from_e_coeffs
+from .exactnum import LPoly, add_to, nonzero
+from .isomap import _psi_from_e_coeffs, iota, phi_to_e_coeffs, psi
 from .links import jl_numeric, parse_word
 from .permcomp import Character, Perm, act, inverse
 from .traces import (
@@ -78,7 +78,7 @@ def _random_key(rng: random.Random, d: int, n: int) -> tuple:
 
 
 def _random_basis_elem(rng: random.Random, d: int, n: int) -> YElem:
-    return YElem(d, n, {_random_key(rng, d, n): LPoly.one(d)})
+    return YElem._make(d, n, {_random_key(rng, d, n): LPoly.one(d)})
 
 
 def _random_elem(rng: random.Random, d: int, n: int, terms: int = 3) -> YElem:
@@ -86,7 +86,7 @@ def _random_elem(rng: random.Random, d: int, n: int, terms: int = 3) -> YElem:
     for _ in range(terms):
         c = LPoly.const(d, rng.choice((-2, -1, 1, 2)))
         add_to(out, _random_key(rng, d, n), c)
-    return YElem(d, n, out)
+    return YElem._make(d, n, nonzero(out))
 
 
 def _check(check_id: str, failures: Iterable[str | None]) -> Check:
@@ -108,7 +108,7 @@ def suite_iso(
 
     def roundtrip_failure(chi: Character, w: Perm) -> str | None:
         coeffs = {(chi, w): one}
-        back = phi_to_e_coeffs(psi_from_e_coeffs(d, n, coeffs))
+        back = phi_to_e_coeffs(_psi_from_e_coeffs(d, n, coeffs))
         return None if back == coeffs else f"round trip failed on E_{chi} gt_{w}"
 
     def product_failure(k: int) -> str | None:
@@ -116,8 +116,9 @@ def suite_iso(
         chi2, w2 = rng.choice(chars), rng.choice(perms)
         if k % 2:  # a random chi2 mostly makes the product zero; w^-1 . chi never does
             chi2 = act(inverse(w), chi)
-        lhs = psi_from_e_coeffs(d, n, e_basis_mul_basis(d, chi, w, chi2, w2))
-        rhs = psi_from_e_coeffs(d, n, {(chi, w): one}) * psi_from_e_coeffs(d, n, {(chi2, w2): one})
+        lhs = _psi_from_e_coeffs(d, n, e_basis_mul_basis(d, chi, w, chi2, w2))
+        rhs = (_psi_from_e_coeffs(d, n, {(chi, w): one})
+               * _psi_from_e_coeffs(d, n, {(chi2, w2): one}))
         if lhs != rhs:
             return f"psi not multiplicative on E_{chi} gt_{w} * E_{chi2} gt_{w2}"
         return None
@@ -168,7 +169,7 @@ def suite_schur(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
     one = LPoly.one(d)
 
     def forms_failure(k: tuple[int, ...], w: Perm) -> str | None:
-        x = YElem(d, n, {(k, w): one})
+        x = YElem._make(d, n, {(k, w): one})
         if symmetrizing_rho(x) != symmetrizing_tilde(x):
             return f"forms differ on t^{k} gt_{w}"
         return None

@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, add_all, add_to
+from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
 from .permcomp import (
     Character,
     Composition,
@@ -57,7 +57,7 @@ from .permcomp import (
     orbit,
     reduced_word,
 )
-from .permcomp import _check_crossing, _check_framing, _check_generator
+from .permcomp import _check_character, _check_crossing, _check_framing, _check_generator, _is_perm
 
 __all__ = [
     "YElem",
@@ -74,27 +74,33 @@ YKey = tuple[tuple[int, ...], Perm]
 
 
 class YElem(Sparse):
-    """An element of Y_{d,n} on the framing-tuple / permutation basis."""
+    """An element of Y_{d,n} on the basis t^k gt_w, with framings k in 0..d-1."""
 
     __slots__ = ("d", "n")
 
     def __init__(self, d: int, n: int, terms: Mapping[YKey, LPoly] | None = None):
-        self.d = d
-        self.n = n
-        if terms:
-            for k, w in terms:
-                if len(k) != n or len(w) != n:
-                    raise ValueError(f"key {(k, w)} does not fit Y_{{{d},{n}}}")
+        self.d, self.n = d, n
+        for (k, w), c in (terms or {}).items():
+            if not (type(k) is tuple and len(k) == n and _is_perm(w, n)
+                    and all([type(e) is int and 0 <= e < d for e in k])):
+                raise ValueError(f"key {(k, w)} does not fit Y_{{{d},{n}}}")
+            _check_coeff(c, d)
         Sparse.__init__(self, terms)
 
     def _parent(self) -> tuple:
         return (self.d, self.n)
 
+    @classmethod
+    def _make(cls, d: int, n: int, terms: dict) -> "YElem":
+        out = object.__new__(cls)
+        out.d, out.n, out.terms = d, n, terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, d: int, n: int) -> "YElem":
-        return cls(d, n, {((0,) * n, identity(n)): LPoly.one(d)})
+        return cls._make(d, n, {((0,) * n, identity(n)): LPoly.one(d)})
 
     @classmethod
     def t_elem(cls, d: int, n: int, j: int, power: int = 1) -> "YElem":
@@ -131,6 +137,8 @@ class YElem(Sparse):
 
     def mul_t_vector(self, kv: tuple[int, ...]) -> "YElem":
         """Right multiply by t^kv = t_1^{kv_1} ... t_n^{kv_n} in one pass."""
+        if len(kv) != self.n or not all([type(m) is int for m in kv]):
+            raise ValueError(f"framing powers {kv!r} do not fit {self.n} strands")
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
             k2 = list(k)
@@ -138,8 +146,8 @@ class YElem(Sparse):
                 if m:
                     pos = w[j] - 1
                     k2[pos] = (k2[pos] + m) % self.d
-            add_to(out, (tuple(k2), w), c)
-        return YElem(self.d, self.n, out)
+            out[tuple(k2), w] = c
+        return YElem._make(self.d, self.n, out)
 
     def _spread_e(self, out: dict, k: tuple[int, ...], w: Perm, i: int, c: LPoly) -> None:
         """Add c t^{k'} gt_w into `out` for each of the d framings k' in
@@ -160,7 +168,7 @@ class YElem(Sparse):
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
             self._spread_e(out, k, w, i, c.scale(frac))
-        return YElem(self.d, self.n, out)
+        return YElem._make(self.d, self.n, nonzero(out))
 
     def mul_gtilde(self, i: int, sign: int = 1) -> "YElem":
         """Right multiply by gt_i^sign, sign = 1 or -1, where gt_i = u^{-1} g_i
@@ -177,16 +185,15 @@ class YElem(Sparse):
             add_to(out, (k, ws), c)
             if (w[i - 1] < w[i]) != (sign == 1):
                 self._spread_e(out, k, w, i, c.shift(-1, 1).scale(frac))
-        return YElem(self.d, self.n, out)
+        return YElem._make(self.d, self.n, nonzero(out))
 
     def mul_g(self, i: int, sign: int = 1) -> "YElem":
         """Right multiply by g_i^sign = u^sign gt_i^sign (sign = 1 or -1)."""
         return self.mul_gtilde(i, sign).shift(sign)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "YElem":
-        """Every coefficient multiplied by the monomial u^eu v^ev g^eg
-        (a shift makes no zero, and keeps the keys)."""
-        return self._new_pruned({key: c.shift(eu, ev, eg) for key, c in self.terms.items()})
+        """Every coefficient multiplied by the monomial u^eu v^ev g^eg."""
+        return self._new({key: c.shift(eu, ev, eg) for key, c in self.terms.items()})
 
     # -- embeddings ------------------------------------------------------------
 
@@ -196,11 +203,7 @@ class YElem(Sparse):
             raise ValueError("cannot extend to a smaller strand count")
         padk = (0,) * (m - self.n)
         padw = tuple(range(self.n + 1, m + 1))
-        return YElem(
-            self.d,
-            m,
-            {(k + padk, w + padw): c for (k, w), c in self.terms.items()},
-        )
+        return YElem._make(self.d, m, {(k + padk, w + padw): c for (k, w), c in self.terms.items()})
 
 
 def y_mul(x: YElem, y: YElem) -> YElem:
@@ -212,7 +215,7 @@ def y_mul(x: YElem, y: YElem) -> YElem:
         for i in reduced_word(w):
             z = z.mul_gtilde(i)
         add_all(out, z.terms, c)
-    return YElem(x.d, x.n, out)
+    return YElem._make(x.d, x.n, nonzero(out))
 
 
 # --------------------------------------------------------------------------
@@ -232,13 +235,11 @@ def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, sc
     multiplies nothing.  Only where a second term meets a partial key is it
     rotated by zeta_d^(its s - the first s) and added, so each partial key
     holds one entry.  At the end each coefficient is rotated by zeta_d^s
-    and scaled by `scalar`.  A rotation is `LPoly.rotate`, an integer map
-    on the numerators that keeps them in lowest terms and nonzero, so it
-    needs no product, gcd or zero filter; only a sum can make a zero.  Both
-    steps go through a memo keyed by the coefficient's identity, which
-    holds the coefficient so that no id is reused while the memo lives; a
-    factor equal to 1 costs nothing.  Returns {(key, w): c} with zero
-    coefficients dropped.
+    and scaled by `scalar`.  A rotation is `LPoly.rotate`, an integer map;
+    only a sum can make a zero.  Both steps go through a memo keyed by the
+    coefficient's identity, which holds the coefficient so that no id is
+    reused while the memo lives; a factor equal to 1 costs nothing.
+    Returns {(key, w): c} with zero coefficients dropped.
     """
     # times(c, i): c * zeta_d^i for i < d, c * scalar * zeta_d^(i - d) for i >= d
     memo: dict[tuple[int, int], tuple[LPoly, LPoly]] = {}
@@ -280,8 +281,7 @@ def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, sc
 @lru_cache(maxsize=64)
 def _to_E_table(d: int, letters: tuple[int, ...]) -> dict[int, tuple[tuple[int, int], ...]]:
     """Framing exponent e -> ((a, t) for a in letters), xi_a^e = zeta_d^t.
-    Shared by every caller, so never mutated.  Callers check the letters
-    (`comp_of`) before this cache, in which True would find the entry of 1."""
+    Shared by every caller, so never mutated."""
     return {e: tuple((a, (a - 1) * e % d) for a in letters) for e in range(d)}
 
 
@@ -340,15 +340,24 @@ def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly
     return out
 
 
-def from_E_basis(
-    d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly]
-) -> YElem:
+def _check_e_coeffs(d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly]) -> None:
+    """The door of idempotent-basis coefficients {(chi, w): LPoly} at level (d, n)."""
+    for (chi, w), c in coeffs.items():
+        mu = _check_character(chi, d)
+        if not _is_perm(w, len(chi)):
+            raise ValueError(f"permutation {w} is not in S_{len(chi)}")
+        if len(chi) != n:
+            raise ValueError(f"block {mu} does not fit level ({d},{n})")
+        _check_coeff(c, d)
+
+
+def from_E_basis(d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly]) -> YElem:
     """Rebuild a YElem from idempotent-basis coefficients (inverse transform:
     the coefficient of t^k in E_chi is (1/d)^n prod_j xi_{chi_j}^{-k_j});
-    `comp_of` checks every letter first."""
-    comp_of((a for chi, _ in coeffs for a in chi), d)
+    `_check_e_coeffs` checks them first."""
+    _check_e_coeffs(d, n, coeffs)
     table = {a: tuple((e, -(a - 1) * e % d) for e in range(d)) for a in range(1, d + 1)}
-    return YElem(d, n, _strandwise(coeffs.items(), table, d, Fraction(1, d**n)))
+    return YElem._make(d, n, _strandwise(coeffs.items(), table, d, Fraction(1, d**n)))
 
 
 def idempotent_E(d: int, chi: Character) -> YElem:
