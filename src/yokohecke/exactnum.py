@@ -28,7 +28,9 @@ three layers of that ring:
   order d alone: at d = 1, where Q(zeta_1) = Q, a coefficient is the
   rational itself; at d > 1 it is a `Cyclo` of order d.  `coeff` makes a
   coefficient of either kind and `_coords` reads its coordinates; no other
-  code looks at the kind.
+  code looks at the kind.  The door `LPoly(order, terms)` converts each
+  int, Fraction or Cyclo coefficient through `coeff` (an int at order 2
+  becomes its Cyclo) and rejects any other input, bools included.
 
 Everything the Hecke algebra and the sublink terms compute lives over
 Z[u^{+-1}, v^{+-1}, g^{+-1}]: only the 1/d of the idempotents e_i and the
@@ -110,7 +112,16 @@ def _rat(x) -> int | Fraction:
 # cyclotomic polynomials
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _check_order(d) -> None:
+    """The one check of a cyclotomic order: an int, not a bool, at least 1.
+    Every public function and constructor that takes an order runs it
+    before any cache keyed on the order (`Cyclo`'s through `euler_phi`)."""
+    if type(d) is not int:
+        raise ValueError(f"order must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"order must be >= 1, got {d}")
+
+
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_d, ascending degree, monic.
 
@@ -128,8 +139,12 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(12)
     (1, 0, -1, 0, 1)
     """
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    _check_order(d)
+    return _cyclotomic(d)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:  # of a valid order, memoized
     if d == 1:
         return (-1, 1)
     primes = []
@@ -209,11 +224,10 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
     __slots__ = ()
 
     def __new__(cls, order: int, coeffs: Iterable[Rat | int]):
+        phi = euler_phi(order)
         coeffs = [_rat(c) for c in coeffs]
-        if len(coeffs) != euler_phi(order):
-            raise ValueError(
-                f"need {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
-            )
+        if len(coeffs) != phi:
+            raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
         # over the lcm of reduced denominators the numerators share no factor
         den = lcm(*[c.denominator for c in coeffs])
         num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
@@ -243,6 +257,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
 
     @classmethod
     def one(cls, order: int) -> "Cyclo":
+        _check_order(order)
         return _zeta_pow(order, 0)
 
     @classmethod
@@ -254,6 +269,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
         >>> Cyclo.zeta(5, 7) == Cyclo.zeta(5, 2)
         True
         """
+        _check_order(order)
         return _zeta_pow(order, power % order)
 
     # -- predicates and parts ----------------------------------------------
@@ -335,7 +351,7 @@ def _zeta_pow(order: int, s: int) -> Cyclo:
 def _reduce(order: int, num: list[int], den: int) -> Cyclo:
     """The element (sum_m num[m] zeta^m) / den, reduced mod Phi_order onto
     the power basis."""
-    return _cyclo(order, _poly_rem(num, cyclotomic_polynomial(order)), den)
+    return _cyclo(order, _poly_rem(num, _cyclotomic(order)), den)
 
 
 @lru_cache(maxsize=256)
@@ -363,6 +379,7 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
     >>> root_power(6, 3, 3) == Cyclo.one(6)
     True
     """
+    _check_order(d)
     comp_of((a,), d)
     return _zeta_pow(d, ((a - 1) * s) % d)
 
@@ -438,20 +455,20 @@ class Sparse:
 
     A subclass has a constructor `(*parent, terms)`, where `_parent()` is
     the tuple of data (orders, strand counts) both operands of a sum must
-    share, and a builder `_make(*parent, terms)` that `_new` calls (`LPoly`
-    has its own `_new`).  The base supplies the vector-space operations and
-    equality; instances are immutable by convention (no method mutates
-    `terms` once built) and unhashable unless a subclass defines `__hash__`.
+    share, and a builder `_make(*parent, terms)` that `_new` calls.  The
+    base supplies the vector-space operations and equality; instances are
+    immutable by convention (no method mutates `terms` once built) and
+    unhashable unless a subclass defines `__hash__`.
 
-    Checked at the door, trusted inside.  The public constructors of
-    `HeckeElem`, `YElem`, `BlockMatrix` and `Composition` check every key,
-    part and coefficient; their builders, each a `_make`, check and filter
-    nothing, and every build inside the package goes through them.  Keys
-    the algebra's maps make from valid keys are valid, and a product or
-    shift of nonzero coefficients is nonzero, so only a sum that may cancel
-    passes through `nonzero`.  A function that takes other caller data
-    checks it once, at entry, before any cache: an lru_cache finds the
-    entry of an equal key, and True == 1 == 1.0.
+    Checked at the door, trusted inside, for every value type: `LPoly`,
+    `Cyclo`, `HeckeElem`, `YElem`, `BlockMatrix`, `Composition`, `TraceSpec`
+    and `FramedBraidWord` each have one public constructor, which checks
+    every order, key, part, support, token and coefficient, and one builder
+    (`_make`; `_cyclo` for `Cyclo`) that checks and filters nothing, for all
+    the package's own builds.  A product or shift of nonzero coefficients
+    is nonzero, so only a sum that may cancel passes through `nonzero`.  A
+    function that takes other caller data checks it once, at entry, before
+    any cache: an lru_cache finds the entry of an equal key, and True == 1.
     """
 
     __slots__ = ("terms",)
@@ -547,11 +564,22 @@ class LPoly(Sparse):
     __slots__ = ("order",)
 
     def __init__(self, order: int, terms: Mapping[ExpKey, Coeff] | None = None):
-        self.order = order
-        Sparse.__init__(self, terms)
+        _check_order(order)
+        clean = {}
+        for k, c in (terms or {}).items():
+            if not (type(k) is tuple and len(k) == 3 and all([type(e) is int for e in k])):
+                raise ValueError(f"key {k!r} is not a triple of integer exponents")
+            if type(c) not in (int, Fraction, Cyclo):
+                raise ValueError(f"coefficient {c!r} is not an int, Fraction or Cyclo")
+            if c := coeff(order, c):
+                clean[k] = c
+        self.order, self.terms = order, clean
 
-    def _parent(self) -> tuple:
-        return (self.order,)
+    @classmethod
+    def _make(cls, order: int, terms: dict) -> "LPoly":
+        out = object.__new__(cls)
+        out.order, out.terms = order, terms
+        return out
 
     # the checks of `Sparse`, with the parent read directly
     def _check(self, other: "LPoly") -> None:
@@ -564,11 +592,14 @@ class LPoly(Sparse):
         return type(other) is LPoly and self.order == other.order and self.terms == other.terms
 
     def _new(self, terms: dict) -> "LPoly":
-        out = object.__new__(LPoly)
-        out.order, out.terms = self.order, terms
-        return out
+        return LPoly._make(self.order, terms)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, order: int) -> "LPoly":
+        _check_order(order)
+        return cls._make(order, {})
 
     @classmethod
     def one(cls, order: int) -> "LPoly":
@@ -580,22 +611,28 @@ class LPoly(Sparse):
 
     @classmethod
     def var(cls, order: int, name: str, exp: int = 1) -> "LPoly":
-        key = {"u": (exp, 0, 0), "v": (0, exp, 0), "g": (0, 0, exp)}[name]
-        return cls(order, {key: coeff(order, 1)})
+        if name not in ("u", "v", "g"):
+            raise ValueError(f"variable {name!r} is not u, v or g")
+        return cls.monomial(order, 1, *[exp if x == name else 0 for x in "uvg"])
 
     @classmethod
     def monomial(cls, order: int, c: Scalar, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
-        return cls(order, {(eu, ev, eg): coeff(order, c)})
+        _check_order(order)
+        if not type(eu) is type(ev) is type(eg) is int:
+            raise ValueError(f"exponents {(eu, ev, eg)!r} are not all integers")
+        return cls._make(order, nonzero({(eu, ev, eg): coeff(order, c)}))
 
     @classmethod
     def sum(cls, order: int, polys: Iterable["LPoly"]) -> "LPoly":
         """The sum of `polys`, all of this order, added in one dict and wrapped once."""
+        _check_order(order)
         total: dict = {}
         for p in polys:
-            if p.order != order:
-                raise ValueError(f"cannot add an order-{p.order} LPoly into order {order}")
+            if type(p) is not LPoly or p.order != order:
+                what = f"an order-{p.order} LPoly" if type(p) is LPoly else repr(p)
+                raise ValueError(f"cannot add {what} into order {order}")
             add_all(total, p.terms)
-        return cls(order, total)
+        return cls._make(order, nonzero(total))
 
     # -- structure ----------------------------------------------------------
 
@@ -621,31 +658,31 @@ class LPoly(Sparse):
             self, other = other, self
         if len(other.terms) == 1:
             ((a2, b2, c2), y), = other.terms.items()
-            return self._new(
-                {(a1 + a2, b1 + b2, c1 + c2): x * y for (a1, b1, c1), x in self.terms.items()}
-            )
+            return LPoly._make(self.order, {
+                (a1 + a2, b1 + b2, c1 + c2): x * y for (a1, b1, c1), x in self.terms.items()
+            })
         out: dict[ExpKey, Cyclo] = {}
         for (a1, b1, c1), x in self.terms.items():
             for (a2, b2, c2), y in other.terms.items():
                 add_to(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
-        return LPoly(self.order, out)
+        return LPoly._make(self.order, nonzero(out))
 
     def scale(self, c: Scalar) -> "LPoly":
         """Every coefficient multiplied by the scalar c: a rational, or an
         element of this order's field (a `Cyclo` passes through `coeff`)."""
         c = coeff(self.order, c) if isinstance(c, Cyclo) else _rat(c)
-        terms = {k: x * c for k, x in self.terms.items()}
+        terms = {k: x * c for k, x in self.terms.items()} if c else {}
         if self.order == 1 and type(c) is Fraction:
             terms = {k: _rat(x) for k, x in terms.items()}
-        return LPoly(self.order, terms)
+        return LPoly._make(self.order, terms)
 
     def shift(self, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
         """Multiply by the monomial u^eu v^ev g^eg (the zero shift is the polynomial itself)."""
         if not (eu or ev or eg):
             return self
-        return self._new(
-            {(a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()}
-        )
+        return LPoly._make(self.order, {
+            (a + eu, b + ev, c + eg): x for (a, b, c), x in self.terms.items()
+        })
 
     def rotate(self, s: int) -> "LPoly":
         """Multiply by zeta_d^s (0 <= s < d) through the integer map
@@ -660,7 +697,7 @@ class LPoly(Sparse):
         for k, x in self.terms.items():
             num = tuple([sum([r * a for r, a in zip(row, x.num)]) for row in rows])
             terms[k] = tuple.__new__(Cyclo, (x.order, num, x.den))
-        return self._new(terms)
+        return LPoly._make(self.order, terms)
 
     def __pow__(self, k: int) -> "LPoly":
         if k < 0:
@@ -678,9 +715,10 @@ class LPoly(Sparse):
 
     def as_order(self, order: int) -> "LPoly":
         """Reinterpret in Q(zeta_order); requires all coefficients rational."""
+        _check_order(order)
         if order == self.order:
             return self
-        return LPoly(order, {k: coeff(order, c) for k, c in self.terms.items()})
+        return LPoly._make(order, {k: coeff(order, c) for k, c in self.terms.items()})
 
     def eval_complex(self, u0: complex, v0: complex, g0: complex) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)

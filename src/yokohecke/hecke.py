@@ -316,7 +316,7 @@ def tau_word(n: int, crossings: Sequence[tuple[int, int]]) -> LPoly:
                 out[key] = out.get(key, 0) + b * digit
             c = (c - digit) >> width
             a += 1
-    return LPoly(1, out)
+    return LPoly._make(1, nonzero(out))
 
 
 @lru_cache(maxsize=4096)
@@ -356,4 +356,4 @@ def tau_parabolic(mu: Composition, x: HeckeElem) -> LPoly:
     total: dict = {}
     for w, c in x.terms.items():
         add_all(total, (c * _block_product(w, mu, x.order)).terms)
-    return LPoly(x.order, total)
+    return LPoly._make(x.order, nonzero(total))

@@ -39,6 +39,7 @@ from .permcomp import (
     Character,
     Composition,
     Perm,
+    _check_support,
     _is_perm,
     _min_coset_rep,
     act,
@@ -69,6 +70,12 @@ __all__ = [
 Key = tuple[Composition, Character, Character, Perm]
 
 
+def _check_block(mu, d: int, n: int) -> None:
+    """The one check of a block: a `Composition` of n with d parts."""
+    if type(mu) is not Composition or mu.d != d or mu.n != n:
+        raise ValueError(f"block {mu} does not fit level ({d},{n})")
+
+
 class BlockMatrix(Sparse):
     """One m_mu x m_mu matrix of H^mu elements per composition mu.
 
@@ -86,8 +93,7 @@ class BlockMatrix(Sparse):
     def __init__(self, d: int, n: int, terms: dict[Key, LPoly] | None = None):
         self.d, self.n = d, n
         for (mu, row, col, p), c in (terms or {}).items():
-            if type(mu) is not Composition or mu.d != d or mu.n != n:
-                raise ValueError(f"block {mu} does not fit level ({d},{n})")
+            _check_block(mu, d, n)
             chars = orbit_index(mu)
             if not (row in chars and col in chars and all([type(a) is int for a in row + col])):
                 raise ValueError(f"block {mu} has a row or column that is not a character of {mu}")
@@ -121,6 +127,7 @@ class BlockMatrix(Sparse):
                 for mu, block in cells.items()}
 
     def block(self, mu: Composition) -> tuple[tuple[HeckeElem, ...], ...]:
+        _check_block(mu, self.d, self.n)
         cells, z, chars = self.blocks.get(mu, {}), HeckeElem._make(self.n, self.d, {}), orbit(mu)
         return tuple(tuple(cells.get((row, col), z) for col in chars) for row in chars)
 
@@ -196,9 +203,9 @@ def _psi_from_e_coeffs(d: int, n: int, eb: dict[tuple[Character, Perm], LPoly]) 
 
 def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
     """The nonzero traces Tr psi(x)_mu, keyed by composition mu, over the
-    blocks whose support mu.base() is in `supports` (0/1 compositions;
-    None: every block).  Like a `Sparse`, an absent block has trace zero,
-    and the keys come in no promised order.
+    blocks whose support mu.base() is in `supports` (0/1 compositions,
+    checked at entry; None: every block).  Like a `Sparse`, an absent block
+    has trace zero, and the keys come in no promised order.
 
     Only diagonal cells enter a trace, and E_chi gt_w lands on one exactly
     when w fixes chi; `fixed_E_coeffs` computes only those coefficients,
@@ -207,7 +214,9 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
     """
     letters = None
     if supports is not None:
-        supports = set(supports)
+        supports = tuple(supports)
+        for mu0 in supports:
+            _check_support(mu0, None)
         letters = set().union(*(mu0.letters() for mu0 in supports))
     wanted: dict[Composition, bool] = {}  # decided once per block
     diag: dict[Composition, dict[Perm, LPoly]] = {}

@@ -90,7 +90,7 @@ import itertools
 import re
 from collections import namedtuple
 
-from .exactnum import LPoly, add_all
+from .exactnum import LPoly, add_all, nonzero
 from .hecke import HeckeElem, tau_word
 from .permcomp import (
     Composition,
@@ -141,6 +141,8 @@ class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
 
     def __new__(cls, n: int, tokens: tuple[Token, ...]):
         _check_strands(n)
+        if type(tokens) is not tuple:
+            raise ValueError(f"tokens must be a tuple, got {tokens!r}")
         for tok in tokens:
             shaped = isinstance(tok, tuple) and len(tok) == 3 and tok[0] in ("sigma", "frame")
             if not (shaped and _is_int(tok[1]) and _is_int(tok[2])):
@@ -207,7 +209,7 @@ def parse_word(text: str, n: int, d: int | None) -> FramedBraidWord:
     word = FramedBraidWord(n, tuple(tokens))
     if d is None:
         return word
-    return FramedBraidWord(n, tuple(t for t in tokens if t[0] == "sigma" or t[2]))
+    return FramedBraidWord._make((n, tuple(t for t in tokens if t[0] == "sigma" or t[2])))
 
 
 def underlying_perm(w: FramedBraidWord) -> Perm:
@@ -368,9 +370,9 @@ def _sublink_sums(
 
     sums: dict[Composition, dict] = {}
     for (mu, root), terms in acc.items():
-        lifted = LPoly(1, terms).as_order(d).rotate(root)
+        lifted = LPoly._make(1, nonzero(terms)).as_order(d).rotate(root)
         add_all(sums.setdefault(mu, {}), lifted.terms)
-    return {mu: LPoly(d, terms) for mu, terms in sums.items()}
+    return {mu: LPoly._make(d, nonzero(terms)) for mu, terms in sums.items()}
 
 
 def _support_sums(w: FramedBraidWord, d: int, supports) -> dict[Composition, LPoly]:

@@ -294,6 +294,17 @@ def comp_of(chi: Character, d: int) -> Composition:
     return Composition._make((tuple(counts),))
 
 
+def _check_support(mu0, d: int | None) -> None:
+    """The one check of a support: a nonzero `Composition` with parts in
+    {0, 1}, and with d parts unless d is None."""
+    if type(mu0) is not Composition:
+        raise ValueError(f"{mu0} is not a nonzero 0/1 composition")
+    if d is not None and mu0.d != d:
+        raise ValueError(f"support {mu0} has {mu0.d} parts, expected {d}")
+    if any(p not in (0, 1) for p in mu0.parts) or mu0.n == 0:
+        raise ValueError(f"{mu0} is not a nonzero 0/1 composition")
+
+
 def _check_character(chi, d: int) -> Composition:
     """`comp_of` of a character from outside, which must be a tuple."""
     if type(chi) is not tuple:

@@ -38,10 +38,10 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Complex
 
-from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
+from .exactnum import Coeff, Cyclo, LPoly, _check_order, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
-from .permcomp import Composition, all_comp0, comp_of, identity
+from .permcomp import Composition, _check_support, all_comp0, comp_of, identity
 from .yokonuma import YElem
 
 __all__ = [
@@ -63,7 +63,7 @@ class TraceSpec(namedtuple("TraceSpec", "d alphas")):
     """Coefficients of a Markov trace on the basic-trace basis.
 
     `alphas` maps compositions with parts in {0,1} (the supports) to LPoly
-    weights; missing keys mean weight zero, and zero weights are dropped.
+    weights of order d; missing keys mean weight zero, zero weights are dropped.
 
     An immutable named tuple of ``(d, alphas)``, like `permcomp.Composition`,
     but hashing raises TypeError, since `alphas` is a dict.
@@ -72,15 +72,15 @@ class TraceSpec(namedtuple("TraceSpec", "d alphas")):
     __slots__ = ()
 
     def __new__(cls, d: int, alphas: Mapping[Composition, LPoly]):
+        _check_order(d)
+        if not isinstance(alphas, Mapping):
+            raise ValueError(f"alphas {alphas!r} is not a mapping")
         clean = {}
         for mu0, a in alphas.items():
-            if mu0.d != d:
-                raise ValueError(f"support {mu0} has {mu0.d} parts, expected {d}")
-            if any(p not in (0, 1) for p in mu0.parts) or mu0.n == 0:
-                raise ValueError(f"{mu0} is not a nonzero 0/1 composition")
-            if a.order != d:
+            _check_support(mu0, d)
+            if type(a) is not LPoly or a.order != d:
                 raise ValueError("alpha coefficients must live at cyclotomic order d")
-            if not a.is_zero():
+            if a:
                 clean[mu0] = a
         return super().__new__(cls, d, clean)
 
@@ -93,12 +93,13 @@ class TraceSpec(namedtuple("TraceSpec", "d alphas")):
 
 def basic_spec(mu0: Composition) -> TraceSpec:
     """The basic Markov trace attached to one support mu0 (alpha = 1)."""
+    _check_support(mu0, None)
     return TraceSpec(mu0.d, {mu0: LPoly.one(mu0.d)})
 
 
 def all_basic_specs(d: int) -> list[TraceSpec]:
     """The 2^d - 1 basic traces, ascending lexicographic support order."""
-    return [basic_spec(mu0) for mu0 in all_comp0(d)]
+    return [TraceSpec._make((d, {mu0: LPoly.one(d)})) for mu0 in all_comp0(d)]
 
 
 def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
@@ -144,6 +145,7 @@ def symmetrizing_tilde(x: YElem) -> LPoly:
 
 def _subset(S: Iterable[int], d: int) -> tuple[int, ...]:
     """The distinct letters of S, each checked by `comp_of`, in increasing order."""
+    _check_order(d)
     S = comp_of(S, d).letters()
     if not S:
         raise ValueError("S must be a nonempty subset of the letters 1..d")
@@ -185,7 +187,7 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
         w = (loop ** (size - 1)).scale(Fraction(1, len(S)))
         for support in itertools.combinations(S, size):
             alphas[comp_of(support, d)] = w
-    return TraceSpec(d, alphas)
+    return TraceSpec._make((d, alphas))
 
 
 def semisimple_at(n: int, q=None) -> bool:

@@ -1,7 +1,8 @@
 """Checked at the door, trusted inside.
 
-The public constructors of `Composition`, `HeckeElem`, `YElem` and
-`BlockMatrix` check every part, letter, permutation, framing and
+The public constructors of `Composition`, `HeckeElem`, `YElem`,
+`BlockMatrix`, `LPoly`, `Cyclo`, `TraceSpec` and `FramedBraidWord` check
+every order, part, letter, permutation, framing, exponent, support and
 coefficient; the package builds its own values through the internal
 builders, and the functions that take caller data check it before any
 cache.
@@ -16,11 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yokohecke import cli, isomap, permcomp, verify
-from yokohecke.exactnum import Cyclo, LPoly, nonzero
+from yokohecke import cli, exactnum, isomap, links, permcomp, verify
+from yokohecke.exactnum import (
+    Cyclo, LPoly, coeff, cyclotomic_polynomial, euler_phi, nonzero, root_power,
+)
 from yokohecke.hecke import HeckeElem
-from yokohecke.isomap import BlockMatrix, psi_from_e_coeffs
-from yokohecke.permcomp import Composition, comp_of, min_coset_rep, orbit
+from yokohecke.isomap import BlockMatrix, block_traces, psi_from_e_coeffs
+from yokohecke.links import FramedBraidWord
+from yokohecke.permcomp import Composition, all_comp0, comp_of, min_coset_rep, orbit
+from yokohecke.traces import TraceSpec, basic_spec
 from yokohecke.yokonuma import YElem, from_E_basis, to_E_basis
 
 ONE = LPoly.one(2)
@@ -60,11 +65,39 @@ REPRODUCERS = [
      "framing powers (0.5, 0) do not fit 2 strands"),
     ("min_coset_rep-warm", _warm_min_coset_rep, "letter True out of range 1..2"),
     ("psi_from_e_coeffs-warm", _warm_psi_from_e_coeffs, "letter True out of range 1..2"),
+    # a row whose third entry is not a text names the value the call returns
+    ("lpoly-int-coefficient", lambda: LPoly(2, {(0, 0, 0): 1}) == ONE, True),
+    ("lpoly-short-key", lambda: LPoly(2, {(0, 0): Cyclo.one(2)}),
+     "key (0, 0) is not a triple of integer exponents"),
+    ("lpoly-float-coefficient", lambda: LPoly(1, {(0, 0, 0): 1.5}),
+     "coefficient 1.5 is not an int, Fraction or Cyclo"),
+    ("lpoly-bool-exponent", lambda: LPoly(2, {(True, 0, 0): Cyclo.one(2)}),
+     "key (True, 0, 0) is not a triple of integer exponents"),
+    ("monomial-float-exponent", lambda: LPoly.monomial(2, 1, 1.5),
+     "exponents (1.5, 0, 0) are not all integers"),
+    ("var-w", lambda: LPoly.var(2, "w"), "variable 'w' is not u, v or g"),
+    ("lpoly-one-float-order", lambda: LPoly.one(2.0), "order must be an integer, got 2.0"),
+    ("lpoly-one-bool-order", lambda: LPoly.one(True), "order must be an integer, got True"),
+    ("lpoly-sum-int", lambda: LPoly.sum(2, [1]), "cannot add 1 into order 2"),
+    ("cyclo-float-order", lambda: Cyclo(3.0, (1, 0)), "order must be an integer, got 3.0"),
+    ("trace-spec-tuple-support", lambda: TraceSpec(2, {(1, 0): ONE}),
+     "(1, 0) is not a nonzero 0/1 composition"),
+    ("trace-spec-int-weight", lambda: TraceSpec(2, {Composition((1, 0)): 1}),
+     "alpha coefficients must live at cyclotomic order d"),
+    ("block_traces-tuple-support", lambda: block_traces(YElem.one(2, 2), [(1, 0)]),
+     "(1, 0) is not a nonzero 0/1 composition"),
+    ("block-tuple", lambda: BlockMatrix.identity_matrix(2, 2).block((1, 1)),
+     "block (1, 1) does not fit level (2,2)"),
+    ("word-token-list", lambda: FramedBraidWord(2, [("sigma", 1, 1)]),
+     "tokens must be a tuple, got [('sigma', 1, 1)]"),
 ]
 
 
 @pytest.mark.parametrize("call, text", [pytest.param(c, t, id=i) for i, c, t in REPRODUCERS])
 def test_reproducers_raise_one_value_error(call, text):
+    if not isinstance(text, str):
+        assert call() == text
+        return
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == text
@@ -81,6 +114,27 @@ def test_letter_checks_run_before_the_caches():
                 call()
         assert permcomp._min_coset_rep.cache_info().currsize > 0
         assert isomap._psi_cell.cache_info().currsize > 0
+
+
+ORDER_CALLS = [
+    ("Cyclo.one", lambda d: Cyclo.one(d)),
+    ("Cyclo.zeta", lambda d: Cyclo.zeta(d, 1)),
+    ("Cyclo.from_rat", lambda d: Cyclo.from_rat(d, 2)),
+    ("root_power", lambda d: root_power(d, 1, 1)),
+    ("cyclotomic_polynomial", lambda d: cyclotomic_polynomial(d)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in ORDER_CALLS])
+def test_order_checks_run_before_the_caches(call):
+    # cold: nothing cached; warm: the equal int order 1 is cached
+    exactnum._zeta_pow.cache_clear()
+    exactnum._cyclotomic.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=r"^order must be an integer, got True$"):
+            call(True)
+        call(1)
+    assert exactnum._cyclotomic.cache_info().currsize > 0
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +286,92 @@ def test_e_coefficient_entry_points(data):
         min_coset_rep(data.draw(bad_tuples(chi, BAD_SCALARS + [0, d + 1], resize=False)), d)
 
 
+BAD_ORDERS = BAD_SCALARS + [0, -1]
+exponents = st.integers(-3, 3)
+
+
+@st.composite
+def lpoly_coefficients(draw, order):
+    """A valid coefficient for the door: an int, a Fraction, a Cyclo of the
+    order or a rational Cyclo of another order, zero included."""
+    how = draw(st.sampled_from(["int", "fraction", "cyclo", "rational-cyclo"]))
+    if how == "int":
+        return draw(st.integers(-2, 2))
+    if how == "fraction":
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    if how == "cyclo":
+        phi = euler_phi(order)
+        return Cyclo(order, draw(st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)))
+    return Cyclo.from_rat(5, Fraction(draw(st.integers(-2, 2)), 2))
+
+
+@SETTINGS
+@given(st.data())
+def test_lpoly_door(data):
+    order = data.draw(orders)
+    terms = data.draw(st.dictionaries(st.tuples(exponents, exponents, exponents),
+                                      lpoly_coefficients(order), max_size=4))
+    x = LPoly(order, terms)
+    _fits_valid(x, (order,), {k: coeff(order, c) for k, c in terms.items()})
+    good = (0, 1, -1)
+    how = data.draw(st.sampled_from(["order", "key", "exponent", "coefficient"]))
+    if how == "order":
+        bad = data.draw(st.sampled_from(BAD_ORDERS))
+        calls = [lambda: LPoly(bad, terms), lambda: LPoly.zero(bad), lambda: LPoly.one(bad),
+                 lambda: LPoly.var(bad, "u"), lambda: LPoly.sum(bad, []), lambda: x.as_order(bad),
+                 lambda: Cyclo(bad, (1,)), lambda: Cyclo.zero(bad), lambda: Cyclo.one(bad),
+                 lambda: Cyclo.zeta(bad), lambda: Cyclo.from_rat(bad, 1)]
+    elif how == "key":
+        key = data.draw(bad_tuples(good, BAD_SCALARS))
+        calls = [lambda: LPoly(order, {**terms, key: 1})]
+    elif how == "exponent":
+        key = data.draw(bad_tuples(good, BAD_SCALARS, resize=False).filter(
+            lambda k: type(k) is tuple))
+        exp = next(e for e in key if type(e) is not int)
+        name = data.draw(st.sampled_from(["w", "U", 1, None]))
+        calls = [lambda: LPoly.monomial(order, 1, *key), lambda: LPoly.var(order, "v", exp),
+                 lambda: LPoly.var(order, name)]
+    else:
+        bad = data.draw(st.sampled_from(
+            [True, False, 1.5, "1", None, LPoly.one(order + 1), Cyclo.zeta(5)]))
+        calls = [lambda: LPoly(order, {**terms, good: bad}), lambda: LPoly.sum(order, [x, bad])]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@SETTINGS
+@given(st.data())
+def test_trace_spec_door(data):
+    d = data.draw(orders)
+    supports = data.draw(st.lists(st.sampled_from(all_comp0(d)), unique=True, max_size=3))
+    alphas = {mu0: data.draw(st.sampled_from(COEFFS[d])) for mu0 in supports}
+    spec = TraceSpec(d, alphas)
+    assert spec.alphas == nonzero(alphas) and spec == TraceSpec._make((d, nonzero(alphas)))
+    assert TraceSpec(d, spec.alphas) == spec
+    mu0 = data.draw(st.sampled_from(all_comp0(d)))
+    how = data.draw(st.sampled_from(["order", "support", "weight", "mapping"]))
+    if how == "order":
+        calls = [lambda: TraceSpec(data.draw(st.sampled_from(BAD_ORDERS)), {})]
+    elif how == "support":
+        bad = data.draw(st.sampled_from([
+            mu0.parts, str(mu0), 1, None, Composition((0,) * d), mu0.bump(1),
+            Composition(mu0.parts + (1,)),
+        ]))
+        calls = [lambda: TraceSpec(d, {**alphas, bad: LPoly.one(d)})]
+        if type(bad) is not Composition or bad.d == d:
+            calls.append(lambda: basic_spec(bad))
+    elif how == "weight":
+        bad = data.draw(st.sampled_from([1, None, Cyclo.one(d), LPoly.one(d + 1)]))
+        calls = [lambda: TraceSpec(d, {**alphas, mu0: bad})]
+    else:
+        bad = data.draw(st.sampled_from([list(alphas.items()), None, "alphas", 1]))
+        calls = [lambda: TraceSpec(d, bad)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the public constructors run only at entry points
 # ---------------------------------------------------------------------------
@@ -239,13 +379,23 @@ def test_e_coefficient_entry_points(data):
 WORD = "1 1 -2 3 3 -4 1 1 -2 3 3 -4"
 
 
-@pytest.mark.parametrize("run", [
-    pytest.param(lambda: verify.run_suite("iso", 3, 3), id="iso-3-3"),
-    pytest.param(lambda: verify.run_suite("markov", 2, 3), id="markov-2-3"),
-    pytest.param(lambda: cli.main(["invariant", "--d", "3", "--n", "5", "--all-basic",
-                                   "--word", WORD]), id="invariant-all-basic"),
+def _cli(*args):
+    return lambda: cli.main([*args, "--n", "5", "--word", WORD])
+
+
+# every word comes from parse_word, whose second build skips the door, and
+# only `--mu0` names a support from outside: the expected door counts
+@pytest.mark.parametrize("run, doors", [
+    pytest.param(lambda: verify.run_suite("iso", 3, 3), {}, id="iso-3-3"),
+    pytest.param(lambda: verify.run_suite("markov", 2, 3), {}, id="markov-2-3"),
+    pytest.param(lambda: verify.run_suite("jl", 4, 4), {"FramedBraidWord": 1}, id="jl-4-4"),
+    pytest.param(_cli("invariant", "--d", "3", "--all-basic"), {"FramedBraidWord": 1},
+                 id="invariant-all-basic"),
+    pytest.param(_cli("invariant", "--d", "3", "--mu0", "1,0,1"),
+                 {"FramedBraidWord": 1, "Composition": 1, "TraceSpec": 1}, id="invariant-mu0"),
+    pytest.param(_cli("jl", "--d", "3", "--S", "1,2,3"), {"FramedBraidWord": 1}, id="jl-cli"),
 ])
-def test_public_constructors_run_only_at_entry_points(run, monkeypatch):
+def test_public_constructors_run_only_at_entry_points(run, doors, monkeypatch):
     counts = Counter()
 
     def counting(name, fn):
@@ -254,10 +404,14 @@ def test_public_constructors_run_only_at_entry_points(run, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls in (HeckeElem, YElem, BlockMatrix):
+    for cls in (HeckeElem, YElem, BlockMatrix, LPoly):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, vars(cls)["__init__"]))
-    monkeypatch.setattr(Composition, "__new__",
-                        staticmethod(counting("Composition", vars(Composition)["__new__"])))
+    for cls in (Composition, TraceSpec, FramedBraidWord):
+        monkeypatch.setattr(cls, "__new__",
+                            staticmethod(counting(cls.__name__, vars(cls)["__new__"])))
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "parse_word", counting("parse_word", links.parse_word))
     with contextlib.redirect_stdout(io.StringIO()):
         run()
-    assert counts == Counter()
+    assert counts.pop("parse_word", 0) == doors.get("FramedBraidWord", 0)
+    assert counts == Counter(doors)
