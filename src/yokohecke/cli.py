@@ -20,6 +20,11 @@ either in text form or, with ``--machine``, one term per line as
 ``e_u e_v e_g c_0 c_1 ...`` (exponents, then the rational coordinates of
 the cyclotomic coefficient).
 
+Options take their value as ``--opt value`` or ``--opt=value``; a value
+may begin with a single ``-`` (``--q -1+2j``), an option may be shortened
+to a unique prefix (``--all`` for ``--all-basic``), and the last repeat of
+an option wins.  ``-h`` or ``--help`` prints this text.
+
 Exit codes: 0 on success, 1 on computation or validation errors, 2 on
 usage errors.  Every error path prints exactly one line to stderr.
 Output is deterministic: identical inputs give byte-identical output.
@@ -27,8 +32,8 @@ Output is deterministic: identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .links import (
     basic_invariants,
@@ -47,13 +52,6 @@ __all__ = ["main", "entry"]
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Parser that reports usage problems as exceptions (exit code 2)."""
-
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _parse_mu0(text: str, d: int) -> Composition:
@@ -138,65 +136,119 @@ def _cmd_list_traces(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="yokohecke",
-        description="Exact link invariants from Yokonuma-Hecke algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# An option is (type, required, default, choices), its type int, complex,
+# str or None for a flag.  Each command lists its function, its options in
+# the order usage errors name them, and its required group of mutually
+# exclusive options.
+_INT = (int, True, None, None)
+_STR = (str, True, None, None)
+_FLAG = (None, False, False, None)
+_COMMANDS = {
+    "invariant": (_cmd_invariant, {
+        "--d": _INT, "--n": _INT, "--mu0": (str, False, None, None),
+        "--all-basic": _FLAG, "--word": _STR, "--machine": _FLAG,
+    }, ("--mu0", "--all-basic")),
+    "homflypt": (_cmd_homflypt, {"--n": _INT, "--word": _STR, "--machine": _FLAG}, ()),
+    "jl": (_cmd_jl, {
+        "--d": _INT, "--S": _STR, "--n": _INT, "--word": _STR,
+        "--q": (complex, False, None, None), "--z": (complex, False, None, None),
+        "--branch": (int, False, 1, (1, -1)), "--machine": _FLAG,
+    }, ()),
+    "verify": (_cmd_verify, {
+        "--suite": (str, True, None, suite_names()), "--d": _INT, "--n": _INT,
+    }, ()),
+    "list-traces": (_cmd_list_traces, {"--d": _INT}, ()),
+}
 
-    p = sub.add_parser("invariant", help="3-variable invariant of a framed closure")
-    p.add_argument("--d", type=int, required=True, help="framing modulus (d >= 1)")
-    p.add_argument("--n", type=int, required=True, help="strand count")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu0", help="trace support: d comma-separated 0/1 parts")
-    group.add_argument(
-        "--all-basic", action="store_true", help="print one line per basic trace"
-    )
-    p.add_argument("--word", required=True, help="braid word (see module help)")
-    p.add_argument("--machine", action="store_true", help="one term per line")
-    p.set_defaults(func=_cmd_invariant)
 
-    p = sub.add_parser("homflypt", help="2-variable invariant of a classical closure")
-    p.add_argument("--n", type=int, required=True, help="strand count")
-    p.add_argument("--word", required=True, help="unframed braid word")
-    p.add_argument("--machine", action="store_true", help="one term per line")
-    p.set_defaults(func=_cmd_homflypt)
+def _read(tokens, options, group, values, extras) -> bool:
+    """Read `--opt value` and `--opt=value` into `values`, keyed by the
+    option that `--opt` names or uniquely abbreviates; a value may begin
+    with one `-`.  Other tokens go to `extras`.  True if help is asked for."""
+    names = ("--help", *options)
+    rest = iter(tokens)
+    for tok in rest:
+        if tok == "-h":
+            return True
+        if tok == "--" or not tok.startswith("--"):
+            extras += [tok, *rest] if tok == "--" else [tok]
+            continue
+        name, eq, value = tok.partition("=")
+        matches = [name] if name in names else [opt for opt in names if opt.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {tok} could match {', '.join(matches)}")
+        if not matches:
+            extras.append(tok)
+            continue
+        name = matches[0]
+        kind, _, _, choices = options.get(name, _FLAG)  # --help is a flag
+        if kind is None:
+            if eq:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                return True
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("--"):
+                    raise _UsageError(f"argument {name}: expected one argument")
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            if choices and value not in choices:
+                listed = ", ".join(map(repr, choices))
+                raise _UsageError(
+                    f"argument {name}: invalid choice: {value!r} (choose from {listed})"
+                )
+        clash = [opt for opt in group if opt != name and opt in values]
+        if name in group and clash:
+            raise _UsageError(f"argument {name}: not allowed with argument {clash[0]}")
+        values[name] = value
+    return False
 
-    p = sub.add_parser("jl", help="weighted-trace invariant for a subset S")
-    p.add_argument("--d", type=int, required=True, help="framing modulus")
-    p.add_argument("--S", required=True, help="subset of 1..d, e.g. 1,2")
-    p.add_argument("--n", type=int, required=True, help="strand count")
-    p.add_argument("--word", required=True, help="braid word")
-    p.add_argument("--q", type=complex, default=None, help="numeric q (complex)")
-    p.add_argument("--z", type=complex, default=None, help="numeric z (complex)")
-    p.add_argument(
-        "--branch",
-        type=int,
-        choices=(1, -1),
-        default=1,
-        help="branch of sqrt(lambda); -1 multiplies the value by (-1)^(c-1) for c components",
-    )
-    p.add_argument("--machine", action="store_true", help="one term per line")
-    p.set_defaults(func=_cmd_jl)
 
-    p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", required=True, choices=suite_names())
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_verify)
+def _parse(argv: list[str]):
+    """The command's function and its arguments, or None for help."""
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
+    extras: list[str] = []
+    if _read(argv[:at], {}, (), {}, extras):
+        return None
+    if at == len(argv):
+        raise _UsageError("the following arguments are required: command")
+    if argv[at] not in _COMMANDS:
+        listed = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {argv[at]!r} (choose from {listed})")
+    func, options, group = _COMMANDS[argv[at]]
+    values: dict = {}
+    if _read(argv[at + 1:], options, group, values, extras):
+        return None
+    missing = [opt for opt, spec in options.items() if spec[1] and opt not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if group and not any(opt in values for opt in group):
+        raise _UsageError(f"one of the arguments {' '.join(group)} is required")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    args = {opt[2:].replace("-", "_"): values.get(opt, spec[2]) for opt, spec in options.items()}
+    return func, SimpleNamespace(**args)
 
-    p = sub.add_parser("list-traces", help="list the basic trace specs")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_list_traces)
-    return parser
+
+def _help() -> None:
+    print(f"usage: yokohecke {{{','.join(_COMMANDS)}}} [options]")
+    if __doc__:
+        print("\n" + __doc__.partition("\n\n")[2], end="")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            _help()
+            return 0
+        func, args = parsed
+        return func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

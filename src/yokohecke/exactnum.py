@@ -270,6 +270,8 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
         True
         """
         _check_order(order)
+        if type(power) is not int:
+            raise ValueError(f"exponent {power!r} is not an integer")
         return _zeta_pow(order, power % order)
 
     # -- predicates and parts ----------------------------------------------
@@ -700,6 +702,8 @@ class LPoly(Sparse):
         return LPoly._make(self.order, terms)
 
     def __pow__(self, k: int) -> "LPoly":
+        if type(k) is not int:
+            raise ValueError(f"exponent {k!r} is not an integer")
         if k < 0:
             raise ValueError(f"negative exponent {k}")
         out = LPoly.one(self.order)

@@ -50,7 +50,7 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import comb
 
-from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_all, add_to, nonzero
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
 from .permcomp import _check_crossing, _check_strands, _is_perm
 
@@ -80,6 +80,8 @@ class HeckeElem(Sparse):
     __slots__ = ("n", "order")
 
     def __init__(self, n: int, order: int, terms: Mapping[Perm, LPoly] | None = None):
+        _check_strands(n)
+        _check_order(order)
         self.n, self.order = n, order
         for w, c in (terms or {}).items():
             if not _is_perm(w, n):

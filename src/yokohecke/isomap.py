@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, _check_coeff, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_to, nonzero
 from .hecke import HeckeElem, h_mul
 from .permcomp import (
     Character,
     Composition,
     Perm,
+    _check_strands,
     _check_support,
     _is_perm,
     _min_coset_rep,
@@ -91,6 +92,8 @@ class BlockMatrix(Sparse):
     __slots__ = ("d", "n")
 
     def __init__(self, d: int, n: int, terms: dict[Key, LPoly] | None = None):
+        _check_order(d)
+        _check_strands(n)
         self.d, self.n = d, n
         for (mu, row, col, p), c in (terms or {}).items():
             _check_block(mu, d, n)
@@ -217,6 +220,8 @@ def block_traces(x: YElem, supports=None) -> dict[Composition, HeckeElem]:
         supports = tuple(supports)
         for mu0 in supports:
             _check_support(mu0, None)
+            if mu0.d < x.d:  # a longer one fails on its first letter past d, by name
+                _check_support(mu0, x.d)
         letters = set().union(*(mu0.letters() for mu0 in supports))
     wanted: dict[Composition, bool] = {}  # decided once per block
     diag: dict[Composition, dict[Perm, LPoly]] = {}

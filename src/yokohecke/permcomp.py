@@ -286,6 +286,8 @@ def comp_of(chi: Character, d: int) -> Composition:
     >>> comp_of((1, 2, 1, 1), 2)
     Composition(parts=(3, 1))
     """
+    if type(d) is not int:
+        raise ValueError(f"order must be an integer, got {d!r}")
     counts = [0] * d
     for a in chi:
         if type(a) is not int or not 1 <= a <= d:

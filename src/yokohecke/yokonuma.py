@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_all, add_to, nonzero
 from .permcomp import (
     Character,
     Composition,
@@ -57,7 +57,14 @@ from .permcomp import (
     orbit,
     reduced_word,
 )
-from .permcomp import _check_character, _check_crossing, _check_framing, _check_generator, _is_perm
+from .permcomp import (
+    _check_character,
+    _check_crossing,
+    _check_framing,
+    _check_generator,
+    _check_strands,
+    _is_perm,
+)
 
 __all__ = [
     "YElem",
@@ -79,6 +86,8 @@ class YElem(Sparse):
     __slots__ = ("d", "n")
 
     def __init__(self, d: int, n: int, terms: Mapping[YKey, LPoly] | None = None):
+        _check_order(d)
+        _check_strands(n)
         self.d, self.n = d, n
         for (k, w), c in (terms or {}).items():
             if not (type(k) is tuple and len(k) == n and _is_perm(w, n)

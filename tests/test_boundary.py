@@ -90,6 +90,23 @@ REPRODUCERS = [
      "block (1, 1) does not fit level (2,2)"),
     ("word-token-list", lambda: FramedBraidWord(2, [("sigma", 1, 1)]),
      "tokens must be a tuple, got [('sigma', 1, 1)]"),
+    # each algebra door checks its own order and strand count, also with no
+    # terms, and before a coefficient test that 1 == True would pass
+    ("yelem-bool-order", lambda: YElem(True, 1, {}), "order must be an integer, got True"),
+    ("yelem-bool-order-terms", lambda: YElem(True, 1, {((0,), (1,)): LPoly.one(1)}),
+     "order must be an integer, got True"),
+    ("yelem-zero-strands", lambda: YElem(2, 0, {}), "strand count must be at least 1"),
+    ("hecke-float-strands", lambda: HeckeElem(1.5, 1, {}), "strand count must be an integer, got 1.5"),
+    ("hecke-bool-order", lambda: HeckeElem(2, True, {(1, 2): LPoly.one(1)}),
+     "order must be an integer, got True"),
+    ("block-matrix-bool-order", lambda: BlockMatrix(True, 1, {}), "order must be an integer, got True"),
+    ("block-matrix-float-strands", lambda: BlockMatrix(2, 2.0, {}),
+     "strand count must be an integer, got 2.0"),
+    ("cyclo-zeta-float-exponent", lambda: Cyclo.zeta(4, 1.5), "exponent 1.5 is not an integer"),
+    ("lpoly-float-power", lambda: LPoly.one(1) ** 1.5, "exponent 1.5 is not an integer"),
+    ("comp_of-float-order", lambda: comp_of((1,), 1.5), "order must be an integer, got 1.5"),
+    ("block_traces-short-support", lambda: block_traces(YElem.one(2, 2), [Composition((1,))]),
+     "support (1) has 1 parts, expected 2"),
 ]
 
 

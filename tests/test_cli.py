@@ -247,6 +247,70 @@ def test_usage_errors_exit_2(capsys):
         assert one_error_line(captured.err), (argv, captured.err)
 
 
+INVARIANT = ["invariant", "--d", "2", "--n", "2"]
+JL = ["jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from"
+         " 'invariant', 'homflypt', 'jl', 'verify', 'list-traces')"),
+        (["homflypt", "--n", "2"], "the following arguments are required: --word"),
+        (["homflypt"], "the following arguments are required: --n, --word"),
+        (INVARIANT + ["--word", "1"], "one of the arguments --mu0 --all-basic is required"),
+        (INVARIANT + ["--mu0", "1,1", "--all-basic", "--word", "1"],
+         "argument --all-basic: not allowed with argument --mu0"),
+        (["list-traces", "--d", "x"], "argument --d: invalid int value: 'x'"),
+        (JL + ["--q", "abc", "--z", "1"], "argument --q: invalid complex value: 'abc'"),
+        (["list-traces", "--d"], "argument --d: expected one argument"),
+        (["list-traces", "--d", "--n", "2"], "argument --d: expected one argument"),
+        (["list-traces", "--d", "2", "extra"], "unrecognized arguments: extra"),
+        (["verify", "--suite", "nope", "--d", "2", "--n", "2"],
+         "argument --suite: invalid choice: 'nope' (choose from 'iso', 'jl', 'markov', 'schur')"),
+        (JL + ["--branch", "2"], "argument --branch: invalid choice: 2 (choose from 1, -1)"),
+        (INVARIANT + ["--m", "1,0", "--word", "1"],
+         "ambiguous option: --m could match --mu0, --machine"),
+        (INVARIANT + ["--all-basic", "--machine=1", "--word", "1"],
+         "argument --machine: ignored explicit argument '1'"),
+    ],
+)
+def test_usage_error_texts(capsys, argv, text):
+    assert run_main(capsys, *argv) == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["invariant", "-h"], ["jl", "--d", "2", "--he"]]
+)
+def test_help_prints_the_commands_and_exits_0(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: yokohecke {invariant,homflypt,jl,verify,list-traces}")
+    assert "list-traces --d D" in out
+
+
+def test_option_grammar(capsys):
+    # =value, a value beginning with -, a unique prefix, the last repeat wins
+    at_z = ["--z", "0.2-0.1j"]
+    expected = run_main(capsys, *JL, "--q", "0.3+0.4j", *at_z)
+    assert expected[0] == 0
+    assert run_main(capsys, *JL, "--q=0.3+0.4j", *at_z) == expected
+    negative = run_main(capsys, *JL, "--q", "-1+2j", *at_z)
+    assert negative[0] == 0
+    assert run_main(capsys, *JL, "--q=-1+2j", *at_z) == negative
+    assert run_main(capsys, "homflypt", "--n", "2", "--word", "-1") == (0, "1\n", "")
+    assert run_main(capsys, "homflypt", "--n", "2", "--wo", "1 1 1", "--mach") == run_main(
+        capsys, "homflypt", "--n", "2", "--word=1 1 1", "--machine"
+    )
+    assert run_main(capsys, "homflypt", "--n", "2", "--word", "1", "--word", "1 1 1") == (
+        0, TREFOIL_POLY + "\n", "",
+    )
+    assert run_main(capsys, *INVARIANT, "--all", "--word", "1 1 1") == run_main(
+        capsys, *INVARIANT, "--all-basic", "--word", "1 1 1"
+    )
+
+
 def test_computation_errors_exit_1(capsys):
     cases = [
         ("homflypt", "--n", "2", "--word", "t1^1 1"),  # framed word
@@ -418,7 +482,9 @@ def test_entry_point_usage_exit():
 
 def test_commands_import_no_dataclasses_inspect_or_typing():
     # Listed from the child's first statement on, so that whatever the
-    # interpreter loads at start-up is not counted.
+    # interpreter loads at start-up is not counted.  The command table reads
+    # the arguments, so no argparse and none of the gettext and locale it
+    # brings along.
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -439,7 +505,8 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.decode().split())
     assert {"yokohecke.cli", "yokohecke.links"} <= loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"}), sorted(loaded)
+    banned = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale"}
+    assert loaded.isdisjoint(banned), sorted(loaded)
 
 
 def split_part(text, n):
