@@ -37,8 +37,8 @@ Z[u^{+-1}, v^{+-1}, g^{+-1}]: only the 1/d of the idempotents e_i and the
 1/|S| of the weighted traces ever divide, so the order-1 path runs on
 plain integer arithmetic.
 
-`root_power` checks its letter with `permcomp.comp_of`, this module's one
-import from the package; `permcomp` imports none, so there is no cycle.
+Its two imports from the package, `_check_order` and `comp_of` (the letter
+of `root_power`), come from `permcomp`, which imports none: no cycle.
 
 `LPoly` is built on `Sparse`, the finite linear combination over a basis
 that the algebra elements share as well, each one flat dict of LPolys:
@@ -69,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .permcomp import comp_of
+from .permcomp import _check_order, comp_of
 
 __all__ = [
     "Coeff",
@@ -94,33 +94,22 @@ ExpKey = tuple[int, int, int]  # exponents of (u, v, g)
 def _rat(x) -> int | Fraction:
     """x as a stored rational: an int where it is integral, else a Fraction.
 
-    Input that is neither an int nor a Fraction goes through `Fraction(x)`
-    first, so strings, floats and Decimals convert (or fail) as Fraction
-    does.
+    The one rational policy of every scalar entry point: an int that is not
+    a bool, or a Fraction; anything else raises one ValueError.
 
-    >>> _rat(Fraction(4, 2)), _rat(Fraction(1, 2)), _rat("6/4"), _rat(2.0)
-    (2, Fraction(1, 2), Fraction(3, 2), 2)
+    >>> _rat(Fraction(4, 2)), _rat(Fraction(1, 2)), _rat(-3)
+    (2, Fraction(1, 2), -3)
     """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise ValueError(f"coefficient {x!r} is not an int, Fraction or Cyclo")
     return x.numerator if x.denominator == 1 else x
 
 
 # --------------------------------------------------------------------------
 # cyclotomic polynomials
 # --------------------------------------------------------------------------
-
-def _check_order(d) -> None:
-    """The one check of a cyclotomic order: an int, not a bool, at least 1.
-    Every public function and constructor that takes an order runs it
-    before any cache keyed on the order (`Cyclo`'s through `euler_phi`)."""
-    if type(d) is not int:
-        raise ValueError(f"order must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
-
 
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_d, ascending degree, monic.
@@ -381,8 +370,9 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
     >>> root_power(6, 3, 3) == Cyclo.one(6)
     True
     """
-    _check_order(d)
     comp_of((a,), d)
+    if type(s) is not int:
+        raise ValueError(f"exponent {s!r} is not an integer")
     return _zeta_pow(d, ((a - 1) * s) % d)
 
 
@@ -399,12 +389,12 @@ def coeff(order: int, x) -> Coeff:
     The kind follows from the order alone.  At order 1, where
     Q(zeta_1) = Q, a coefficient is the rational itself: an int wherever it
     is integral, else a Fraction.  At order d > 1 it is a `Cyclo` of
-    order d.  x is a rational, anything `Fraction()` accepts, or a `Cyclo`:
-    of order `order`, or rational (`as_order` reinterprets those) of any
-    order.  Every LPoly constructor and reader goes through this function
-    or `_coords`, so no caller branches on the order.
+    order d.  x is a rational (an int or a Fraction, see `_rat`) or a
+    `Cyclo`: of order `order`, or rational (`as_order` reinterprets those)
+    of any order.  Every LPoly constructor and reader goes through this
+    function or `_coords`, so no caller branches on the order.
 
-    >>> coeff(1, Fraction(4, 2)), coeff(1, Cyclo.one(1)), coeff(1, "1/2")
+    >>> coeff(1, Fraction(4, 2)), coeff(1, Cyclo.one(1)), coeff(1, Fraction(2, 4))
     (2, 1, Fraction(1, 2))
     >>> coeff(3, 2), coeff(3, Cyclo.zeta(3))
     (Cyclo(3, (2, 0)), Cyclo(3, (0, 1)))
@@ -471,6 +461,8 @@ class Sparse:
     is nonzero, so only a sum that may cancel passes through `nonzero`.  A
     function that takes other caller data checks it once, at entry, before
     any cache: an lru_cache finds the entry of an equal key, and True == 1.
+    Public classmethods, embeddings and transforms (`one`, `extend`,
+    `from_E_basis`) are doors too, and call the same owner of each check.
     """
 
     __slots__ = ("terms",)
@@ -571,8 +563,6 @@ class LPoly(Sparse):
         for k, c in (terms or {}).items():
             if not (type(k) is tuple and len(k) == 3 and all([type(e) is int for e in k])):
                 raise ValueError(f"key {k!r} is not a triple of integer exponents")
-            if type(c) not in (int, Fraction, Cyclo):
-                raise ValueError(f"coefficient {c!r} is not an int, Fraction or Cyclo")
             if c := coeff(order, c):
                 clean[k] = c
         self.order, self.terms = order, clean

@@ -50,9 +50,9 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import comb
 
-from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_all, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
 from .permcomp import Composition, Perm, block_split, identity, reduced_word
-from .permcomp import _check_crossing, _check_strands, _is_perm
+from .permcomp import _check_crossing, _check_order, _check_strands, _is_perm
 
 __all__ = [
     "HeckeElem",
@@ -102,6 +102,7 @@ class HeckeElem(Sparse):
 
     @classmethod
     def one(cls, n: int, order: int = 1) -> "HeckeElem":
+        _check_strands(n)  # and `LPoly.one` the order
         return cls._make(n, order, {identity(n): LPoly.one(order)})
 
     @classmethod
@@ -159,8 +160,11 @@ class HeckeElem(Sparse):
 
     def extend(self, m: int) -> "HeckeElem":
         """The image under H_n -> H_m (new strands untouched)."""
+        _check_strands(m)
+        if m < self.n:
+            raise ValueError("cannot extend to a smaller strand count")
         pad = tuple(range(self.n + 1, m + 1))
-        return HeckeElem(m, self.order, {w + pad: c for w, c in self.terms.items()})
+        return HeckeElem._make(m, self.order, {w + pad: c for w, c in self.terms.items()})
 
 
 def h_mul(x: HeckeElem, y: HeckeElem) -> HeckeElem:

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, add_to, nonzero
 from .hecke import HeckeElem, h_mul
 from .permcomp import (
     Character,
     Composition,
     Perm,
+    _check_order,
     _check_strands,
     _check_support,
     _is_perm,
@@ -118,6 +119,7 @@ class BlockMatrix(Sparse):
 
     @classmethod
     def identity_matrix(cls, d: int, n: int) -> "BlockMatrix":
+        _check_strands(n)  # and `LPoly.one` the order
         one, e, levels = LPoly.one(d), identity(n), all_compositions(d, n)
         return cls._make(d, n, {(mu, chi, chi, e): one for mu in levels for chi in orbit(mu)})
 

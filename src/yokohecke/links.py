@@ -96,10 +96,9 @@ from .permcomp import (
     Composition,
     Perm,
     all_comp0,
-    comp_of,
     cycles,
 )
-from .permcomp import _check_framing, _check_strands, _is_int
+from .permcomp import _check_framing, _check_order, _check_strands
 from .traces import TraceSpec, jl_spec
 from .yokonuma import YElem
 
@@ -145,7 +144,7 @@ class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
             raise ValueError(f"tokens must be a tuple, got {tokens!r}")
         for tok in tokens:
             shaped = isinstance(tok, tuple) and len(tok) == 3 and tok[0] in ("sigma", "frame")
-            if not (shaped and _is_int(tok[1]) and _is_int(tok[2])):
+            if not (shaped and type(tok[1]) is int and type(tok[2]) is int):
                 raise ValueError(f"malformed token {tok!r}")
             kind, i, k = tok
             if kind == "frame":
@@ -191,8 +190,8 @@ def parse_word(text: str, n: int, d: int | None) -> FramedBraidWord:
     >>> parse_word("t1^5", 2, 3).tokens
     (('frame', 1, 2),)
     """
-    if d is not None and d < 1:
-        raise ValueError("framing modulus must be at least 1")
+    if d is not None:
+        _check_order(d)
     tokens: list[Token] = []
     for raw in text.split():
         m = _FRAME_RE.fullmatch(raw)
@@ -309,9 +308,9 @@ def _sublink_sums(
     """Sum of the colouring terms of the sublink formula, by composition.
 
     Runs over the colourings ``c`` of the closure's components whose letter
-    set is one of ``supports`` (0/1 compositions) and adds
+    set is one of ``supports`` (checked 0/1 compositions) and adds
     ``(u g)^{e_c} * prod_a P(beta|_a) * prod xi_{c(strand)}^k`` to the
-    composition ``mu`` counting the strands of each letter; see the module
+    composition ``mu`` of component sizes per letter; see the module
     docstring.  ``P`` is computed once per sub-braid, at order 1, by
     ``tau_word`` on the sub-braid's ``(rank, sign)`` crossings.
     """
@@ -342,7 +341,10 @@ def _sublink_sums(
         if support not in wanted:
             continue
         col = [colours[component[s]] for s in range(n)]
-        mu = comp_of(col, d)
+        parts = [0] * d
+        for a, cyc in zip(colours, comps):
+            parts[a - 1] += len(cyc)
+        mu = Composition._make((tuple(parts),))
         sub: dict[int, list] = {a: [] for a in support}
         e = 0
         for i, sign in crossings:
@@ -475,7 +477,7 @@ def jl_numeric(
     ...
     ValueError: q and z must be finite
     """
-    if branch not in (1, -1):
+    if type(branch) is not int or branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     q = complex(q)
     z = complex(z)

@@ -58,21 +58,24 @@ Character = tuple[int, ...]
 # permutations
 # --------------------------------------------------------------------------
 
-def _is_int(x) -> bool:
-    """An int that is not a bool, as every count, index and exponent is.
-    The `_check_*` functions below own every check of a generator step."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_order(d) -> None:
+    """The one check of an order, run before any cache keyed on it: an int,
+    not a bool (here and below, an integer is `type(x) is int`), at least 1."""
+    if type(d) is not int:
+        raise ValueError(f"order must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"order must be >= 1, got {d}")
 
 
 def _check_strands(n) -> None:
-    if not _is_int(n):
+    if type(n) is not int:
         raise ValueError(f"strand count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("strand count must be at least 1")
 
 
 def _check_generator(n: int, i) -> None:
-    if not _is_int(i):
+    if type(i) is not int:
         raise ValueError(f"generator index must be an integer, got {i!r}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
@@ -80,14 +83,14 @@ def _check_generator(n: int, i) -> None:
 
 def _check_crossing(n: int, i, sign) -> None:
     _check_generator(n, i)
-    if not (_is_int(sign) and sign in (1, -1)):
+    if not (type(sign) is int and sign in (1, -1)):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
 
 
 def _check_framing(n: int, j, power) -> None:
-    if not (_is_int(j) and 1 <= j <= n):
+    if not (type(j) is int and 1 <= j <= n):
         raise ValueError(f"framing index {j!r} out of range for {n} strands")
-    if not _is_int(power):
+    if type(power) is not int:
         raise ValueError(f"framing power must be an integer, got {power!r}")
 
 
@@ -236,7 +239,8 @@ class Composition(namedtuple("Composition", "parts")):
         return frozenset([a for a, p in enumerate(self.parts, start=1) if p])
 
     def bump(self, a: int) -> "Composition":
-        """Add 1 to part a (1-indexed)."""
+        """Add 1 to part a (1-indexed), a letter checked by `comp_of`."""
+        comp_of((a,), self.d)
         parts = list(self.parts)
         parts[a - 1] += 1
         return Composition._make((tuple(parts),))
@@ -286,8 +290,7 @@ def comp_of(chi: Character, d: int) -> Composition:
     >>> comp_of((1, 2, 1, 1), 2)
     Composition(parts=(3, 1))
     """
-    if type(d) is not int:
-        raise ValueError(f"order must be an integer, got {d!r}")
+    _check_order(d)
     counts = [0] * d
     for a in chi:
         if type(a) is not int or not 1 <= a <= d:

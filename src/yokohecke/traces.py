@@ -38,10 +38,11 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Complex
 
-from .exactnum import Coeff, Cyclo, LPoly, _check_order, coeff, root_power
+from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .isomap import block_traces
-from .permcomp import Composition, _check_support, all_comp0, comp_of, identity
+from .permcomp import Composition, _check_order, _check_strands, _check_support, all_comp0
+from .permcomp import comp_of, identity
 from .yokonuma import YElem
 
 __all__ = [
@@ -145,7 +146,6 @@ def symmetrizing_tilde(x: YElem) -> LPoly:
 
 def _subset(S: Iterable[int], d: int) -> tuple[int, ...]:
     """The distinct letters of S, each checked by `comp_of`, in increasing order."""
-    _check_order(d)
     S = comp_of(S, d).letters()
     if not S:
         raise ValueError("S must be a nonempty subset of the letters 1..d")
@@ -175,7 +175,7 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     E-system solution S: supports inside S get weight
     (v^{-1}(1-u^2))^{|mu0|-1} / |S|, others vanish.
 
-    Only the 2^|S| - 1 subsets of S are built, whatever d is.
+    Only the 2^|S| - 1 subsets of S are built, whatever d is, from S checked once.
 
     >>> len(jl_spec(30, {1, 2}).alphas)
     3
@@ -186,7 +186,10 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     for size in range(1, len(S) + 1):
         w = (loop ** (size - 1)).scale(Fraction(1, len(S)))
         for support in itertools.combinations(S, size):
-            alphas[comp_of(support, d)] = w
+            parts = [0] * d
+            for a in support:
+                parts[a - 1] = 1
+            alphas[Composition._make((tuple(parts),))] = w
     return TraceSpec._make((d, alphas))
 
 
@@ -197,6 +200,8 @@ def semisimple_at(n: int, q=None) -> bool:
     means the generic parameter (always semisimple); exact inputs (int,
     Fraction, Cyclo) are tested exactly; floats/complex within 1e-12.
     """
+    if type(n) is not int:  # an int n <= 1 is the trivial algebra, semisimple
+        _check_strands(n)
     if q is None or n <= 1:
         return True
     if isinstance(q, Cyclo):

@@ -52,7 +52,7 @@ _JL_QZ_SAMPLES = 5  # random (q, z) points per numeric unknot check
 _JL_QZ_DRAWS = 20  # draws per point before an undefined unknot fails the check
 
 class SuiteConfigError(ValueError):
-    """Raised for unknown suites or out-of-range (d, n)."""
+    """Raised for unknown suites, and for a d or n that is not an int in range."""
 
 
 Check = tuple[str, bool, str]
@@ -242,8 +242,7 @@ def run_suite(suite: str, d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Che
     if suite not in _SUITES:
         raise SuiteConfigError(f"unknown suite {suite!r}")
     suite_fn, max_d, max_n = _SUITES[suite]
-    if not 1 <= d <= max_d:
-        raise SuiteConfigError(f"suite {suite} supports 1 <= d <= {max_d}, got {d}")
-    if not 1 <= n <= max_n:
-        raise SuiteConfigError(f"suite {suite} supports 1 <= n <= {max_n}, got {n}")
+    for name, value, top in (("d", d, max_d), ("n", n, max_n)):
+        if type(value) is not int or not 1 <= value <= top:
+            raise SuiteConfigError(f"suite {suite} supports 1 <= {name} <= {top}, got {value!r}")
     return suite_fn(d, n, seed=seed)

@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, _check_coeff, _check_order, add_all, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
 from .permcomp import (
     Character,
     Composition,
@@ -62,6 +62,7 @@ from .permcomp import (
     _check_crossing,
     _check_framing,
     _check_generator,
+    _check_order,
     _check_strands,
     _is_perm,
 )
@@ -109,6 +110,7 @@ class YElem(Sparse):
 
     @classmethod
     def one(cls, d: int, n: int) -> "YElem":
+        _check_strands(n)  # and `LPoly.one` the order
         return cls._make(d, n, {((0,) * n, identity(n)): LPoly.one(d)})
 
     @classmethod
@@ -208,6 +210,7 @@ class YElem(Sparse):
 
     def extend(self, m: int) -> "YElem":
         """The image under Y_{d,n} -> Y_{d,m} (new strands unframed, untouched)."""
+        _check_strands(m)
         if m < self.n:
             raise ValueError("cannot extend to a smaller strand count")
         padk = (0,) * (m - self.n)
@@ -351,6 +354,8 @@ def fixed_E_coeffs(x: YElem, letters=None) -> dict[tuple[Character, Perm], LPoly
 
 def _check_e_coeffs(d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly]) -> None:
     """The door of idempotent-basis coefficients {(chi, w): LPoly} at level (d, n)."""
+    _check_order(d)
+    _check_strands(n)
     for (chi, w), c in coeffs.items():
         mu = _check_character(chi, d)
         if not _is_perm(w, len(chi)):

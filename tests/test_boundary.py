@@ -5,12 +5,17 @@ The public constructors of `Composition`, `HeckeElem`, `YElem`,
 every order, part, letter, permutation, framing, exponent, support and
 coefficient; the package builds its own values through the internal
 builders, and the functions that take caller data check it before any
-cache.
+cache.  The public classmethods, embeddings and transforms are doors too,
+and every door asks the same owners: `type(x) is int` for an integer,
+`permcomp._check_order` for an order, `_check_strands` for a strand count
+and `exactnum._rat` for a rational.
 """
 
 import contextlib
 import io
+import sys
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -23,12 +28,19 @@ from yokohecke.exactnum import (
 )
 from yokohecke.hecke import HeckeElem
 from yokohecke.isomap import BlockMatrix, block_traces, psi_from_e_coeffs
-from yokohecke.links import FramedBraidWord
+from yokohecke.links import FramedBraidWord, jl_numeric, parse_word
 from yokohecke.permcomp import Composition, all_comp0, comp_of, min_coset_rep, orbit
-from yokohecke.traces import TraceSpec, basic_spec
-from yokohecke.yokonuma import YElem, from_E_basis, to_E_basis
+from yokohecke.traces import TraceSpec, basic_spec, esystem_c, semisimple_at
+from yokohecke.yokonuma import YElem, from_E_basis, idempotent_E, idempotent_Emu, to_E_basis
 
 ONE = LPoly.one(2)
+
+
+class N(IntEnum):
+    """An int subclass, which no door takes for an int."""
+
+    ONE = 1
+    TWO = 2
 
 
 def _warm_min_coset_rep():
@@ -107,6 +119,69 @@ REPRODUCERS = [
     ("comp_of-float-order", lambda: comp_of((1,), 1.5), "order must be an integer, got 1.5"),
     ("block_traces-short-support", lambda: block_traces(YElem.one(2, 2), [Composition((1,))]),
      "support (1) has 1 parts, expected 2"),
+    # one integer test: `type(x) is int`, so no IntEnum and no bool
+    ("hecke-intenum-strands", lambda: HeckeElem(N.TWO, 1, {}),
+     "strand count must be an integer, got <N.TWO: 2>"),
+    ("word-intenum-strands", lambda: FramedBraidWord(N.TWO, (("sigma", 1, 1),)),
+     "strand count must be an integer, got <N.TWO: 2>"),
+    ("root_power-bool-exponent", lambda: root_power(3, 2, True), "exponent True is not an integer"),
+    ("jl_numeric-bool-branch",
+     lambda: jl_numeric(parse_word("1", 2, 2), 2, {1}, 0.3, 0.2, branch=True),
+     "branch must be +1 or -1"),
+    ("root_power-float-exponent", lambda: root_power(3, 2, 1.5), "exponent 1.5 is not an integer"),
+    ("esystem_c-float-exponent", lambda: esystem_c(3, [1, 2], 1.5),
+     "exponent 1.5 is not an integer"),
+    # one order check
+    ("parse_word-bool-order", lambda: parse_word("t1^1", 1, True),
+     "order must be an integer, got True"),
+    ("parse_word-float-order", lambda: parse_word("t1^1", 1, 1.5),
+     "order must be an integer, got 1.5"),
+    # one rational policy: an int that is not a bool, or a Fraction
+    ("const-float", lambda: LPoly.const(1, 1.5),
+     "coefficient 1.5 is not an int, Fraction or Cyclo"),
+    ("scale-float", lambda: LPoly.one(1).scale(0.5),
+     "coefficient 0.5 is not an int, Fraction or Cyclo"),
+    ("cyclo-float", lambda: Cyclo(3, (1.5, 0)), "coefficient 1.5 is not an int, Fraction or Cyclo"),
+    ("from_rat-str", lambda: Cyclo.from_rat(3, "1/3"),
+     "coefficient '1/3' is not an int, Fraction or Cyclo"),
+    ("monomial-float", lambda: LPoly.monomial(1, 0.1, 1),
+     "coefficient 0.1 is not an int, Fraction or Cyclo"),
+    ("const-bool", lambda: LPoly.const(2, True),
+     "coefficient True is not an int, Fraction or Cyclo"),
+    ("cyclo-bool", lambda: Cyclo(3, (True, 0)),
+     "coefficient True is not an int, Fraction or Cyclo"),
+    ("cyclo-times-float", lambda: Cyclo.one(3) * 1.5,
+     "coefficient 1.5 is not an int, Fraction or Cyclo"),
+    # no side door: classmethods, embeddings and transforms check d and n
+    ("yelem-one-zero-strands", lambda: YElem.one(2, 0), "strand count must be at least 1"),
+    ("hecke-one-zero-strands", lambda: HeckeElem.one(0), "strand count must be at least 1"),
+    ("identity_matrix-zero-strands", lambda: BlockMatrix.identity_matrix(2, 0),
+     "strand count must be at least 1"),
+    ("from_E_basis-zero-strands", lambda: from_E_basis(2, 0, {}),
+     "strand count must be at least 1"),
+    ("idempotent_E-empty", lambda: idempotent_E(2, ()), "strand count must be at least 1"),
+    ("idempotent_Emu-empty", lambda: idempotent_Emu(Composition((0, 0))),
+     "strand count must be at least 1"),
+    ("from_E_basis-bool-order", lambda: from_E_basis(True, 2, {}),
+     "order must be an integer, got True"),
+    ("yelem-extend-bool", lambda: YElem.one(2, 1).extend(True),
+     "strand count must be an integer, got True"),
+    ("yelem-one-float-strands", lambda: YElem.one(2, 1.5),
+     "strand count must be an integer, got 1.5"),
+    ("yelem-extend-float", lambda: YElem.one(2, 1).extend(2.5),
+     "strand count must be an integer, got 2.5"),
+    ("run_suite-float-order", lambda: verify.run_suite("iso", 2.0, 2),
+     "suite iso supports 1 <= d <= 3, got 2.0"),
+    ("run_suite-float-strands", lambda: verify.run_suite("schur", 2, 2.0),
+     "suite schur supports 1 <= n <= 3, got 2.0"),
+    ("semisimple_at-float", lambda: semisimple_at(1.5, 2),
+     "strand count must be an integer, got 1.5"),
+    ("hecke-extend-smaller", lambda: HeckeElem.one(3).extend(2),
+     "cannot extend to a smaller strand count"),
+    # `Composition.bump` checks its letter with `comp_of`
+    ("bump-zero", lambda: Composition((1, 0)).bump(0), "letter 0 out of range 1..2"),
+    ("bump-three", lambda: Composition((1, 0)).bump(3), "letter 3 out of range 1..2"),
+    ("bump-bool", lambda: Composition((1, 0)).bump(True), "letter True out of range 1..2"),
 ]
 
 
@@ -389,6 +464,61 @@ def test_trace_spec_door(data):
             call()
 
 
+# every public entry that takes an order d (first list) or a strand count n
+SIDE_DOORS = {
+    "d": [
+        lambda d: YElem.one(d, 2), lambda d: YElem.t_elem(d, 2, 1),
+        lambda d: YElem.g_elem(d, 2, 1), lambda d: YElem.e_elem(d, 2, 1),
+        lambda d: HeckeElem.one(2, d), lambda d: BlockMatrix.identity_matrix(d, 2),
+        lambda d: from_E_basis(d, 2, {}), lambda d: idempotent_E(d, (1, 1)),
+        lambda d: psi_from_e_coeffs(d, 2, {}), lambda d: verify.run_suite("iso", d, 2),
+        lambda d: parse_word("1", 2, d), lambda d: root_power(d, 1, 1),
+    ],
+    "n": [
+        lambda n: YElem.one(2, n), lambda n: YElem.t_elem(2, n, 1),
+        lambda n: YElem.g_elem(2, n, 1), lambda n: YElem.e_elem(2, n, 1),
+        lambda n: HeckeElem.one(n), lambda n: BlockMatrix.identity_matrix(2, n),
+        lambda n: YElem.one(2, 1).extend(n), lambda n: HeckeElem.one(1).extend(n),
+        lambda n: from_E_basis(2, n, {}), lambda n: psi_from_e_coeffs(2, n, {}),
+        lambda n: verify.run_suite("schur", 2, n),
+    ],
+}
+bad_parents = st.one_of(
+    st.booleans(), st.floats(), st.sampled_from(list(N)), st.integers(max_value=0)
+)
+
+
+@SETTINGS
+@given(bad_parents, st.sampled_from(["d", "n"]))
+def test_side_doors_check_their_parents(bad, which):
+    for door in SIDE_DOORS[which]:
+        with pytest.raises(ValueError):
+            door(bad)
+    if type(bad) is int:  # n <= 1: the trivial algebra, semisimple
+        assert semisimple_at(bad, 2) is True
+    else:
+        with pytest.raises(ValueError, match="^strand count must be an integer"):
+            semisimple_at(bad, 2)
+
+
+SCALAR_ENTRIES = [
+    lambda x: coeff(1, x), lambda x: coeff(3, x), lambda x: Cyclo(3, (x, 0)),
+    lambda x: Cyclo.from_rat(3, x), lambda x: Cyclo.zeta(3) * x, lambda x: LPoly.const(1, x),
+    lambda x: LPoly.monomial(2, x, 1), lambda x: LPoly.one(1).scale(x),
+    lambda x: LPoly.one(3).scale(x),
+]
+
+
+@SETTINGS
+@given(st.one_of(st.booleans(), st.floats(), st.text(max_size=3),
+                 st.decimals(places=2), st.sampled_from(list(N))))
+def test_scalar_entry_points_take_only_ints_and_fractions(bad):
+    for entry in SCALAR_ENTRIES:
+        with pytest.raises(ValueError) as info:
+            entry(bad)
+        assert str(info.value) == f"coefficient {bad!r} is not an int, Fraction or Cyclo"
+
+
 # ---------------------------------------------------------------------------
 # the public constructors run only at entry points
 # ---------------------------------------------------------------------------
@@ -432,3 +562,30 @@ def test_public_constructors_run_only_at_entry_points(run, doors, monkeypatch):
         run()
     assert counts.pop("parse_word", 0) == doors.get("FramedBraidWord", 0)
     assert counts == Counter(doors)
+
+
+WORD4 = "1 1 -2 3 t1^1 -2 3 3 t4^2"
+
+
+# the letter door `comp_of` runs once per checked input, never per colouring
+# or support: 27 and 12 calls before each production loop built its
+# compositions from checked letters
+@pytest.mark.parametrize("argv, calls", [
+    pytest.param(["invariant", "--d", "3", "--n", "4", "--all-basic", "--word", WORD4], 0,
+                 id="invariant-all-basic"),
+    pytest.param(["jl", "--d", "3", "--S", "1,2", "--n", "4", "--word", WORD4], 1, id="jl"),
+])
+def test_letter_door_runs_only_at_entry(argv, calls):
+    code, count = permcomp.comp_of.__code__, 0
+
+    def profile(frame, event, arg):  # counts calls through every import of comp_of
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    assert count == calls

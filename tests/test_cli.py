@@ -215,6 +215,73 @@ def test_verify_jl_fails_when_the_unknot_is_never_defined(capsys, monkeypatch):
     assert len(calls) == 3 * verify._JL_QZ_DRAWS
 
 
+# each verify FAIL detail, with the function its check compares broken
+
+
+def test_verify_iso_product_fail_detail(capsys, monkeypatch):
+    calls = []
+
+    def zero_product(*args):
+        calls.append(args)
+        return {}
+
+    monkeypatch.setattr(verify, "e_basis_mul_basis", zero_product)
+    code, out, err = run_main(capsys, "verify", "--suite", "iso", "--d", "2", "--n", "2")
+    _, chi, w, chi2, w2 = calls[-1]  # the check stops at its first nonzero product
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL iso-product-d2-n2 : psi not multiplicative on E_{chi} gt_{w} * E_{chi2} gt_{w2}"
+    ]
+
+
+def test_verify_markov_fail_details(capsys, monkeypatch):
+    draw, drawn, values = verify._random_basis_elem, [], iter(range(100))
+
+    def recorded(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_random_basis_elem", recorded)
+    monkeypatch.setattr(verify, "rho", lambda spec, x: LPoly.const(spec.d, next(values)))
+    code, out, err = run_main(capsys, "verify", "--suite", "markov", "--d", "2", "--n", "2")
+    expected = []
+    for mu0 in ("(0,1)", "(1,0)", "(1,1)"):  # every value differs: each check fails at once
+        x, y, z = drawn[:3]
+        del drawn[:3]
+        expected += [f"FAIL markov-central-mu0={mu0} : rho(xy) != rho(yx) for {x!r}, {y!r}",
+                     f"FAIL markov-stab-mu0={mu0} : stabilization failed for {z!r}"]
+    assert (code, err) == (1, "")
+    assert out.splitlines() == expected
+    assert "<YElem d=2 n=2: [1] t(" in expected[0]
+
+
+def test_verify_schur_fail_details(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "symmetrizing_tilde", lambda x: LPoly.zero(x.d))
+    code, out, err = run_main(capsys, "verify", "--suite", "schur", "--d", "2", "--n", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL schur-identity-d2-n2 : value on 1 is not 4",
+        "FAIL schur-basis-d2-n2 : forms differ on t^(0, 0) gt_(1, 2)",
+    ]
+
+
+def test_verify_jl_unknot_value_fail_detail(capsys, monkeypatch):
+    calls = []
+
+    def two(*args):
+        calls.append(args)
+        return 2.0
+
+    monkeypatch.setattr(verify, "jl_numeric", two)
+    code, out, err = run_main(capsys, "verify", "--suite", "jl", "--d", "1", "--n", "1")
+    q, z = calls[0][3:5]
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS jl-moments-S={1}",
+        f"FAIL jl-unknot-S={{1}} : unknot value 2.0 at q={q!r}, z={z!r}",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error lines
 # ---------------------------------------------------------------------------
@@ -274,6 +341,7 @@ JL = ["jl", "--d", "2", "--S", "1,2", "--n", "2", "--word", "1"]
          "ambiguous option: --m could match --mu0, --machine"),
         (INVARIANT + ["--all-basic", "--machine=1", "--word", "1"],
          "argument --machine: ignored explicit argument '1'"),
+        (["homflypt", "--n", "2", "--word", "1", "--bogus"], "unrecognized arguments: --bogus"),
     ],
 )
 def test_usage_error_texts(capsys, argv, text):
@@ -341,6 +409,14 @@ def test_jl_subset_outside_the_letters_names_the_letter(capsys, subset, letter):
     code, out, err = run_main(capsys, "jl", "--d", "2", "--S", subset, "--n", "2", "--word", "1 1")
     assert (code, out) == (1, "")
     assert err == f"error: letter {letter} out of range 1..2\n"
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+@pytest.mark.parametrize("command", [["invariant", "--all-basic"], ["jl", "--S", "1"]])
+def test_order_below_one_names_the_order(capsys, command, order):
+    # `parse_word` checks its d with the one order check, `_check_order`
+    argv = command + ["--d", order, "--n", "2", "--word", "1"]
+    assert run_main(capsys, *argv) == (1, "", f"error: order must be >= 1, got {order}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -411,6 +487,7 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
         (lambda: Cyclo.one(3) + Cyclo.one(4), ValueError, "mixed cyclotomic orders 3 and 4"),
         (lambda: root_power(3, 4, 1), ValueError, "letter 4 out of range 1..3"),
         (lambda: LPoly.one(1) + HeckeElem.one(2), ValueError, "cannot combine LPoly with HeckeElem"),
+        (lambda: YElem.one(2, 2) + HeckeElem.one(2), ValueError, "cannot combine YElem with HeckeElem"),
         (lambda: HeckeElem(3, 1, {(1, 2): LPoly.one(1)}), ValueError, "permutation (1, 2) is not in S_3"),
         (
             lambda: BlockMatrix(2, 2, {(Composition((3, 0)), (1, 1, 1), (1, 1, 1), (1, 2, 3)): LPoly.one(2)}),

@@ -129,18 +129,17 @@ def test_cyclo_stores_ints_where_integral():
     assert all(type(x) is int for x in Cyclo.zeta(7, 3).coeffs)
 
 
-def test_cyclo_converts_other_input_through_fraction():
-    # strings, floats and Decimals go through Fraction(...) as before
+def test_cyclo_takes_only_ints_and_fractions():
+    # one rational policy: an int that is not a bool, or a Fraction; strings,
+    # floats, Decimals and bools are rejected, not converted
     from decimal import Decimal
 
-    c = Cyclo(3, ("3/6", 2.0))
+    c = Cyclo(3, (Fraction(3, 6), Fraction(4, 2)))
     assert c.coeffs == (Fraction(1, 2), 2)
     assert type(c.coeffs[1]) is int
-    assert Cyclo(2, (Decimal("0.25"),)).coeffs == (Fraction(1, 4),)
-    with pytest.raises(ValueError):
-        Cyclo(3, ("one", 0))
-    with pytest.raises(TypeError):
-        Cyclo(3, (None, 0))
+    for bad in ("3/6", 2.0, Decimal("0.25"), "one", None, True):
+        with pytest.raises(ValueError, match=r"^coefficient .* is not an int, Fraction or Cyclo$"):
+            Cyclo(3, (bad, 0))
 
 
 def test_order_one_coefficients_are_rationals():
@@ -403,6 +402,7 @@ def test_text_golden_examples():
     assert p.text() == "2 * u^4 * g^-4 - 8 * u^2 * g^-4"
     q = LPoly.monomial(1, -1, 4, 0, 0) + LPoly.monomial(1, 2, 2, 0, 0) + LPoly.var(1, "v", 2)
     assert q.text() == "-1 * u^4 + 2 * u^2 + 1 * v^2"
+    assert LPoly.const(5, Cyclo.zeta(5, 2)).text() == "(1*z^2)"
 
 
 def test_text_orders_terms_descending():

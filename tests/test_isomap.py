@@ -70,8 +70,10 @@ def test_block_traces_build_only_the_given_supports():
                 out = block_traces(x, supports)
                 assert list(out) == [mu for mu in full if mu.base() in supports]
                 assert all(out[mu] == full[mu] for mu in out), supports
-    # at n = 0 the one block is the empty composition, over no letters
-    assert block_traces(YElem.one(2, 0)) == {Composition((0, 0)): HeckeElem.one(0, 2)}
+    # at n = 0, which only the internal builders make, the one block is the
+    # empty composition, over no letters
+    x = YElem._make(2, 0, {((), ()): LPoly.one(2)})
+    assert block_traces(x) == {Composition((0, 0)): HeckeElem._make(0, 2, {(): LPoly.one(2)})}
 
 
 def test_phi_psi_round_trip_full_basis():

@@ -85,7 +85,7 @@ def test_parse_word_errors():
         parse_word("1", 1, 2)  # no crossings on one strand
     with pytest.raises(ValueError, match="strand count must be at least 1"):
         parse_word("", 0, 2)
-    with pytest.raises(ValueError, match="framing modulus must be at least 1"):
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
         parse_word("1", 2, 0)
 
 

@@ -79,3 +79,8 @@ def test_equal_lpolys_hash_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_zero_repr():
+    assert repr(HeckeElem.zero(2, 1)) == "<HeckeElem n=2: 0>"
+    assert repr(YElem.zero(2, 1)) == "<YElem d=2 n=1: 0>"
