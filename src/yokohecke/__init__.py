@@ -17,37 +17,42 @@ The `yokohecke` console script exposes the invariant computations and the
 self-verification suites; see the README for usage.
 """
 
-from .exactnum import Cyclo, LPoly, Rat, cyclotomic_polynomial, root_power
-from .permcomp import Composition, all_comp0, all_compositions
-from .hecke import HeckeElem, loop_factor, markov_tau, tau_parabolic
-from .yokonuma import YElem, from_E_basis, idempotent_E, idempotent_Emu, to_E_basis
-from .isomap import BlockMatrix, iota, phi, psi
-from .traces import (
-    TraceSpec,
-    basic_spec,
-    esystem_c,
-    jl_spec,
-    rho,
-    rho_blocks,
-    semisimple_at,
-    symmetrizing_rho,
-    symmetrizing_tilde,
-)
-from .links import (
-    FramedBraidWord,
-    basic_invariants,
-    component_count,
-    delta_H,
-    delta_gamma,
-    homflypt,
-    invariant_contributions,
-    invariant_gamma,
-    jl_invariant,
-    jl_numeric,
-    parse_word,
-    underlying_perm,
-)
-from .traces import all_basic_specs, format_trace_spec
-from .verify import run_suite
+from importlib import import_module
 
+# Each exported name and the module that defines it.  `import yokohecke`
+# runs no submodule: an exported name is read from its home module on each
+# access (PEP 562), so the CLI loads only what its command runs, and the
+# package never holds a stale copy of a name its home module rebinds.
+_EXPORTS = {
+    "exactnum": ("Cyclo", "LPoly", "cyclotomic_polynomial", "root_power"),
+    "permcomp": ("Composition", "all_comp0", "all_compositions"),
+    "hecke": ("HeckeElem", "loop_factor", "markov_tau", "tau_parabolic"),
+    "yokonuma": ("YElem", "from_E_basis", "idempotent_E", "idempotent_Emu", "to_E_basis"),
+    "isomap": ("BlockMatrix", "iota", "phi", "psi"),
+    "traces": (
+        "TraceSpec", "all_basic_specs", "basic_spec", "esystem_c", "format_trace_spec",
+        "jl_spec", "rho", "rho_blocks", "semisimple_at", "symmetrizing_rho",
+        "symmetrizing_tilde",
+    ),
+    "links": (
+        "FramedBraidWord", "basic_invariants", "component_count", "delta_H", "delta_gamma",
+        "homflypt", "invariant_contributions", "invariant_gamma", "jl_invariant",
+        "jl_numeric", "parse_word", "underlying_perm",
+    ),
+    "verify": ("run_suite",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

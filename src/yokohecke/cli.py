@@ -45,7 +45,6 @@ from .links import (
 )
 from .permcomp import Composition
 from .traces import all_basic_specs, basic_spec, format_trace_spec
-from .verify import SuiteConfigError, run_suite, suite_names
 
 __all__ = ["main", "entry"]
 
@@ -114,6 +113,8 @@ def _cmd_jl(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SuiteConfigError, run_suite
+
     try:
         results = run_suite(args.suite, args.d, args.n)
     except SuiteConfigError as exc:
@@ -136,8 +137,16 @@ def _cmd_list_traces(args) -> int:
     return 0
 
 
+def _suite_names() -> tuple[str, ...]:
+    from .verify import suite_names
+
+    return suite_names()
+
+
 # An option is (type, required, default, choices), its type int, complex,
-# str or None for a flag.  Each command lists its function, its options in
+# str or None for a flag, its choices a tuple or a function returning one,
+# called only when the option is read: the oracle modules load only for
+# `verify`.  Each command lists its function, its options in
 # the order usage errors name them, and its required group of mutually
 # exclusive options.
 _INT = (int, True, None, None)
@@ -155,7 +164,7 @@ _COMMANDS = {
         "--branch": (int, False, 1, (1, -1)), "--machine": _FLAG,
     }, ()),
     "verify": (_cmd_verify, {
-        "--suite": (str, True, None, suite_names()), "--d": _INT, "--n": _INT,
+        "--suite": (str, True, None, _suite_names), "--d": _INT, "--n": _INT,
     }, ()),
     "list-traces": (_cmd_list_traces, {"--d": _INT}, ()),
 }
@@ -197,6 +206,8 @@ def _read(tokens, options, group, values, extras) -> bool:
                 value = kind(value)
             except ValueError:
                 raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            if callable(choices):
+                choices = choices()
             if choices and value not in choices:
                 listed = ", ".join(map(repr, choices))
                 raise _UsageError(

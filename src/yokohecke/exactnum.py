@@ -8,10 +8,11 @@ where zeta_d is a primitive d-th root of unity.  This module provides the
 three layers of that ring:
 
 * rationals: a Python `int` wherever the value is integral, a stdlib
-  `fractions.Fraction` (aliased `Rat`) only where a division leaves a
-  non-integer.  Constructors and scaling normalise integral `Fraction`s to
-  `int` (a sum of `Fraction`s may stay an integral `Fraction`, which
-  compares, hashes and prints as that `int`);
+  `fractions.Fraction` only where a division leaves a non-integer.
+  Constructors and scaling normalise integral `Fraction`s to `int` (a sum
+  of `Fraction`s may stay an integral `Fraction`, which compares, hashes
+  and prints as that `int`).  `fractions` is imported only where a
+  `Fraction` is built or tested, so integer work never loads it;
 * `Cyclo`: elements of the cyclotomic field Q(zeta_d) on the power basis
   1, zeta, ..., zeta^{phi(d)-1}, reduced modulo the minimal polynomial Phi_d
   (*not* modulo x^d - 1, so equality of field elements is equality of
@@ -22,13 +23,15 @@ three layers of that ring:
   coordinates (`LPoly.rotate`).  The coordinates are stored as integer
   numerators over one shared denominator, so the 1/d of the idempotents
   costs a gcd per operation instead of a `Fraction` per coordinate; they
-  read back as the rationals above;
+  read back as the rationals above (`Cyclo.coeffs`);
 * `LPoly`: sparse Laurent polynomials in the three variables u, v, g keyed
   by integer exponent triples.  The coefficient kind follows from the
   order d alone: at d = 1, where Q(zeta_1) = Q, a coefficient is the
   rational itself; at d > 1 it is a `Cyclo` of order d.  `coeff` makes a
-  coefficient of either kind and `_coords` reads its coordinates; no other
-  code looks at the kind.  The door `LPoly(order, terms)` converts each
+  coefficient of either kind and `_pairs` reads its coordinates as integer
+  pairs (numerator, denominator) in lowest terms, which the text formats
+  and `eval_complex` print and divide with no `Fraction`; no other code
+  looks at the kind.  The door `LPoly(order, terms)` converts each
   int, Fraction or Cyclo coefficient through `coeff` (an int at order 2
   becomes its Cyclo) and rejects any other input, bools included.
 
@@ -51,6 +54,7 @@ The variable names match the algebraic setup they feed: u and v are the
 Hecke-relation parameters (T_i^2 = u^2 + v T_i) and g is the extra framing
 parameter used by the link invariants.
 
+>>> from fractions import Fraction
 >>> cyclotomic_polynomial(4)
 (1, 0, 1)
 >>> Cyclo.zeta(4) * Cyclo.zeta(4) == Cyclo.from_rat(4, -1)
@@ -61,19 +65,15 @@ True
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .permcomp import _check_order, comp_of
 
 __all__ = [
-    "Coeff",
-    "Rat",
     "Cyclo",
     "Sparse",
     "LPoly",
@@ -86,8 +86,6 @@ __all__ = [
     "root_power",
 ]
 
-Rat = Fraction
-
 ExpKey = tuple[int, int, int]  # exponents of (u, v, g)
 
 
@@ -97,11 +95,14 @@ def _rat(x) -> int | Fraction:
     The one rational policy of every scalar entry point: an int that is not
     a bool, or a Fraction; anything else raises one ValueError.
 
+    >>> from fractions import Fraction
     >>> _rat(Fraction(4, 2)), _rat(Fraction(1, 2)), _rat(-3)
     (2, Fraction(1, 2), -3)
     """
     if type(x) is int:
         return x
+    from fractions import Fraction
+
     if type(x) is not Fraction:
         raise ValueError(f"coefficient {x!r} is not an int, Fraction or Cyclo")
     return x.numerator if x.denominator == 1 else x
@@ -205,6 +206,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
     >>> a = Cyclo.zeta(3)
     >>> a * a + a + Cyclo.from_rat(3, 1)   # 1 + zeta + zeta^2 = 0
     Cyclo(3, (0, 0))
+    >>> from fractions import Fraction
     >>> c = Cyclo(3, (Fraction(4, 2), Fraction(1, 2)))
     >>> c, c.num, c.den
     (Cyclo(3, (2, Fraction(1, 2))), (4, 1), 2)
@@ -212,7 +214,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
 
     __slots__ = ()
 
-    def __new__(cls, order: int, coeffs: Iterable[Rat | int]):
+    def __new__(cls, order: int, coeffs: Iterable[Fraction | int]):
         phi = euler_phi(order)
         coeffs = [_rat(c) for c in coeffs]
         if len(coeffs) != phi:
@@ -231,12 +233,14 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
         den = self.den
         if den == 1:
             return self.num
+        from fractions import Fraction
+
         return tuple([_rat(Fraction(n, den)) for n in self.num])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_rat(cls, order: int, r: Rat | int) -> "Cyclo":
+    def from_rat(cls, order: int, r: Fraction | int) -> "Cyclo":
         r = _rat(r)
         return _cyclo(order, [r.numerator] + [0] * (euler_phi(order) - 1), r.denominator)
 
@@ -268,7 +272,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def rational_part(self) -> Rat | int:
+    def rational_part(self) -> Fraction | int:
         """The value as a rational; error if the element is irrational."""
         if any(self.num[1:]):
             raise ValueError(f"not a rational element: {self!r}")
@@ -293,7 +297,7 @@ class Cyclo(namedtuple("Cyclo", "order num den")):
     def __neg__(self) -> "Cyclo":
         return _cyclo(self.order, [-a for a in self.num], self.den)
 
-    def __mul__(self, other: Cyclo | Rat | int) -> "Cyclo":
+    def __mul__(self, other: Cyclo | Fraction | int) -> "Cyclo":
         if not isinstance(other, Cyclo):
             q = _rat(other)
             return _cyclo(self.order, [a * q.numerator for a in self.num], self.den * q.denominator)
@@ -380,10 +384,7 @@ def root_power(d: int, a: int, s: int) -> Cyclo:
 # polynomial coefficients
 # --------------------------------------------------------------------------
 
-Coeff = int | Fraction | Cyclo  # a coefficient of an LPoly
-
-
-def coeff(order: int, x) -> Coeff:
+def coeff(order: int, x) -> int | Fraction | Cyclo:
     """x as a coefficient of an order-`order` polynomial.
 
     The kind follows from the order alone.  At order 1, where
@@ -392,8 +393,9 @@ def coeff(order: int, x) -> Coeff:
     order d.  x is a rational (an int or a Fraction, see `_rat`) or a
     `Cyclo`: of order `order`, or rational (`as_order` reinterprets those)
     of any order.  Every LPoly constructor and reader goes through this
-    function or `_coords`, so no caller branches on the order.
+    function or `_pairs`, so no caller branches on the order.
 
+    >>> from fractions import Fraction
     >>> coeff(1, Fraction(4, 2)), coeff(1, Cyclo.one(1)), coeff(1, Fraction(2, 4))
     (2, 1, Fraction(1, 2))
     >>> coeff(3, 2), coeff(3, Cyclo.zeta(3))
@@ -406,9 +408,26 @@ def coeff(order: int, x) -> Coeff:
     return _rat(x) if order == 1 else Cyclo.from_rat(order, x)
 
 
-def _coords(c: Coeff) -> tuple:
-    """The phi(d) power-basis coordinates of a coefficient (see `coeff`)."""
-    return c.coeffs if isinstance(c, Cyclo) else (c,)
+def _pairs(c: int | Fraction | Cyclo) -> list[tuple[int, int]]:
+    """The phi(d) power-basis coordinates of a coefficient (see `coeff`),
+    each as (numerator, denominator) in lowest terms: an int or Fraction
+    has both as attributes, and a Cyclo's shared denominator is reduced
+    per coordinate.
+
+    >>> _pairs(_cyclo(3, [2, -3], 6)), _pairs(-3)
+    ([(1, 3), (-1, 2)], [(-3, 1)])
+    """
+    if not isinstance(c, Cyclo):
+        return [(c.numerator, c.denominator)]
+    den = c.den
+    if den == 1:
+        return [(n, 1) for n in c.num]
+    return [(n // g, den // g) for n in c.num for g in (gcd(n, den),)]
+
+
+def _rat_text(n: int, den: int) -> str:
+    """The rational n/den, den > 0 in lowest terms, as `str` prints it."""
+    return str(n) if den == 1 else f"{n}/{den}"
 
 
 # --------------------------------------------------------------------------
@@ -535,9 +554,6 @@ class Sparse:
 # sparse Laurent polynomials in u, v, g
 # --------------------------------------------------------------------------
 
-Scalar = Cyclo | Rat | int
-
-
 class LPoly(Sparse):
     """Sparse Laurent polynomial in u, v, g over Q(zeta_d).
 
@@ -557,7 +573,7 @@ class LPoly(Sparse):
 
     __slots__ = ("order",)
 
-    def __init__(self, order: int, terms: Mapping[ExpKey, Coeff] | None = None):
+    def __init__(self, order: int, terms: Mapping[ExpKey, Cyclo | Fraction | int] | None = None):
         _check_order(order)
         clean = {}
         for k, c in (terms or {}).items():
@@ -598,7 +614,7 @@ class LPoly(Sparse):
         return cls.const(order, 1)
 
     @classmethod
-    def const(cls, order: int, c: Scalar) -> "LPoly":
+    def const(cls, order: int, c: Cyclo | Fraction | int) -> "LPoly":
         return cls.monomial(order, c)
 
     @classmethod
@@ -608,7 +624,9 @@ class LPoly(Sparse):
         return cls.monomial(order, 1, *[exp if x == name else 0 for x in "uvg"])
 
     @classmethod
-    def monomial(cls, order: int, c: Scalar, eu: int = 0, ev: int = 0, eg: int = 0) -> "LPoly":
+    def monomial(
+        cls, order: int, c: Cyclo | Fraction | int, eu: int = 0, ev: int = 0, eg: int = 0
+    ) -> "LPoly":
         _check_order(order)
         if not type(eu) is type(ev) is type(eg) is int:
             raise ValueError(f"exponents {(eu, ev, eg)!r} are not all integers")
@@ -628,11 +646,11 @@ class LPoly(Sparse):
 
     # -- structure ----------------------------------------------------------
 
-    def coefficient(self, eu: int, ev: int, eg: int) -> Coeff:
+    def coefficient(self, eu: int, ev: int, eg: int) -> int | Fraction | Cyclo:
         c = self.terms.get((eu, ev, eg))
         return coeff(self.order, 0) if c is None else c
 
-    def constant_value(self) -> Coeff:
+    def constant_value(self) -> int | Fraction | Cyclo:
         """The coefficient of u^0 v^0 g^0; error if other terms are present."""
         if self.terms and set(self.terms) != {(0, 0, 0)}:
             raise ValueError(f"not a constant: {self.text()}")
@@ -659,12 +677,12 @@ class LPoly(Sparse):
                 add_to(out, (a1 + a2, b1 + b2, c1 + c2), x * y)
         return LPoly._make(self.order, nonzero(out))
 
-    def scale(self, c: Scalar) -> "LPoly":
+    def scale(self, c: Cyclo | Fraction | int) -> "LPoly":
         """Every coefficient multiplied by the scalar c: a rational, or an
         element of this order's field (a `Cyclo` passes through `coeff`)."""
         c = coeff(self.order, c) if isinstance(c, Cyclo) else _rat(c)
         terms = {k: x * c for k, x in self.terms.items()} if c else {}
-        if self.order == 1 and type(c) is Fraction:
+        if self.order == 1 and type(c) is not int:  # a Fraction
             terms = {k: _rat(x) for k, x in terms.items()}
         return LPoly._make(self.order, terms)
 
@@ -715,10 +733,12 @@ class LPoly(Sparse):
         return LPoly._make(order, {k: coeff(order, c) for k, c in self.terms.items()})
 
     def eval_complex(self, u0: complex, v0: complex, g0: complex) -> complex:
+        import cmath
+
         z = cmath.exp(2j * cmath.pi / self.order)
         total = 0j
         for (a, b, c), x in self.terms.items():
-            value = sum(float(r) * z**k for k, r in enumerate(_coords(x)))
+            value = sum((num / den) * z**k for k, (num, den) in enumerate(_pairs(x)))
             total += value * u0**a * v0**b * g0**c
         return total
 
@@ -739,7 +759,7 @@ class LPoly(Sparse):
         lines = []
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
-            lines.append(" ".join([*map(str, key), *map(str, _coords(c))]))
+            lines.append(" ".join([*map(str, key), *[_rat_text(*r) for r in _pairs(c)]]))
         return lines
 
 
@@ -760,15 +780,15 @@ def _check_coeff(c, order: int) -> None:
 # irrational coefficients are parenthesized sums `(r0 + r1*z + ...)` in the
 # root of unity z = zeta_d.  The zero polynomial prints as `0`.
 
-def format_cyclo(c: Coeff) -> str:
+def format_cyclo(c: int | Fraction | Cyclo) -> str:
     parts: list[tuple[str, str]] = []
-    for k, r in enumerate(_coords(c)):
-        if not r:
+    for k, (num, den) in enumerate(_pairs(c)):
+        if not num:
             continue
-        sign = "-" if r < 0 else "+"
-        mag = abs(r)
+        sign = "-" if num < 0 else "+"
+        mag = _rat_text(abs(num), den)
         if k == 0:
-            body = str(mag)
+            body = mag
         elif k == 1:
             body = f"{mag}*z"
         else:
@@ -782,10 +802,10 @@ def format_lpoly(p: LPoly) -> str:
     for key in sorted(p.terms, reverse=True):
         c = p.terms[key]
         mono = " * ".join(f"{s}^{e}" for s, e in zip("uvg", key) if e != 0)
-        r, *irrational = _coords(c)
-        if not any(irrational):
-            sign = "-" if r < 0 else "+"
-            shown = str(abs(r))
+        (num, den), *irrational = _pairs(c)
+        if not any([n for n, _ in irrational]):
+            sign = "-" if num < 0 else "+"
+            shown = _rat_text(abs(num), den)
         else:
             sign = "+"
             shown = "(" + format_cyclo(c) + ")"

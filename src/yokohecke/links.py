@@ -85,9 +85,7 @@ Juyumaya, Karvounis and Lambropoulou (arXiv:1505.06666).
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import re
 from collections import namedtuple
 
 from .exactnum import LPoly, add_all, nonzero
@@ -99,8 +97,7 @@ from .permcomp import (
     cycles,
 )
 from .permcomp import _check_framing, _check_order, _check_strands
-from .traces import TraceSpec, jl_spec
-from .yokonuma import YElem
+from .traces import TraceSpec, _subset, jl_spec
 
 __all__ = [
     "FramedBraidWord",
@@ -170,8 +167,11 @@ class FramedBraidWord(namedtuple("FramedBraidWord", "n tokens")):
         return " ".join(parts)
 
 
-_FRAME_RE = re.compile(r"t([0-9]+)\^([+-]?[0-9]+)$")
-_SIGMA_RE = re.compile(r"[+-]?[0-9]+$")
+def _is_int(text: str, signed: bool) -> bool:
+    """Is `text` ASCII digits, after one leading + or - when `signed`?"""
+    if signed and text[:1] in ("+", "-"):
+        text = text[1:]
+    return text.isascii() and text.isdigit()
 
 
 def parse_word(text: str, n: int, d: int | None) -> FramedBraidWord:
@@ -194,11 +194,11 @@ def parse_word(text: str, n: int, d: int | None) -> FramedBraidWord:
         _check_order(d)
     tokens: list[Token] = []
     for raw in text.split():
-        m = _FRAME_RE.fullmatch(raw)
-        if m is not None:
-            k = int(m.group(2))
-            tokens.append(("frame", int(m.group(1)), k if d is None else k % d))
-        elif _SIGMA_RE.fullmatch(raw):
+        j, hat, k = raw[1:].partition("^")
+        if raw[0] == "t" and hat and _is_int(j, False) and _is_int(k, True):
+            k = int(k)
+            tokens.append(("frame", int(j), k if d is None else k % d))
+        elif _is_int(raw, True):
             value = int(raw)
             if value == 0:
                 raise ValueError("crossing token 0 is not allowed")
@@ -270,10 +270,13 @@ def delta_gamma(w: FramedBraidWord, d: int) -> YElem:
     generator ``t_j`` maps to ``t_j``.  For ``d = 1`` every ``e_i`` is 1
     and the gamma factors cancel.
 
+    >>> from .yokonuma import YElem
     >>> x = delta_gamma(parse_word("1 -1", 3, 2), 2)
     >>> x == YElem.one(2, 3)
     True
     """
+    from .yokonuma import YElem
+
     x = YElem.one(d, w.n)
     for kind, i, k in w.tokens:
         if kind == "frame":
@@ -477,6 +480,8 @@ def jl_numeric(
     ...
     ValueError: q and z must be finite
     """
+    import cmath
+
     if type(branch) is not int or branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     q = complex(q)
@@ -490,8 +495,9 @@ def jl_numeric(
         raise ValueError(f"q*z underflows to 0 at q={q}, z={z}")
     if not cmath.isfinite(qz):
         raise ValueError(f"q*z overflows at q={q}, z={z}")
-    poly = jl_invariant(w, d, S)  # checks S before |S| is read below
-    e_s = 1.0 / len(set(S))
+    S = _subset(S, d)  # once, so that an iterator is read once
+    poly = jl_invariant(w, d, S)
+    e_s = 1.0 / len(S)
     lam = (z + (1 - q) * e_s) / qz
     if lam == 0:
         raise ValueError("lambda vanishes at the given (q, z)")

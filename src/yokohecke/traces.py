@@ -26,8 +26,8 @@ Also here:
 * `esystem_c` / `jl_spec`: the trace-parameter solutions c_b of the E-system
   indexed by a nonzero subset S of letters, and the TraceSpec whose link
   invariant reproduces that classical weighted-trace construction.
-* `semisimple_at`: whether the specialized Hecke algebra H_n at u^2 = q is
-  semisimple (no vanishing q-integer factor).
+* `semisimple_at`: whether the specialized Hecke algebra H_n at u = q,
+  v = q^2 - 1 is semisimple (no vanishing q^2-integer factor).
 """
 
 from __future__ import annotations
@@ -35,15 +35,11 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
-from numbers import Complex
 
-from .exactnum import Coeff, Cyclo, LPoly, coeff, root_power
+from .exactnum import Cyclo, LPoly, _cyclo, coeff, euler_phi, root_power
 from .hecke import loop_factor, tau_parabolic
-from .isomap import block_traces
 from .permcomp import Composition, _check_order, _check_strands, _check_support, all_comp0
 from .permcomp import comp_of, identity
-from .yokonuma import YElem
 
 __all__ = [
     "TraceSpec",
@@ -109,6 +105,8 @@ def rho_blocks(spec: TraceSpec, x: YElem) -> dict[Composition, LPoly]:
 
     `block_traces` traces only the blocks whose support `spec` weighs, and
     runs the change of basis over the letters of those supports alone."""
+    from .isomap import block_traces
+
     if spec.d != x.d:
         raise ValueError(f"a trace at d={spec.d} cannot evaluate an element of Y_{{{x.d},{x.n}}}")
     traced = block_traces(x, spec.alphas)
@@ -128,6 +126,9 @@ def symmetrizing_rho(x: YElem) -> LPoly:
     A diagonal cell (k, k) holds T_p with p = pi_k^{-1} w pi_k, which is the
     identity exactly when w is, so only the identity terms of x are
     decomposed."""
+    from .isomap import block_traces
+    from .yokonuma import YElem
+
     idn = identity(x.n)
     at_id = YElem._make(x.d, x.n, {key: c for key, c in x.terms.items() if key[1] == idn})
     return LPoly.sum(x.d, (tr.coefficient(idn) for tr in block_traces(at_id).values()))
@@ -137,7 +138,7 @@ def symmetrizing_tilde(x: YElem) -> LPoly:
     """The same form read off directly on Y_{d,n}: d^n times the coefficient
     of the basis element with trivial framings and identity permutation."""
     c = x.coefficient((0,) * x.n, identity(x.n))
-    return c.scale(Fraction(x.d) ** x.n)
+    return c.scale(x.d**x.n)
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def _subset(S: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(sorted(S))
 
 
-def esystem_c(d: int, S: Iterable[int], b: int) -> Coeff:
+def esystem_c(d: int, S: Iterable[int], b: int) -> int | Fraction | Cyclo:
     """The E-system solution attached to S: c_b = (1/|S|) sum_{a in S} xi_a^b.
 
     These are the power sums of the subset of d-th roots of unity indexed by
@@ -163,6 +164,8 @@ def esystem_c(d: int, S: Iterable[int], b: int) -> Coeff:
     >>> esystem_c(1, [1], 5), esystem_c(3, [1, 2], 1)
     (1, Cyclo(3, (Fraction(1, 2), Fraction(1, 2))))
     """
+    from fractions import Fraction
+
     S = _subset(S, d)
     acc = Cyclo.zero(d)
     for a in S:
@@ -182,9 +185,10 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     """
     S = _subset(S, d)
     loop = loop_factor(d)
+    weight = _cyclo(d, [1] + [0] * (euler_phi(d) - 1), len(S))  # 1/|S|
     alphas: dict[Composition, LPoly] = {}
     for size in range(1, len(S) + 1):
-        w = (loop ** (size - 1)).scale(Fraction(1, len(S)))
+        w = (loop ** (size - 1)).scale(weight)
         for support in itertools.combinations(S, size):
             parts = [0] * d
             for a in support:
@@ -194,12 +198,18 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
 
 
 def semisimple_at(n: int, q=None) -> bool:
-    """Is the specialized type-A Hecke algebra H_n at u = q semisimple?
+    """Is the specialized type-A Hecke algebra H_n at u = q, v = q^2 - 1
+    semisimple?
 
-    The criterion is prod_{m=1..n} (1 + q^2 + ... + q^{2m-2}) != 0.  q=None
-    means the generic parameter (always semisimple); exact inputs (int,
-    Fraction, Cyclo) are tested exactly; floats/complex within 1e-12.
+    There T^2 = u^2 + v T has the eigenvalues q^2 and -1, so H_n is the
+    algebra with quadratic parameter Q = q^2, and the criterion is
+    prod_{m=1..n} (1 + q^2 + ... + q^{2m-2}) != 0.  q=None means the
+    generic parameter (always semisimple); exact inputs (int, Fraction,
+    Cyclo) are tested exactly; floats/complex within 1e-12.
     """
+    from fractions import Fraction
+    from numbers import Complex
+
     if type(n) is not int:  # an int n <= 1 is the trivial algebra, semisimple
         _check_strands(n)
     if q is None or n <= 1:

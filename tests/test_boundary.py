@@ -128,6 +128,10 @@ REPRODUCERS = [
     ("jl_numeric-bool-branch",
      lambda: jl_numeric(parse_word("1", 2, 2), 2, {1}, 0.3, 0.2, branch=True),
      "branch must be +1 or -1"),
+    # S is read once: an iterator gives the value of the same letters in a list
+    ("jl_numeric-iterator-subset",
+     lambda: jl_numeric(parse_word("1 1 1", 2, 3), 3, iter([1, 2]), 0.3 + 0.1j, 0.2)
+     == jl_numeric(parse_word("1 1 1", 2, 3), 3, [1, 2], 0.3 + 0.1j, 0.2), True),
     ("root_power-float-exponent", lambda: root_power(3, 2, 1.5), "exponent 1.5 is not an integer"),
     ("esystem_c-float-exponent", lambda: esystem_c(3, [1, 2], 1.5),
      "exponent 1.5 is not an integer"),

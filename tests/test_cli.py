@@ -561,13 +561,16 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
     # Listed from the child's first statement on, so that whatever the
     # interpreter loads at start-up is not counted.  The command table reads
     # the arguments, so no argparse and none of the gettext and locale it
-    # brings along.
+    # brings along.  Every command but `verify` runs on int coefficients and
+    # the sublink formula, so none loads the oracle modules (Y(d,n), psi,
+    # the goldens, the suites) or `fractions` and the stdlib it brings; only
+    # a numeric `jl` loads `cmath`.
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from yokohecke import cli\n"
-        "for argv in sys.argv[1:]:\n"
-        "    assert cli.main(argv.split('|')) == 0, argv\n"
+        "argv = sys.argv[1].split('|')\n"
+        "assert cli.main(argv) == 0, argv\n"
         "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
     )
     commands = [
@@ -575,15 +578,38 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
         "jl|--d|2|--S|1,2|--n|2|--word|1 1",
         "jl|--d|2|--S|1,2|--n|2|--word|1 1|--q|0.3+0.4j|--z|0.2-0.1j",
         "homflypt|--n|3|--word|1 -2 1 -2",
+        "list-traces|--d|3",
     ]
+    banned = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
+              "yokohecke.yokonuma", "yokohecke.isomap", "yokohecke._golden",
+              "yokohecke.verify", "fractions", "decimal", "numbers"}
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command], capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.decode().split())
+        assert {"yokohecke.cli", "yokohecke.links"} <= loaded
+        assert loaded.isdisjoint(banned), (command, sorted(loaded & banned))
+        assert ("cmath" in loaded) == ("--q" in command), command
+
+
+def test_package_import_runs_no_submodule_and_verify_still_loads():
+    code = (
+        "import sys\n"
+        "import yokohecke\n"
+        "print(sorted(m for m in sys.modules if m.startswith('yokohecke.')))\n"
+        "from yokohecke import cli\n"
+        "sys.exit(cli.main(['verify', '--suite', 'markov', '--d', '2', '--n', '2']))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *commands], capture_output=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.decode().split())
-    assert {"yokohecke.cli", "yokohecke.links"} <= loaded
-    banned = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale"}
-    assert loaded.isdisjoint(banned), sorted(loaded)
+    assert proc.stderr == ""
+    first, *lines = proc.stdout.splitlines()
+    assert first == "[]"
+    assert lines and all(line.startswith("PASS ") for line in lines), lines
 
 
 def split_part(text, n):

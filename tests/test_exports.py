@@ -24,18 +24,19 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(pathlib.Path(yokohecke.__file__).read_text(encoding="utf-8"))
-    imported = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imported
-    for module_name, attr in imported:
+    table = yokohecke._EXPORTS
+    assert table and set(table) <= set(MODULES)
+    exported = [name for names in table.values() for name in names]
+    assert len(exported) == len(set(exported))
+    for module_name, names in table.items():
         module = importlib.import_module(f"yokohecke.{module_name}")
-        assert hasattr(module, attr), f"yokohecke.{module_name}.{attr}"
-        assert getattr(yokohecke, attr) is getattr(module, attr)
+        for attr in names:
+            assert hasattr(module, attr), f"yokohecke.{module_name}.{attr}"
+            assert getattr(yokohecke, attr) is getattr(module, attr)
+    assert sorted(yokohecke.__all__) == sorted(exported)
+    assert set(exported) <= set(dir(yokohecke))
+    with pytest.raises(AttributeError):
+        yokohecke.no_such_name
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:

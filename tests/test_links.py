@@ -89,6 +89,43 @@ def test_parse_word_errors():
         parse_word("1", 2, 0)
 
 
+# The token language of `parse_word`: ASCII digits only, at most one sign,
+# and a framing written `tJ^K` with J unsigned.  Words on 13 strands, d = 5.
+ACCEPTED_TOKENS = {
+    "1": ("sigma", 1, 1),
+    "+1": ("sigma", 1, 1),
+    "-12": ("sigma", 12, -1),
+    "007": ("sigma", 7, 1),
+    "t1^2": ("frame", 1, 2),
+    "t1^+2": ("frame", 1, 2),
+    "t1^-2": ("frame", 1, 3),
+    "t01^002": ("frame", 1, 2),
+}
+MALFORMED_TOKENS = [
+    "+", "-", "++1", "+-1", "1_0", "1.0", "\u0661", "\u00b2", "t", "t1", "t^1", "t1^",
+    "t+1^1", "T1^1", "t\u0661^1", "t1^\u0662",
+]
+
+
+@pytest.mark.parametrize("raw, token", ACCEPTED_TOKENS.items())
+def test_parse_word_accepts_the_pinned_tokens(raw, token):
+    assert parse_word(raw, 13, 5).tokens == (token,)
+
+
+@pytest.mark.parametrize("raw", MALFORMED_TOKENS)
+def test_parse_word_rejects_the_pinned_tokens(raw):
+    with pytest.raises(ValueError) as info:
+        parse_word(raw, 13, 5)
+    assert str(info.value) == f"malformed token {raw!r}"
+
+
+@pytest.mark.parametrize("raw", ["0", "-0", "+000"])
+def test_parse_word_rejects_a_zero_crossing(raw):
+    with pytest.raises(ValueError) as info:
+        parse_word(raw, 13, 5)
+    assert str(info.value) == "crossing token 0 is not allowed"
+
+
 @pytest.mark.parametrize(
     "token",
     [

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from yokohecke import traces
+from yokohecke import isomap
 from yokohecke.exactnum import Cyclo, LPoly
 from yokohecke.isomap import block_traces
 from yokohecke.links import (
@@ -69,7 +69,8 @@ def psi_once(monkeypatch):
             built[key] = (x, block_traces(x, supports))  # holding x keeps its id unique
         return built[key][1]
 
-    monkeypatch.setattr(traces, "block_traces", cached)
+    # `rho_blocks` imports `block_traces` from `isomap` when it runs
+    monkeypatch.setattr(isomap, "block_traces", cached)
 
 
 @pytest.mark.parametrize("d,n,count", LEVELS)
