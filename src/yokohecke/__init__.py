@@ -31,8 +31,7 @@ _EXPORTS = {
     "isomap": ("BlockMatrix", "iota", "phi", "psi"),
     "traces": (
         "TraceSpec", "all_basic_specs", "basic_spec", "esystem_c", "format_trace_spec",
-        "jl_spec", "rho", "rho_blocks", "semisimple_at", "symmetrizing_rho",
-        "symmetrizing_tilde",
+        "jl_spec", "rho", "rho_blocks", "symmetrizing_rho", "symmetrizing_tilde",
     ),
     "links": (
         "FramedBraidWord", "basic_invariants", "component_count", "delta_H", "delta_gamma",

@@ -36,6 +36,7 @@ import sys
 from types import SimpleNamespace
 
 from .links import (
+    _is_int,
     basic_invariants,
     homflypt,
     invariant_gamma,
@@ -53,21 +54,28 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_mu0(text: str, d: int) -> Composition:
+def _int(text: str) -> int:
+    """An integer spelled as a word token spells one (`links._is_int`):
+    ASCII digits after at most one sign.  `int` alone would also read
+    other scripts' digits, `_` separators and surrounding blanks."""
+    if not _is_int(text, True):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _int_list(text: str, what: str, example: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`, each item stripped of blanks."""
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(_int(p.strip()) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"malformed support {text!r}; expected e.g. 1,0,1")
+        raise ValueError(f"malformed {what} {text!r}; expected e.g. {example}")
+
+
+def _parse_mu0(text: str, d: int) -> Composition:
+    parts = _int_list(text, "support", "1,0,1")
     if len(parts) != d:
         raise ValueError(f"support {text!r} must have exactly d={d} parts")
     return Composition(parts)
-
-
-def _parse_subset(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed subset {text!r}; expected e.g. 1,2")
 
 
 def _print_poly(poly, machine: bool) -> None:
@@ -102,7 +110,7 @@ def _cmd_homflypt(args) -> int:
 def _cmd_jl(args) -> int:
     if (args.q is None) != (args.z is None):
         raise _UsageError("--q and --z must be given together")
-    subset = _parse_subset(args.S)
+    subset = _int_list(args.S, "subset", "1,2")
     word = parse_word(args.word, args.n, args.d)
     if args.q is not None:
         value = jl_numeric(word, args.d, subset, args.q, args.z, args.branch)
@@ -143,12 +151,12 @@ def _suite_names() -> tuple[str, ...]:
     return suite_names()
 
 
-# An option is (type, required, default, choices), its type int, complex,
-# str or None for a flag, its choices a tuple or a function returning one,
-# called only when the option is read: the oracle modules load only for
-# `verify`.  Each command lists its function, its options in
-# the order usage errors name them, and its required group of mutually
-# exclusive options.
+# An option is (type, required, default, choices), its type int (read by
+# `_int`), complex, str or None for a flag, its choices a tuple or a
+# function returning one, called only when the option is read: the oracle
+# modules load only for `verify`.  Each command lists its function, its
+# options in the order usage errors name them, and its required group of
+# mutually exclusive options.
 _INT = (int, True, None, None)
 _STR = (str, True, None, None)
 _FLAG = (None, False, False, None)
@@ -203,7 +211,7 @@ def _read(tokens, options, group, values, extras) -> bool:
                 if value is None or value.startswith("--"):
                     raise _UsageError(f"argument {name}: expected one argument")
             try:
-                value = kind(value)
+                value = _int(value) if kind is int else kind(value)
             except ValueError:
                 raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}")
             if callable(choices):

@@ -650,12 +650,6 @@ class LPoly(Sparse):
         c = self.terms.get((eu, ev, eg))
         return coeff(self.order, 0) if c is None else c
 
-    def constant_value(self) -> int | Fraction | Cyclo:
-        """The coefficient of u^0 v^0 g^0; error if other terms are present."""
-        if self.terms and set(self.terms) != {(0, 0, 0)}:
-            raise ValueError(f"not a constant: {self.text()}")
-        return self.coefficient(0, 0, 0)
-
     # -- ring operations ----------------------------------------------------
 
     # defined on the class itself so that instrumentation can wrap it

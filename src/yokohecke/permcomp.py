@@ -43,7 +43,6 @@ __all__ = [
     "comp_of",
     "chi_one",
     "orbit",
-    "orbit_index",
     "min_coset_rep",
     "act",
     "in_young",
@@ -346,12 +345,6 @@ def orbit(mu: Composition) -> tuple[Character, ...]:
     ((1, 2), (2, 1))
     """
     return tuple(sorted(set(itertools.permutations(chi_one(mu)))))
-
-
-@lru_cache(maxsize=None)
-def orbit_index(mu: Composition) -> dict[Character, int]:
-    """Map each orbit character to its 0-based position in `orbit(mu)`."""
-    return {chi: k for k, chi in enumerate(orbit(mu))}
 
 
 def act(w: Perm, chi: Character) -> Character:

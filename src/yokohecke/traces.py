@@ -26,8 +26,6 @@ Also here:
 * `esystem_c` / `jl_spec`: the trace-parameter solutions c_b of the E-system
   indexed by a nonzero subset S of letters, and the TraceSpec whose link
   invariant reproduces that classical weighted-trace construction.
-* `semisimple_at`: whether the specialized Hecke algebra H_n at u = q,
-  v = q^2 - 1 is semisimple (no vanishing q^2-integer factor).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from collections.abc import Iterable, Mapping
 
 from .exactnum import Cyclo, LPoly, _cyclo, coeff, euler_phi, root_power
 from .hecke import loop_factor, tau_parabolic
-from .permcomp import Composition, _check_order, _check_strands, _check_support, all_comp0
+from .permcomp import Composition, _check_order, _check_support, all_comp0
 from .permcomp import comp_of, identity
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "symmetrizing_tilde",
     "esystem_c",
     "jl_spec",
-    "semisimple_at",
     "format_trace_spec",
 ]
 
@@ -195,42 +192,6 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
                 parts[a - 1] = 1
             alphas[Composition._make((tuple(parts),))] = w
     return TraceSpec._make((d, alphas))
-
-
-def semisimple_at(n: int, q=None) -> bool:
-    """Is the specialized type-A Hecke algebra H_n at u = q, v = q^2 - 1
-    semisimple?
-
-    There T^2 = u^2 + v T has the eigenvalues q^2 and -1, so H_n is the
-    algebra with quadratic parameter Q = q^2, and the criterion is
-    prod_{m=1..n} (1 + q^2 + ... + q^{2m-2}) != 0.  q=None means the
-    generic parameter (always semisimple); exact inputs (int, Fraction,
-    Cyclo) are tested exactly; floats/complex within 1e-12.
-    """
-    from fractions import Fraction
-    from numbers import Complex
-
-    if type(n) is not int:  # an int n <= 1 is the trivial algebra, semisimple
-        _check_strands(n)
-    if q is None or n <= 1:
-        return True
-    if isinstance(q, Cyclo):
-        one, nonzero = Cyclo.one(q.order), lambda t: not t.is_zero()
-    elif isinstance(q, (int, Fraction)):
-        one, nonzero = Fraction(1), lambda t: t != 0
-    elif isinstance(q, Complex):
-        q, one, nonzero = complex(q), 1.0 + 0j, lambda t: abs(t) > 1e-12
-    else:
-        raise TypeError(f"unsupported parameter type {type(q).__name__}")
-    qq = q * q
-    total = one
-    for m in range(2, n + 1):
-        acc = power = one
-        for _ in range(m - 1):
-            power = power * qq
-            acc = acc + power
-        total = total * acc
-    return nonzero(total)
 
 
 def format_trace_spec(spec: TraceSpec) -> str:

@@ -30,7 +30,7 @@ from yokohecke.hecke import HeckeElem
 from yokohecke.isomap import BlockMatrix, block_traces, psi_from_e_coeffs
 from yokohecke.links import FramedBraidWord, jl_numeric, parse_word
 from yokohecke.permcomp import Composition, all_comp0, comp_of, min_coset_rep, orbit
-from yokohecke.traces import TraceSpec, basic_spec, esystem_c, semisimple_at
+from yokohecke.traces import TraceSpec, basic_spec, esystem_c
 from yokohecke.yokonuma import YElem, from_E_basis, idempotent_E, idempotent_Emu, to_E_basis
 
 ONE = LPoly.one(2)
@@ -119,6 +119,8 @@ REPRODUCERS = [
     ("comp_of-float-order", lambda: comp_of((1,), 1.5), "order must be an integer, got 1.5"),
     ("block_traces-short-support", lambda: block_traces(YElem.one(2, 2), [Composition((1,))]),
      "support (1) has 1 parts, expected 2"),
+    ("block_traces-long-support", lambda: block_traces(YElem.one(2, 2), [Composition((1, 0, 0))]),
+     "support (1,0,0) has 3 parts, expected 2"),
     # one integer test: `type(x) is int`, so no IntEnum and no bool
     ("hecke-intenum-strands", lambda: HeckeElem(N.TWO, 1, {}),
      "strand count must be an integer, got <N.TWO: 2>"),
@@ -178,8 +180,6 @@ REPRODUCERS = [
      "suite iso supports 1 <= d <= 3, got 2.0"),
     ("run_suite-float-strands", lambda: verify.run_suite("schur", 2, 2.0),
      "suite schur supports 1 <= n <= 3, got 2.0"),
-    ("semisimple_at-float", lambda: semisimple_at(1.5, 2),
-     "strand count must be an integer, got 1.5"),
     ("hecke-extend-smaller", lambda: HeckeElem.one(3).extend(2),
      "cannot extend to a smaller strand count"),
     # `Composition.bump` checks its letter with `comp_of`
@@ -498,11 +498,6 @@ def test_side_doors_check_their_parents(bad, which):
     for door in SIDE_DOORS[which]:
         with pytest.raises(ValueError):
             door(bad)
-    if type(bad) is int:  # n <= 1: the trivial algebra, semisimple
-        assert semisimple_at(bad, 2) is True
-    else:
-        with pytest.raises(ValueError, match="^strand count must be an integer"):
-            semisimple_at(bad, 2)
 
 
 SCALAR_ENTRIES = [

@@ -14,7 +14,6 @@ from yokohecke.hecke import HeckeElem, loop_factor, markov_tau
 from yokohecke.isomap import BlockMatrix
 from yokohecke.links import delta_H, parse_word
 from yokohecke.permcomp import Composition
-from yokohecke.traces import semisimple_at
 from yokohecke.verify import SuiteConfigError, run_suite
 from yokohecke.yokonuma import YElem, e_basis_mul_basis
 
@@ -496,7 +495,6 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
         ),
         (lambda: permcomp.extend((1, 2), 1), ValueError, "cannot extend to a smaller size"),
         (lambda: permcomp.comp_of((1, 3), 2), ValueError, "letter 3 out of range 1..2"),
-        (lambda: semisimple_at(3, "q"), TypeError, "unsupported parameter type str"),
         (
             lambda: YElem(2, 2, {((0,), (1, 2)): LPoly.one(2)}),
             ValueError,
@@ -512,6 +510,41 @@ def test_library_error_texts(call, exc, text):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == text
+
+
+# Arabic-Indic digits one, two and three: `int` reads them, a word token does not
+ONE, TWO, THREE = "\u0661", "\u0662", "\u0663"
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["homflypt", "--n", THREE, "--word", "1 2"], 2,
+         f"error: argument --n: invalid int value: '{THREE}'"),
+        (["homflypt", "--n=1_0", "--word", "1"], 2, "error: argument --n: invalid int value: '1_0'"),
+        (["homflypt", "--n", " 3", "--word", "1"], 2, "error: argument --n: invalid int value: ' 3'"),
+        (["list-traces", "--d", TWO], 2, f"error: argument --d: invalid int value: '{TWO}'"),
+        (JL + ["--q", "0.3", "--z", "0.2", "--branch", ONE], 2,
+         f"error: argument --branch: invalid int value: '{ONE}'"),
+        (INVARIANT + ["--mu0", f"{ONE},1", "--word", "1"], 1,
+         f"error: malformed support '{ONE},1'; expected e.g. 1,0,1"),
+        (INVARIANT + ["--mu0", "1,0_0", "--word", "1"], 1,
+         "error: malformed support '1,0_0'; expected e.g. 1,0,1"),
+        (["jl", "--d", "2", "--S", f" 1,{TWO}", "--n", "2", "--word", "1 1"], 1,
+         f"error: malformed subset ' 1,{TWO}'; expected e.g. 1,2"),
+        # accepted: one sign, and blanks around a comma-list item
+        (["homflypt", "--n", "+2", "--word", "1"], 0, ""),
+        (JL + ["--q", "0.3", "--z", "0.2", "--branch", "+1"], 0, ""),
+        (INVARIANT + ["--mu0", " 1, 0 ", "--word", "1"], 0, ""),
+        (["jl", "--d", "2", "--S", " 1 ,2", "--n", "2", "--word", "1 1"], 0, ""),
+    ],
+)
+def test_integers_are_spelled_as_word_tokens_spell_them(capsys, argv, code, err):
+    # every integer of the command line passes `links._is_int`, ASCII digits
+    # after at most one sign, the test each word token passes
+    got, out, got_err = run_main(capsys, *argv)
+    assert (got, got_err) == (code, f"{err}\n" if err else "")
+    assert bool(out) == (code == 0)
 
 
 def test_success_writes_nothing_to_stderr(capsys):

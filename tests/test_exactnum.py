@@ -149,7 +149,7 @@ def test_order_one_coefficients_are_rationals():
     assert all(type(c) is int for c in p.terms.values())
     assert type(p.scale(Fraction(1, 2)).coefficient(0, 0, 0)) is int
     assert p.scale(Cyclo.from_rat(1, 3)) == p.scale(3)
-    assert LPoly.monomial(1, Fraction(1, 3)).constant_value() == Fraction(1, 3)
+    assert LPoly.monomial(1, Fraction(1, 3)).coefficient(0, 0, 0) == Fraction(1, 3)
     assert type(LPoly.zero(1).coefficient(0, 0, 0)) is int
     assert LPoly.var(3, "u").coefficient(1, 0, 0) == Cyclo.one(3)
 
@@ -382,12 +382,6 @@ def test_sum_equals_repeated_addition():
     assert LPoly.sum(2, []) == LPoly.zero(2)
     with pytest.raises(ValueError, match="order"):
         LPoly.sum(2, [LPoly.one(2), LPoly.one(3)])
-
-
-def test_constant_value():
-    assert LPoly.const(2, 7).constant_value() == Cyclo.from_rat(2, 7)
-    with pytest.raises(ValueError):
-        (LPoly.var(2, "u") + LPoly.one(2)).constant_value()
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,17 @@ def test_block_matrix_rejects_a_character_of_another_composition():
     mu = Composition((2, 1))
     one, entry = chi_one(mu), HeckeElem.one(3, 2)
     BlockMatrix(2, 3, flat(mu, one, (1, 2, 1), entry))
-    # (1, 2, 2) has composition (1, 2); (1, 1, 3) has a letter beyond d = 2
-    for cell in ((mu, one, (1, 2, 2)), (mu, (1, 2, 2), one), (mu, one, (1, 1, 3))):
-        with pytest.raises(ValueError, match="not a character of"):
+    # (1, 2, 2) has composition (1, 2)
+    text = r"^block \(2,1\) has a row or column that is not a character of \(2,1\)$"
+    for cell in ((mu, one, (1, 2, 2)), (mu, (1, 2, 2), one)):
+        with pytest.raises(ValueError, match=text):
+            BlockMatrix(2, 3, flat(*cell, entry))
+    # each letter is read by `comp_of`, which names one beyond d = 2
+    with pytest.raises(ValueError, match="^letter 3 out of range 1..2$"):
+        BlockMatrix(2, 3, flat(mu, one, (1, 1, 3), entry))
+    # a bool is no letter, and a row is a tuple of letters
+    for cell in ((mu, (True, 1, 2), one), (mu, "112", one)):
+        with pytest.raises(ValueError):
             BlockMatrix(2, 3, flat(*cell, entry))
 
 

@@ -29,7 +29,6 @@ from yokohecke.permcomp import (
     length,
     min_coset_rep,
     orbit,
-    orbit_index,
     reduced_word,
     s_perm,
 )
@@ -204,8 +203,6 @@ def test_comp_of_and_orbit():
     assert all(comp_of(chi, 3 if False else 2) for chi in orb)  # sanity: nonempty
     for chi in orb:
         assert comp_of(chi, 2) == mu
-    idx = orbit_index(mu)
-    assert [idx[chi] for chi in orb] == list(range(len(orb)))
 
 
 def test_chi_one_blocks():

@@ -311,16 +311,16 @@ def test_to_e_basis_matches_defining_sum():
 @pytest.mark.parametrize("d", [2, 3])
 def test_letters_outside_1_to_d_are_rejected(d):
     # the transform reads each letter as an exponent of zeta, so a letter 0
-    # or d + 1 would pass for a root of unity; both are refused by text,
-    # also when they reach fixed_E_coeffs through block_traces' supports
+    # or d + 1 would pass for a root of unity; both are refused by text, and
+    # block_traces refuses a support with d + 1 parts before any letter of it
     x = YElem.t_elem(d, 2, 1).mul_g(1)
     for bad in (0, d + 1):
         text = re.escape(f"letter {bad} out of range 1..{d}")
         for letters in ({bad}, {1, bad}):
             with pytest.raises(ValueError, match=f"^{text}$"):
                 fixed_E_coeffs(x, letters)
-    text = re.escape(f"letter {d + 1} out of range 1..{d}")
     for support in (Composition((0,) * d + (1,)), Composition((1,) + (0,) * (d - 1) + (1,))):
+        text = re.escape(f"support {support} has {d + 1} parts, expected {d}")
         with pytest.raises(ValueError, match=f"^{text}$"):
             block_traces(x, {support})
 
