@@ -338,6 +338,20 @@ def _cyclo(order: int, num: list[int], den: int) -> Cyclo:
     return tuple.__new__(Cyclo, (order, tuple(num), den))
 
 
+def _ratio(order: int, a: int, m: int) -> int | Cyclo:
+    """The rational a/m (ints, m >= 1) as a scalar of order-`order`
+    polynomials, built with no `Fraction`: the int a when m = 1, else the
+    `Cyclo` of that order with first coordinate a over the denominator m.
+    The 1/d of the idempotents and the 1/|S| of the weighted traces.
+
+    >>> _ratio(3, -1, 3)[1:], _ratio(3, 2, 1)
+    (((-1, 0), 3), 2)
+    """
+    if m == 1:
+        return a
+    return _cyclo(order, [a] + [0] * (euler_phi(order) - 1), m)
+
+
 @lru_cache(maxsize=None)
 def _zeta_pow(order: int, s: int) -> Cyclo:
     return _reduce(order, [0] * s + [1], 1)

@@ -45,7 +45,6 @@ from .permcomp import (
     _check_support,
     _is_perm,
     _min_coset_rep,
-    act,
     all_compositions,
     compose,
     extend,
@@ -168,7 +167,7 @@ def _psi_cell(d: int, chi: Character, w: Perm) -> tuple[Key, int]:
     col = w^{-1} chi and the block permutation p = pi_chi^{-1} w pi_col,
     and the u-exponent -len(p)."""
     mu = Composition._make((tuple([chi.count(a) for a in range(1, d + 1)]),))
-    col = act(inverse(w), chi)
+    col = tuple([chi[x - 1] for x in w])  # w^{-1} . chi, read without inverting w
     p = compose(compose(inverse(_min_coset_rep(chi)), w), _min_coset_rep(col))
     return (mu, chi, col, p), -length(p)
 

@@ -114,20 +114,31 @@ def s_perm(n: int, i: int) -> Perm:
     return tuple(w)
 
 
+@lru_cache(maxsize=4096)
 def compose(v: Perm, w: Perm) -> Perm:
-    """(v * w)(i) = v(w(i)): w acts first."""
+    """(v * w)(i) = v(w(i)): w acts first.  Takes `Perm` tuples, which it
+    does not check, and is memoized in a fixed-size cache like `inverse`."""
     return tuple([v[x - 1] for x in w])
 
 
+@lru_cache(maxsize=4096)
 def inverse(w: Perm) -> Perm:
+    """The inverse of the `Perm` tuple w, which it does not check; memoized
+    in a fixed-size cache, like `_min_coset_rep`.
+
+    >>> inverse((2, 3, 1))
+    (3, 1, 2)
+    """
     out = [0] * len(w)
     for i, x in enumerate(w):
         out[x - 1] = i + 1
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def length(w: Perm) -> int:
-    """Coxeter length = number of inversions.
+    """Coxeter length = number of inversions of the `Perm` tuple w, which
+    it does not check; memoized like `inverse`.
 
     >>> length((1, 2, 3)), length((3, 2, 1))
     (0, 3)
@@ -336,15 +347,36 @@ def chi_one(mu: Composition) -> Character:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
 def orbit(mu: Composition) -> tuple[Character, ...]:
     """All characters with letter multiplicities mu, in ascending
     lexicographic order; the block-sorted chi_one(mu) is the least of them,
     so it comes first.
 
+    Each character comes from the one before it by the lexicographic
+    successor step, which never repeats a character of a multiset, so the
+    work is linear in the orbit size times n, not in n!.  Memoized like
+    `chi_one`.
+
     >>> orbit(Composition((1, 1)))
     ((1, 2), (2, 1))
     """
-    return tuple(sorted(set(itertools.permutations(chi_one(mu)))))
+    chi = list(chi_one(mu))
+    out = [tuple(chi)]
+    while True:
+        # the last ascent i, swapped with the last letter above chi[i]; the
+        # tail after i, then descending, is reversed into ascending order
+        i = len(chi) - 2
+        while i >= 0 and chi[i] >= chi[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(chi) - 1
+        while chi[j] <= chi[i]:
+            j -= 1
+        chi[i], chi[j] = chi[j], chi[i]
+        chi[i + 1:] = chi[:i:-1]
+        out.append(tuple(chi))
 
 
 def act(w: Perm, chi: Character) -> Character:

@@ -34,7 +34,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .exactnum import Cyclo, LPoly, _cyclo, coeff, euler_phi, root_power
+from .exactnum import Cyclo, LPoly, _ratio, coeff, root_power
 from .hecke import loop_factor, tau_parabolic
 from .permcomp import Composition, _check_order, _check_support, all_comp0
 from .permcomp import comp_of, identity
@@ -161,13 +161,11 @@ def esystem_c(d: int, S: Iterable[int], b: int) -> int | Fraction | Cyclo:
     >>> esystem_c(1, [1], 5), esystem_c(3, [1, 2], 1)
     (1, Cyclo(3, (Fraction(1, 2), Fraction(1, 2))))
     """
-    from fractions import Fraction
-
     S = _subset(S, d)
     acc = Cyclo.zero(d)
     for a in S:
         acc = acc + root_power(d, a, b)
-    return coeff(d, acc * Fraction(1, len(S)))
+    return coeff(d, acc * _ratio(d, 1, len(S)))
 
 
 def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
@@ -182,7 +180,7 @@ def jl_spec(d: int, S: Iterable[int]) -> TraceSpec:
     """
     S = _subset(S, d)
     loop = loop_factor(d)
-    weight = _cyclo(d, [1] + [0] * (euler_phi(d) - 1), len(S))  # 1/|S|
+    weight = _ratio(d, 1, len(S))  # 1/|S|
     alphas: dict[Composition, LPoly] = {}
     for size in range(1, len(S) + 1):
         w = (loop ** (size - 1)).scale(weight)

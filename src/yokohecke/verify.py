@@ -22,13 +22,11 @@ Suites and what they check:
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
 from collections.abc import Iterable
 
-from ._golden import golden_checks
 from .exactnum import LPoly, add_to, nonzero
 from .isomap import _psi_from_e_coeffs, iota, phi_to_e_coeffs, psi
 from .links import jl_numeric, parse_word
@@ -136,6 +134,8 @@ def suite_iso(
         results.append(_check(f"iso-embed-d{d}-n{n}",
                               (embed_failure() for _ in range(embed_samples))))
     if (d, n) == (2, 4):
+        from ._golden import golden_checks
+
         results.extend(golden_checks())
     return results
 
@@ -191,6 +191,8 @@ def _subsets(d: int):
 
 
 def suite_jl(d: int, n: int, seed: int = _DEFAULT_SEED) -> list[Check]:
+    import cmath
+
     rng = random.Random(seed)
     word = parse_word(" ".join(str(i) for i in range(1, n)), n, d)
 

@@ -42,10 +42,9 @@ over the cycles of w instead of its strands.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import LPoly, Sparse, _check_coeff, add_all, add_to, nonzero
+from .exactnum import LPoly, Sparse, _check_coeff, _ratio, add_all, add_to, nonzero
 from .permcomp import (
     Character,
     Composition,
@@ -175,7 +174,7 @@ class YElem(Sparse):
     def mul_e(self, i: int) -> "YElem":
         """Right multiply by e_i = (1/d) sum_s t_i^s t_{i+1}^{-s}."""
         _check_generator(self.n, i)
-        frac = Fraction(1, self.d)
+        frac = _ratio(self.d, 1, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
             self._spread_e(out, k, w, i, c.scale(frac))
@@ -189,7 +188,7 @@ class YElem(Sparse):
                                = t^k gt_{w s_i} + sign u^{-1} v t^k gt_w e_i   otherwise.
         """
         _check_crossing(self.n, i, sign)
-        frac = Fraction(sign, self.d)
+        frac = _ratio(self.d, sign, self.d)
         out: dict[YKey, LPoly] = {}
         for (k, w), c in self.terms.items():
             ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
@@ -236,7 +235,8 @@ def y_mul(x: YElem, y: YElem) -> YElem:
 
 def _strandwise(items, table: dict[int, tuple[tuple[int, int], ...]], d: int, scalar=1) -> dict:
     """Apply one linear map to every axis of a (key, w)-indexed combination,
-    then multiply by the rational `scalar`.
+    then multiply by the rational `scalar` (an int, or an order-d `Cyclo`
+    from `exactnum._ratio`).
 
     `items` yields ((key, w), c) with key a tuple of axis labels, as many
     for one w as there are axes; items sharing a key add up.  `table[e]`
@@ -371,7 +371,7 @@ def from_E_basis(d: int, n: int, coeffs: Mapping[tuple[Character, Perm], LPoly])
     `_check_e_coeffs` checks them first."""
     _check_e_coeffs(d, n, coeffs)
     table = {a: tuple((e, -(a - 1) * e % d) for e in range(d)) for a in range(1, d + 1)}
-    return YElem._make(d, n, _strandwise(coeffs.items(), table, d, Fraction(1, d**n)))
+    return YElem._make(d, n, _strandwise(coeffs.items(), table, d, _ratio(d, 1, d**n)))
 
 
 def idempotent_E(d: int, chi: Character) -> YElem:

@@ -627,6 +627,33 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
         assert ("cmath" in loaded) == ("--q" in command), command
 
 
+def test_oracle_suites_import_no_fractions_cmath_or_goldens():
+    # A suite process, as one `verify` level or one oracle item runs it,
+    # counted from its first statement on.  The idempotents' 1/d is an
+    # order-d Cyclo, so no suite loads `fractions` and the stdlib it brings;
+    # only the jl suite's numeric unknot needs `cmath`, and only iso at
+    # (2,4) compares the tabulated goldens.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from yokohecke import verify\n"
+        "for level in sys.argv[1:]:\n"
+        "    suite, d, n = level.split()\n"
+        "    assert all(ok for _, ok, _ in verify.run_suite(suite, int(d), int(n))), level\n"
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    banned = {"fractions", "decimal", "numbers", "cmath", "yokohecke._golden"}
+    for levels, goldens in ((["iso 3 4", "markov 3 3", "schur 3 3"], False),
+                            (["iso 2 4"], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *levels], capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.decode().split())
+        assert {"yokohecke.verify", "yokohecke.yokonuma", "yokohecke.isomap"} <= loaded
+        assert loaded & banned == ({"yokohecke._golden"} if goldens else set()), levels
+
+
 def test_package_import_runs_no_submodule_and_verify_still_loads():
     code = (
         "import sys\n"

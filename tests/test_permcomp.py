@@ -205,6 +205,16 @@ def test_comp_of_and_orbit():
         assert comp_of(chi, 2) == mu
 
 
+def test_orbit_matches_the_brute_force_enumeration():
+    # the successor steps against every ordering of chi_one, deduplicated
+    for d in range(1, 4):
+        for n in range(0, 7):
+            for mu in all_compositions(d, n):
+                brute = tuple(sorted(set(itertools.permutations(chi_one(mu)))))
+                assert orbit(mu) == brute, mu
+    assert len(orbit(Composition((6, 6)))) == 924
+
+
 def test_chi_one_blocks():
     assert chi_one(Composition((2, 0, 1))) == (1, 1, 3)
     assert chi_one(Composition((0, 3))) == (2, 2, 2)
